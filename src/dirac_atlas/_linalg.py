@@ -14,20 +14,6 @@ Row = tuple[Fraction, ...]
 Matrix = tuple[Row, ...]
 
 
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = len(b[0])
-    return tuple(
-        tuple(sum((ra[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols))
-        for ra in a
-    )
-
-
 def mat_inv(a: Matrix) -> Matrix:
     """Invert a square Fraction matrix; raises ValueError if singular."""
     n = len(a)

@@ -40,11 +40,21 @@ class Config:
     seed: Optional[int] = None
 
 
+def _load_json(path: str, what: str):
+    """Parse a JSON input file; unreadable files and bad JSON are validation errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+
+
 def load_config(path: Optional[str]) -> Config:
     cfg = Config()
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _load_json(path, "config file")
         if not isinstance(data, dict):
             raise ValidationError("config file must hold a JSON object")
         unknown = set(data) - _CONFIG_KEYS
@@ -56,6 +66,14 @@ def load_config(path: Optional[str]) -> Config:
         raise ValidationError("format must be json or table")
     if cfg.degree_roots not in dirac.DEGREE_ROOT_CHOICES:
         raise ValidationError(f"degree_roots must be one of {dirac.DEGREE_ROOT_CHOICES}")
+    if cfg.catalog is not None and not isinstance(cfg.catalog, str):
+        raise ValidationError("catalog must be a path string")
+    if cfg.seed is not None and (not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool)):
+        raise ValidationError(f"seed must be an integer, got {cfg.seed!r}")
+    for key in ("tol", "rank_gap", "power_tol"):
+        val = getattr(cfg, key)
+        if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
+            raise ValidationError(f"{key} must be a positive number, got {val!r}")
     return cfg
 
 
@@ -437,8 +455,7 @@ def _parse_matrix_entries(mat):
 
 
 def _cmd_k0_class(args, cfg: Config) -> dict:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = _load_json(args.spec, "spec file")
     for key in ("blocks", "matrices"):
         if key not in spec:
             raise ValidationError(f"k0 class spec needs '{key}'")
@@ -450,8 +467,7 @@ def _cmd_k0_class(args, cfg: Config) -> dict:
 
 
 def _cmd_k0_index(args, cfg: Config) -> dict:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = _load_json(args.spec, "spec file")
     for key in ("blocks", "e0", "e1", "u"):
         if key not in spec:
             raise ValidationError(f"k0 index spec needs '{key}'")
@@ -480,8 +496,7 @@ def _require_seed(args, cfg: Config) -> int:
 def _cmd_group_wedderburn(args, cfg: Config) -> dict:
     seed = _require_seed(args, cfg)
     if args.table:
-        with open(args.table, "r", encoding="utf-8") as fh:
-            table = json.load(fh)
+        table = _load_json(args.table, "table file")
         G = ktheory.wedderburn(np.array(table, dtype=int), seed=seed)
         name = args.table
     else:
@@ -518,8 +533,7 @@ def _cmd_group_idempotent(args, cfg: Config) -> dict:
 
 def _load_group_function(args, group):
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            items = json.load(fh)
+        items = _load_json(args.input, "input file")
         return rapid_decay.function_from_json(items, group)
     raise ValidationError("--input FILE with the group function is required")
 

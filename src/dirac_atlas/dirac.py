@@ -10,20 +10,26 @@ The product runs over all positive roots of g by default, which makes
 the fully compact case reduce exactly to the Weyl dimension formula;
 a switch restores the product over simple roots only (see README for
 the discrepancy the switch preserves).
+
+Regularity, formal degrees and chamber ids come from the integer root
+pairings of the g system (rootsys.IntegralForm). The enumeration box
+runs in int64: weights are scaled by the common denominator of the
+lattice basis and rho_K, and the ball, K-dominance and regularity
+tests are integer comparisons. Fractions appear only where parameters
+are built and rendered.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ._linalg import mat_inv, solve_left
-from .errors import ValidationError
+from .errors import DeskScaleError, ValidationError
 from .jsonutil import fr_str, vec_str
 from .repring import (
     IrrLabel,
@@ -33,15 +39,14 @@ from .repring import (
     product,
 )
 from .rootsys import (
+    LATTICE_BOX_CAP,
     RootSystem,
     Weight,
-    apply_matrix,
     grlex_key,
     inner,
+    integer_coords,
     is_regular,
-    make_dominant,
     wadd,
-    weyl_elements,
 )
 from .spinmod import RealPair, spin_characters
 
@@ -50,6 +55,9 @@ DEGREE_ROOT_CHOICES = ("positive", "simple")
 EXCLUSION_SINGULAR = "singular"
 EXCLUSION_UNEQUAL_RANK = "unequal_rank"
 EXCLUSION_ODD_PARITY = "odd_parity"
+
+# Box points per int64 slab of the enumeration; bounds its working memory.
+_SLAB_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,10 +92,13 @@ class InductionResult:
         return self.parameter is not None
 
 
-def _degree_root_set(pair: RealPair, degree_roots: str) -> tuple[Weight, ...]:
+def _degree_root_index(pair: RealPair, degree_roots: str) -> tuple[int, ...]:
+    """Positions of the configured degree roots among g's positive roots."""
     if degree_roots not in DEGREE_ROOT_CHOICES:
         raise ValidationError(f"degree_roots must be one of {DEGREE_ROOT_CHOICES}")
-    return pair.g.positive_roots if degree_roots == "positive" else pair.g.simple_roots
+    if degree_roots == "positive":
+        return tuple(range(len(pair.g.positive_roots)))
+    return pair.g.integral.simple_index
 
 
 def trace_product(lam: Weight, pair: RealPair, degree_roots: str = "positive") -> Fraction:
@@ -97,13 +108,15 @@ def trace_product(lam: Weight, pair: RealPair, degree_roots: str = "positive") -
     degree. Exact rational, invariant under rescaling the form.
     """
     g = pair.g
-    lam = tuple(Fraction(c) for c in lam)
-    if not is_regular(lam, g):
+    lam_p, lam_d = g.integral.pairings(lam)
+    if 0 in lam_p:
         raise ValidationError("parameter is singular for g")
-    out = Fraction(1)
-    for a in _degree_root_set(pair, degree_roots):
-        out *= inner(lam, a, g) / inner(g.rho, a, g)
-    return out
+    rho_p, rho_d = g.integral.pairings(g.rho)
+    num = den = 1
+    for j in _degree_root_index(pair, degree_roots):
+        num *= lam_p[j] * rho_d
+        den *= rho_p[j] * lam_d
+    return Fraction(num, den)
 
 
 def formal_degree(lam: Weight, pair: RealPair, degree_roots: str = "positive") -> Fraction:
@@ -115,16 +128,13 @@ def chamber_of(lam: Weight, rs: RootSystem) -> int:
 
     Chambers are numbered by the breadth-first enumeration of the Weyl
     group: 0 is the dominant chamber, the last index is the chamber of
-    the longest element.
+    the longest element. Looked up by the sign pattern of lam against
+    the positive roots (see RootSystem.chambers).
     """
-    lam = tuple(Fraction(c) for c in lam)
-    if not is_regular(lam, rs):
+    p, _ = rs.integral.pairings(lam)
+    if 0 in p:
         raise ValidationError("singular weight lies on a chamber wall")
-    dom = make_dominant(lam, rs)
-    for idx, m in enumerate(weyl_elements(rs)):
-        if apply_matrix(m, dom) == lam:
-            return idx
-    raise AssertionError("regular weight not reached from its dominant representative")
+    return rs.chambers[bytes(x > 0 for x in p)]
 
 
 def _label_weight(v) -> Weight:
@@ -173,50 +183,95 @@ def dirac_induct(v, pair: RealPair, degree_roots: str = "positive") -> Induction
     )
 
 
-def _lattice_box(
-    pair: RealPair, bound: Fraction, basis: tuple[Weight, ...]
-) -> Iterable[Weight]:
-    """Integer lattice points mu with (mu + rho_K) inside the bound ball.
+def _box_ranges(pair: RealPair, bound: Fraction, basis: tuple[Weight, ...]) -> list[range]:
+    """Coefficient ranges of a box around the bound ellipsoid.
 
-    A float bounding box plus a vectorized float norm prefilter prune
-    the candidates; only near-boundary survivors reach the exact
-    quadratic form, which alone decides membership.
+    In coefficient space the ball (lambda, lambda) <= bound is an
+    ellipsoid centred at the coefficients of -rho_K; its extent along
+    axis i is sqrt(bound * G^-1_ii) for the basis Gram matrix G. The
+    ranges are rounded outwards to whole integers, exactly.
     """
     g = pair.g
-    n = g.rank
-    rho_k = pair.k.rho
-    gram = tuple(
-        tuple(inner(bi, bj, g) for bj in basis) for bi in basis
-    )
-    gram_inv = mat_inv(gram)
-    # Center of the ellipsoid in coefficient space: mu = -rho_K.
-    center = solve_left(basis, tuple(-c for c in rho_k))
+    gram_inv = mat_inv(tuple(tuple(inner(bi, bj, g) for bj in basis) for bi in basis))
+    center = solve_left(basis, tuple(-c for c in pair.k.rho))
     if center is None:
         raise ValidationError("rho_K is outside the rational span of the lattice basis")
     ranges = []
-    for i in range(n):
-        half = bound * gram_inv[i][i]
-        s = math.sqrt(float(half)) if half > 0 else 0.0
-        lo = math.floor(float(center[i]) - s) - 1
-        hi = math.ceil(float(center[i]) + s) + 1
-        ranges.append(range(lo, hi + 1))
-    coeff_grid = np.array(list(itertools.product(*ranges)), dtype=float)
-    if coeff_grid.size == 0:
-        return
-    basis_f = np.array([[float(c) for c in b] for b in basis])
-    form_f = np.array([[float(c) for c in row] for row in g.form])
-    lam_f = coeff_grid @ basis_f + np.array([float(c) for c in rho_k])
-    norms = np.einsum("ij,jk,ik->i", lam_f, form_f, lam_f)
-    # absolute slack far above float error; exact test decides below
-    candidates = coeff_grid[norms <= float(bound) + 0.5].astype(int)
-    for coeffs in candidates:
-        mu = tuple(
-            sum((Fraction(int(coeffs[i])) * basis[i][j] for i in range(n)), Fraction(0))
-            for j in range(n)
+    for i, c in enumerate(center):
+        s = math.isqrt(math.floor(bound * gram_inv[i][i]))
+        ranges.append(range(math.floor(c) - s, math.ceil(c) + s + 1))
+    return ranges
+
+
+def _lattice_box(pair: RealPair, bound: Fraction, basis: tuple[Weight, ...]) -> list[Weight]:
+    """Lattice points mu worth inducing, for a nonnegative bound.
+
+    These are the mu = sum c_i b_i with lambda = mu + rho_K inside the
+    ball (lambda, lambda) <= bound, mu K-dominant, and lambda regular
+    for g. K-dominant points that are not K-integral also pass, so
+    that dirac_induct refuses them as it would any such input.
+
+    All tests are exact int64 arithmetic on D * lambda, with D the
+    common denominator of the basis and rho_K, over slabs of the
+    first coefficient. A box above LATTICE_BOX_CAP points is refused
+    before any work.
+    """
+    g, k = pair.g, pair.k
+    n = g.rank
+    ranges = _box_ranges(pair, bound, basis)
+    size = math.prod(r.stop - r.start for r in ranges)
+    if size > LATTICE_BOX_CAP:
+        raise DeskScaleError(
+            f"enumeration box exceeds the cap of {LATTICE_BOX_CAP} lattice points; lower the bound"
         )
-        lam = wadd(mu, rho_k)
-        if inner(lam, lam, g) <= bound:
-            yield mu
+    flat, den = integer_coords(tuple(c for b in basis for c in b) + tuple(k.rho))
+    lat = np.array(flat[: n * n], dtype=np.int64).reshape(n, n)  # D * basis
+    shift = np.array(flat[n * n :], dtype=np.int64)  # D * rho_K
+    form = g.integral
+    # mu is K-dominant iff every 2 (mu, beta) / (beta, beta) >= 0 over the
+    # simple roots beta of K, and K-integral iff each is an integer.
+    k_roots = np.array(k.simple_roots, dtype=np.int64).reshape(-1, n)
+    k_fr = 2 * form.gram @ k_roots.T
+    k_den = den * np.einsum("ij,ji->i", k_roots, k_fr) // 2
+
+    # Every |D lambda_j| and every entry of D * basis is at most reach, so
+    # each int64 value below is at most 4 n^2 reach^2 times the largest
+    # matrix entry.
+    reach = max(
+        abs(flat[n * n + j])
+        + sum(max(abs(r.start), abs(r.stop - 1), 1) * abs(flat[i * n + j]) for i, r in enumerate(ranges))
+        for j in range(n)
+    )
+    entry = max(int(np.abs(m).max(initial=0)) for m in (form.gram, form.fr, k_fr))
+    if n * n * reach * reach * entry >= 2**60:
+        raise DeskScaleError("enumeration box coordinates are too large for exact int64 arithmetic")
+    threshold = min(math.floor(bound * form.scale * den * den), 2**62)
+
+    # D * lambda with the first coefficient at 0, over all the other coefficients
+    rest = shift.reshape(1, n)
+    for i in range(1, n):
+        steps = np.arange(ranges[i].start, ranges[i].stop, dtype=np.int64)
+        rest = (rest[:, None, :] + steps[None, :, None] * lat[i]).reshape(-1, n)
+    rest_gram = rest @ form.gram
+    rest_norm = np.einsum("ij,ij->i", rest_gram, rest)
+    cross = 2 * (rest_gram @ lat[0])
+    first_norm = lat[0] @ form.gram @ lat[0]
+    first = np.arange(ranges[0].start, ranges[0].stop, dtype=np.int64)
+    per_slab = max(1, _SLAB_POINTS // len(rest))
+    kept = []
+    for start in range(0, len(first), per_slab):
+        c0 = first[start : start + per_slab, None]
+        # the norm test comes first, so only points in the ball are paired
+        slab, row = np.nonzero(rest_norm + c0 * cross + c0 * c0 * first_norm <= threshold)
+        if not slab.size:
+            continue
+        lam = rest[row] + c0[slab] * lat[0]
+        mu_pairs = (lam - shift) @ k_fr
+        dominant = (mu_pairs >= 0).all(axis=1)
+        integral = (mu_pairs % k_den == 0).all(axis=1)
+        regular = (lam @ form.fr != 0).all(axis=1)
+        kept.extend((lam[dominant & (regular | ~integral)] - shift).tolist())
+    return [tuple(Fraction(c, den) for c in row) for row in kept]
 
 
 def enumerate_discrete_series(
@@ -246,8 +301,6 @@ def enumerate_discrete_series(
         basis = tuple(tuple(Fraction(c) for c in b) for b in lattice_basis)
     out = []
     for mu in _lattice_box(pair, bound, basis):
-        if any(pair.k.coroot_pairing(mu, i) < 0 for i in range(len(pair.k.simple_roots))):
-            continue
         res = dirac_induct(mu, pair, degree_roots)
         if res.ok:
             out.append(res.parameter)

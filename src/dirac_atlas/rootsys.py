@@ -13,6 +13,14 @@ Normalization: long roots have squared length 2 in each simple factor,
 so formal-degree style ratios (x, a)/(rho, a) are scale-free. The
 stored bilinear form is the Gram matrix of the coordinate basis.
 
+Integer scaling: every quantity here lies on a lattice with a small
+known denominator, so the classification path runs on integers. Each
+RootSystem carries an IntegralForm (built once, on first use): the
+form scaled by the least common denominator of its entries, and the
+positive roots as integer rows. Root pairings, regularity, Weyl-group
+materialization and chamber lookup are integer computations on it.
+Fractions remain the currency of the public API and the JSON boundary.
+
 Everything here is immutable after construction and safe to share;
 all operations are pure functions.
 """
@@ -21,11 +29,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from ._linalg import Matrix, identity, mat_inv, mat_mul, solve_left
+import numpy as np
+
+from ._linalg import Matrix, mat_inv, solve_left
 from .errors import DeskScaleError, ValidationError
 from .jsonutil import mat_str, vec_str
 
@@ -36,6 +47,19 @@ FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 # Materializing the Weyl group stops at this order; orbit operations
 # stream and stay available beyond it.
 WEYL_MATERIALIZE_CAP = 100_000
+# Largest lattice box (candidate count) that ds enumeration scans. It
+# admits compact_f4 at bound 120 (about 2.7M points) and keeps every
+# int64 pairing of a box point far below overflow.
+LATTICE_BOX_CAP = 5_000_000
+
+# Weyl group orders of the exceptional simple types.
+_EXCEPTIONAL_WEYL_ORDERS = {
+    ("E", 6): 51840,
+    ("E", 7): 2903040,
+    ("E", 8): 696729600,
+    ("F", 4): 1152,
+    ("G", 2): 12,
+}
 
 
 def weight(coords: Iterable) -> Weight:
@@ -222,6 +246,48 @@ def positive_roots_from_cartan(cartan_matrix) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda k: (sum(k), k))
 
 
+def integer_coords(x: Weight) -> tuple[tuple[int, ...], int]:
+    """(nums, den) with x = nums / den and den the LCD of x's coordinates."""
+    x = tuple(Fraction(c) for c in x)
+    den = math.lcm(*(c.denominator for c in x))
+    return tuple(c.numerator * (den // c.denominator) for c in x), den
+
+
+@dataclass(frozen=True, eq=False)
+class IntegralForm:
+    """Integer-scaled form and positive roots of one RootSystem.
+
+    scale is the least common denominator L of the form's entries and
+    gram = L * form. roots holds the positive roots as integer rows, in
+    positive_roots order, and fr = gram @ roots.T, so that for an
+    integer row vector x the product x @ fr is L * (x, a) for every
+    positive root a at once. simple_index locates the simple roots
+    among the positive ones.
+    """
+
+    scale: int
+    gram: np.ndarray
+    roots: np.ndarray
+    fr: np.ndarray
+    simple_index: tuple[int, ...]
+
+    @functools.cached_property
+    def _fr_columns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.fr.T.tolist()))
+
+    def pairings(self, x: Weight) -> tuple[tuple[int, ...], int]:
+        """(p, d) with p[j] / d = (x, a_j) for each positive root a_j.
+
+        Python integers, so the result is exact for any input size.
+        """
+        if len(x) != self.gram.shape[0]:
+            raise ValidationError(
+                f"dimension mismatch: weight has {len(x)} coords, system rank {self.gram.shape[0]}"
+            )
+        nums, den = integer_coords(x)
+        return tuple(sum(a * b for a, b in zip(nums, col)) for col in self._fr_columns), den * self.scale
+
+
 @dataclass(frozen=True, eq=False)
 class RootSystem:
     """Roots, form and rho in a fixed rational coordinate space.
@@ -241,6 +307,38 @@ class RootSystem:
     positive_roots: tuple[Weight, ...]
     form: Matrix
     rho: Weight
+
+    @functools.cached_property
+    def integral(self) -> IntegralForm:
+        """The integer-scaled form and roots; see IntegralForm."""
+        n = self.rank
+        scale = math.lcm(*(c.denominator for row in self.form for c in row))
+        gram = np.array([[int(c * scale) for c in row] for row in self.form], dtype=np.int64).reshape(n, n)
+        if any(c.denominator != 1 for r in self.positive_roots for c in r):
+            raise ValidationError("positive roots must have integer coordinates")
+        roots = np.array(self.positive_roots, dtype=np.int64).reshape(-1, n)
+        index = {r: j for j, r in enumerate(self.positive_roots)}
+        return IntegralForm(
+            scale=scale,
+            gram=gram,
+            roots=roots,
+            fr=gram @ roots.T,
+            simple_index=tuple(index[r] for r in self.simple_roots),
+        )
+
+    @functools.cached_property
+    def chambers(self) -> dict[bytes, int]:
+        """Weyl chamber ids keyed by sign pattern.
+
+        Element w (its index in weyl_elements) is keyed by the signs of
+        (w rho, a) over the positive roots a: one byte per root, 1 when
+        positive. A regular weight has the sign pattern of the chamber
+        it lies in, and w -> w rho is a bijection onto the chambers.
+        """
+        elems = np.array(weyl_elements(self), dtype=np.int64).reshape(-1, self.rank, self.rank)
+        rho_nums, _ = integer_coords(self.rho)
+        signs = (np.array(rho_nums, dtype=np.int64) @ elems) @ self.integral.fr > 0
+        return {row.tobytes(): idx for idx, row in enumerate(signs)}
 
     @functools.cached_property
     def _coroot_functionals(self) -> tuple[Weight, ...]:
@@ -390,7 +488,7 @@ def inner(a: Weight, b: Weight, rs: RootSystem) -> Fraction:
 
 def is_regular(x: Weight, rs: RootSystem) -> bool:
     """True iff (x, a) != 0 for every positive root a."""
-    return all(inner(x, a, rs) != 0 for a in rs.positive_roots)
+    return 0 not in rs.integral.pairings(x)[0]
 
 
 def is_dominant(x: Weight, rs: RootSystem) -> bool:
@@ -448,51 +546,91 @@ def weyl_orbit(x: Weight, rs: RootSystem) -> tuple[Weight, ...]:
     return tuple(sorted(seen, key=grlex_key))
 
 
-def _reflection_matrix(root: Weight, rs: RootSystem) -> Matrix:
-    u = rs._coroot_functional(root)
-    n = rs.rank
-    return tuple(
-        tuple(Fraction(1 if j == k else 0) - u[j] * root[k] for k in range(n)) for j in range(n)
-    )
-
-
 def apply_matrix(m: Matrix, x: Weight) -> Weight:
     n = len(x)
     return tuple(sum((x[j] * m[j][k] for j in range(n)), Fraction(0)) for k in range(n))
 
 
+def _simple_reflections(rs: RootSystem) -> np.ndarray:
+    """Integer matrices of the simple reflections, x -> x @ s_i.
+
+    s_i = I - u^T a_i with u the coroot functional of a_i; u is
+    integral in weight coordinates for every system built here.
+    """
+    form = rs.integral
+    n = rs.rank
+    gens = np.empty((len(form.simple_index), n, n), dtype=np.int64)
+    for g, j in enumerate(form.simple_index):
+        col = form.fr[:, j]
+        u, rem = np.divmod(2 * col, form.roots[j] @ col)
+        if rem.any():
+            raise ValidationError("simple reflection is not integral in weight coordinates")
+        gens[g] = np.eye(n, dtype=np.int64) - np.outer(u, form.roots[j])
+    return gens
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Integer rows as byte strings that sort like the rows (lexicographically).
+
+    Entries are offset into unsigned bytes, so a sort or set operation
+    on the keys is a fast memcmp. Weyl matrices in weight coordinates
+    have entries far inside the byte range.
+    """
+    if rows.size and np.abs(rows).max() > 127:
+        raise DeskScaleError("Weyl group matrix entries exceed the byte key range")
+    return np.ascontiguousarray(rows + 128, dtype=np.uint8).view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
+def _key_rows(keys: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of _row_keys for flattened n x n matrices: shape (len(keys), n, n)."""
+    return np.frombuffer(keys.tobytes(), dtype=np.uint8).reshape(-1, n, n).astype(np.int64) - 128
+
+
 @functools.lru_cache(maxsize=None)
 def weyl_elements(rs: RootSystem) -> tuple[Matrix, ...]:
-    """All Weyl group elements as coordinate matrices.
+    """All Weyl group elements as integer coordinate matrices.
 
-    Breadth-first by word length with sorted levels, so the identity is
-    index 0 and the longest element is last. Raises DeskScaleError past
-    the materialization cap.
+    Breadth-first by word length with levels sorted lexicographically
+    (row-major), so the identity is index 0 and the longest element is
+    last. Each level is one batched integer product with the simple
+    reflections; since a simple reflection changes the length by
+    exactly one, a level's products are the next level plus elements
+    of the previous one. Entries are Python ints, equal to the exact
+    rationals they stand for. Raises DeskScaleError past the
+    materialization cap.
     """
-    gens = [_reflection_matrix(r, rs) for r in rs.simple_roots]
-    ident = identity(rs.rank)
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = set()
-        for m in frontier:
-            for g in gens:
-                prod = mat_mul(m, g)
-                if prod not in seen:
-                    nxt.add(prod)
-        frontier = sorted(nxt)
-        seen.update(frontier)
-        order.extend(frontier)
-        if len(order) > WEYL_MATERIALIZE_CAP:
+    n = rs.rank
+    gens = _simple_reflections(rs)
+    level = _row_keys(np.eye(n, dtype=np.int64).reshape(1, n * n))
+    prev = level[:0]
+    levels = [level]
+    total = 1
+    while len(level):
+        prods = np.einsum("fij,gjk->fgik", _key_rows(level, n), gens)
+        keys = np.unique(_row_keys(prods.reshape(-1, n * n)))
+        prev, level = level, keys[~np.isin(keys, prev)]
+        levels.append(level)
+        total += len(level)
+        if total > WEYL_MATERIALIZE_CAP:
             raise DeskScaleError(
                 f"Weyl group exceeds the materialization cap {WEYL_MATERIALIZE_CAP}"
             )
-    return tuple(order)
+    return tuple(tuple(map(tuple, m)) for m in _key_rows(np.concatenate(levels), n).tolist())
+
+
+def _simple_weyl_order(fam: str, rank: int) -> int:
+    if fam == "A":
+        return math.factorial(rank + 1)
+    if fam in ("B", "C"):
+        return 2**rank * math.factorial(rank)
+    if fam == "D":
+        return 2 ** (rank - 1) * math.factorial(rank)
+    return _EXCEPTIONAL_WEYL_ORDERS[(fam, rank)]
 
 
 def weyl_group_order(rs: RootSystem) -> int:
-    return len(weyl_elements(rs))
+    """|W| in closed form: the product of the standard orders of the factors."""
+    return math.prod(_simple_weyl_order(fam, rank) for fam, rank in rs.cartan.factors)
 
 
 def identify_cartan_type(simples: tuple[Weight, ...], ambient: RootSystem) -> CartanType:

@@ -1,0 +1,127 @@
+"""Fraction reference paths for the integer classification core.
+
+These are the original exact-rational algorithms: the Weyl group as a
+breadth-first search over Fraction reflection matrices, the chamber id
+as a linear scan over those matrices, and the enumeration box as a
+float bounding box plus float prefilter whose survivors an exact
+Fraction quadratic form decides. The package computes the same
+results on integers; tests compare the two element by element.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from dirac_atlas._linalg import mat_inv, solve_left
+from dirac_atlas.rootsys import apply_matrix, inner, make_dominant, wadd
+
+
+def _reflection_matrix(root, rs):
+    u = rs._coroot_functional(root)
+    n = rs.rank
+    return tuple(
+        tuple(Fraction(1 if j == k else 0) - u[j] * root[k] for k in range(n)) for j in range(n)
+    )
+
+
+def _mat_mul(a, b):
+    return tuple(
+        tuple(sum((ra[k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0])))
+        for ra in a
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def weyl_elements_bfs(rs):
+    """Weyl group by BFS over Fraction matrices, levels sorted."""
+    gens = [_reflection_matrix(r, rs) for r in rs.simple_roots]
+    ident = tuple(tuple(Fraction(1 if i == j else 0) for j in range(rs.rank)) for i in range(rs.rank))
+    seen = {ident}
+    order = [ident]
+    frontier = [ident]
+    while frontier:
+        nxt = set()
+        for m in frontier:
+            for g in gens:
+                prod = _mat_mul(m, g)
+                if prod not in seen:
+                    nxt.add(prod)
+        frontier = sorted(nxt)
+        seen.update(frontier)
+        order.extend(frontier)
+    return tuple(order)
+
+
+def is_regular_scan(x, rs):
+    return all(inner(x, a, rs) != 0 for a in rs.positive_roots)
+
+
+def chamber_scan(lam, rs):
+    """Chamber id by scanning the Fraction Weyl group for w(dom) = lam."""
+    dom = make_dominant(lam, rs)
+    for idx, m in enumerate(weyl_elements_bfs(rs)):
+        if apply_matrix(m, dom) == lam:
+            return idx
+    raise AssertionError("regular weight not reached from its dominant representative")
+
+
+def lattice_box_float(pair, bound, basis):
+    """Lattice points mu with (mu + rho_K) in the bound ball, via floats.
+
+    The float norm prefilter keeps an absolute slack of 0.5; the exact
+    Fraction form decides membership.
+    """
+    g = pair.g
+    n = g.rank
+    rho_k = pair.k.rho
+    gram_inv = mat_inv(tuple(tuple(inner(bi, bj, g) for bj in basis) for bi in basis))
+    center = solve_left(basis, tuple(-c for c in rho_k))
+    ranges = []
+    for i in range(n):
+        half = bound * gram_inv[i][i]
+        s = math.sqrt(float(half)) if half > 0 else 0.0
+        ranges.append(range(math.floor(float(center[i]) - s) - 1, math.ceil(float(center[i]) + s) + 2))
+    grid = np.array(list(itertools.product(*ranges)), dtype=float)
+    basis_f = np.array([[float(c) for c in b] for b in basis])
+    form_f = np.array([[float(c) for c in row] for row in g.form])
+    lam_f = grid @ basis_f + np.array([float(c) for c in rho_k])
+    norms = np.einsum("ij,jk,ik->i", lam_f, form_f, lam_f)
+    for coeffs in grid[norms <= float(bound) + 0.5].astype(int):
+        mu = tuple(
+            sum((Fraction(int(coeffs[i])) * basis[i][j] for i in range(n)), Fraction(0))
+            for j in range(n)
+        )
+        lam = wadd(mu, rho_k)
+        if inner(lam, lam, g) <= bound:
+            yield mu
+
+
+def enumerate_scan(pair, bound, degree_roots="positive"):
+    """Parameters as (lambda, mu, signed trace, chamber id), all in Fractions.
+
+    Sorted like enumerate_discrete_series: by norm, then graded-lex.
+    """
+    if not pair.equal_rank or pair.parity == 1:
+        return []
+    g, k = pair.g, pair.k
+    bound = Fraction(bound)
+    basis = tuple(tuple(Fraction(1 if j == i else 0) for j in range(g.rank)) for i in range(g.rank))
+    roots = g.positive_roots if degree_roots == "positive" else g.simple_roots
+    out = []
+    for mu in lattice_box_float(pair, bound, basis):
+        if any(k.coroot_pairing(mu, i) < 0 for i in range(len(k.simple_roots))):
+            continue
+        lam = wadd(mu, k.rho)
+        if not is_regular_scan(lam, g):
+            continue
+        signed = Fraction(1)
+        for a in roots:
+            signed *= inner(lam, a, g) / inner(g.rho, a, g)
+        out.append((lam, mu, signed, chamber_scan(lam, g)))
+    out.sort(key=lambda t: (inner(t[0], t[0], g), sum(t[0]), t[0]))
+    return out

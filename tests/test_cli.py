@@ -1,8 +1,10 @@
 """CLI contract tests: examples, determinism, exit codes, schemas."""
 
 import json
+import time
 
 import jsonschema
+import pytest
 
 from dirac_atlas.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, SCHEMAS, main
 
@@ -294,3 +296,47 @@ def test_degree_roots_flag(capsys):
         capsys, "ds", "induct", "--pair", "compact_a2", "--hw", "1,0"
     )
     assert payload["parameter"]["formal_degree"] == "3"
+
+
+_MALFORMED = '{"blocks": [1], "matrices": '
+
+
+@pytest.mark.parametrize(
+    "argv,files",
+    [
+        (["k0", "class", "--spec", "{missing}"], {}),
+        (["k0", "class", "--spec", "{bad}"], {"bad": _MALFORMED}),
+        (["k0", "index", "--spec", "{bad}"], {"bad": _MALFORMED}),
+        (["group", "wedderburn", "--table", "{bad}", "--seed", "0"], {"bad": "[[0, 1], [1"}),
+        (["rd", "norms", "--group", "z", "--s", "1", "--input", "{bad}", "--radius", "2"], {"bad": "[{"}),
+        (["rd", "norms", "--group", "z", "--s", "1", "--input", "{missing}", "--radius", "2"], {}),
+        (["rootsys", "info", "A1", "--config", "{missing}"], {}),
+        (["rootsys", "info", "A1", "--config", "{bad}"], {"bad": "{"}),
+        (["group", "wedderburn", "--name", "s3", "--config", "{cfg}"], {"cfg": '{"seed": "abc"}'}),
+        (["group", "wedderburn", "--name", "s3", "--config", "{cfg}"], {"cfg": '{"seed": true}'}),
+        (["rootsys", "info", "A1", "--config", "{cfg}"], {"cfg": '{"tol": -1}'}),
+        (["rootsys", "info", "A1", "--config", "{cfg}"], {"cfg": '{"rank_gap": "1e-6"}'}),
+        (["rootsys", "info", "A1", "--config", "{cfg}"], {"cfg": '{"power_tol": 0}'}),
+        (["rootsys", "info", "A1", "--config", "{cfg}"], {"cfg": '{"power_tol": false}'}),
+        (["spin", "info", "--pair", "su21", "--config", "{cfg}"], {"cfg": '{"catalog": 5}'}),
+    ],
+)
+def test_file_json_and_config_errors_exit_2(capsys, tmp_path, argv, files):
+    paths = {"missing": str(tmp_path / "does-not-exist.json")}
+    for name, text in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        paths[name] = str(path)
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_oversized_enumeration_box_refused_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "ds", "enumerate", "--pair", "compact_d4", "--bound", "1000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_VALIDATION and out == ""
+    assert "exceeds the cap" in err

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 from dirac_atlas.dirac import (
+    DEGREE_ROOT_CHOICES,
     EXCLUSION_ODD_PARITY,
     EXCLUSION_SINGULAR,
     EXCLUSION_UNEQUAL_RANK,
@@ -24,15 +25,20 @@ from dirac_atlas.dirac import (
 from dirac_atlas.errors import ValidationError
 from dirac_atlas.repring import dimension, irr_character
 from dirac_atlas.rootsys import (
+    apply_matrix,
     inner,
     is_regular,
+    make_dominant,
+    wadd,
     weight,
+    weyl_elements,
     weyl_group_order,
     wneg,
     wsub,
     wzero,
 )
-from dirac_atlas.spinmod import build_pair, get_pair, rescale_pair
+from dirac_atlas.spinmod import build_pair, catalog_names, get_pair, rescale_pair
+from fraction_oracles import chamber_scan, enumerate_scan, weyl_elements_bfs
 
 SL2R = get_pair("sl2r")
 SU21 = get_pair("su21")
@@ -256,3 +262,43 @@ def test_enumeration_bound_validation():
     with pytest.raises(ValidationError):
         enumerate_discrete_series(SL2R, -1)
     assert enumerate_discrete_series(SL2R, 0) == []
+
+
+# Small bounds per rank keep the Fraction oracle fast.
+ORACLE_BOUNDS = {1: 30, 2: 20, 3: 12, 4: 8}
+
+
+@pytest.mark.parametrize("degree_roots", DEGREE_ROOT_CHOICES)
+@pytest.mark.parametrize("name", catalog_names())
+def test_enumeration_matches_fraction_oracle(name, degree_roots):
+    pair = get_pair(name)
+    bound = ORACLE_BOUNDS[pair.g.rank]
+    for p, b in ((pair, bound), (rescale_pair(pair, 3), 3 * bound)):
+        got = [
+            (q.lam, q.min_k_type.highest_weight, q.signed_trace, q.chamber_id)
+            for q in enumerate_discrete_series(p, b, degree_roots)
+        ]
+        assert got == enumerate_scan(p, b, degree_roots)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_chamber_lookup_matches_linear_scan(name):
+    pair = get_pair(name)
+    scaled = rescale_pair(pair, 3)
+    # Weyl matrices do not see the scale; K differs from g only off the compact pairs.
+    systems = [(pair.g, pair.g), (scaled.g, pair.g)]
+    if not pair.is_compact:
+        systems += [(pair.k, pair.k), (scaled.k, pair.k)]
+    for rs, unscaled in systems:
+        elems = weyl_elements_bfs(unscaled)
+        assert weyl_elements(rs) == elems
+        # a strictly dominant weight off the rho line, moved into every chamber
+        dom = wadd(rs.rho, make_dominant(weight([1] + [0] * (rs.rank - 1)), rs))
+        for idx, m in enumerate(elems):
+            assert chamber_of(apply_matrix(m, dom), rs) == idx
+    if pair.g.rank <= 2:
+        halves = [F(k, 2) for k in range(-5, 6)]
+        grid = [(a,) for a in halves] if pair.g.rank == 1 else [(a, b) for a in halves for b in halves]
+        for lam in grid:
+            if is_regular(lam, pair.g):
+                assert chamber_of(lam, pair.g) == chamber_scan(lam, pair.g)

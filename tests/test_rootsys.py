@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.liealgebras.weyl_group import WeylGroup
 
 from dirac_atlas.errors import ValidationError
 from dirac_atlas.rootsys import (
@@ -36,6 +37,7 @@ from dirac_atlas.rootsys import (
     wscale,
     wzero,
 )
+from fraction_oracles import weyl_elements_bfs
 
 
 def reflection_closure_oracle(rs):
@@ -221,6 +223,40 @@ def test_regular_iff_full_orbit():
         for y in range(-2, 3):
             w = weight([x, y])
             assert is_regular(w, rs) == (len(weyl_orbit(w, rs)) == order)
+
+
+RANK_4_TYPES = [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4", "F4", "G2",
+    "A1xA1", "A1xB3", "A2xG2", "A1xA1xA2",
+]
+
+
+@pytest.mark.parametrize("name", RANK_4_TYPES)
+def test_weyl_elements_match_fraction_bfs(name):
+    rs = build_root_system(parse_cartan(name))
+    elems = weyl_elements(rs)
+    assert elems == weyl_elements_bfs(rs)
+    assert weyl_group_order(rs) == len(elems)
+
+
+SYMPY_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("name", SYMPY_TYPES)
+def test_weyl_group_order_matches_sympy(name):
+    rs = build_root_system(parse_cartan(name))
+    assert weyl_group_order(rs) == WeylGroup(name).group_order()
+
+
+def test_weyl_materialization_cap_still_refuses():
+    with pytest.raises(ValidationError, match="materialization cap"):
+        weyl_elements(build_root_system(parse_cartan("E7")))
 
 
 def test_weyl_enumeration_ends_with_longest_element():
