@@ -454,12 +454,34 @@ def _parse_matrix_entries(mat):
     return np.array([[conv_float(x) for x in row] for row in mat], dtype=complex)
 
 
+def _load_spec(path: str, what: str, int_keys: tuple[str, ...], matrix_key: str) -> dict:
+    """A spec file of lists, one entry per block: int_keys (blocks first) hold integers."""
+    spec = _load_json(path, "spec file")
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{what} spec must hold a JSON object")
+    for key in int_keys + (matrix_key,):
+        val = spec.get(key)
+        if not isinstance(val, list) or (key in int_keys and not all(type(x) is int for x in val)):
+            raise ValidationError(f"{what} spec needs '{key}' as a list" + (" of integers" if key in int_keys else ""))
+        if len(val) != len(spec["blocks"]):
+            raise ValidationError(f"{what} spec needs one '{key}' entry per block")
+    return spec
+
+
+def _u_block(m, rows: int, cols: int) -> np.ndarray:
+    """One block of u: a rows x cols complex matrix, [] when empty."""
+    try:
+        mat = np.array(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"k0 index spec: u block {m!r} is not a numeric matrix") from exc
+    if mat.shape != (rows, cols) and not mat.size == rows * cols == 0:
+        raise ValidationError(f"k0 index spec: u block of shape {mat.shape}, expected ({rows}, {cols})")
+    return mat.reshape(rows, cols)
+
+
 def _cmd_k0_class(args, cfg: Config) -> dict:
-    spec = _load_json(args.spec, "spec file")
-    for key in ("blocks", "matrices"):
-        if key not in spec:
-            raise ValidationError(f"k0 class spec needs '{key}'")
-    alg = ktheory.FDAlgebra(tuple(int(b) for b in spec["blocks"]))
+    spec = _load_spec(args.spec, "k0 class", ("blocks",), "matrices")
+    alg = ktheory.FDAlgebra(tuple(spec["blocks"]))
     mats = [_parse_matrix_entries(m) for m in spec["matrices"]]
     elem = ktheory.AlgebraElement.from_blocks(alg, mats)
     cls = ktheory.k0_class(elem, alg, tol=cfg.tol, gap=cfg.rank_gap)
@@ -467,14 +489,10 @@ def _cmd_k0_class(args, cfg: Config) -> dict:
 
 
 def _cmd_k0_index(args, cfg: Config) -> dict:
-    spec = _load_json(args.spec, "spec file")
-    for key in ("blocks", "e0", "e1", "u"):
-        if key not in spec:
-            raise ValidationError(f"k0 index spec needs '{key}'")
-    alg = ktheory.FDAlgebra(tuple(int(b) for b in spec["blocks"]))
-    e0 = [int(x) for x in spec["e0"]]
-    e1 = [int(x) for x in spec["e1"]]
-    u = [np.array(m, dtype=complex).reshape(b, a) for m, a, b in zip(spec["u"], e0, e1)]
+    spec = _load_spec(args.spec, "k0 index", ("blocks", "e0", "e1"), "u")
+    alg = ktheory.FDAlgebra(tuple(spec["blocks"]))
+    e0, e1 = spec["e0"], spec["e1"]
+    u = [_u_block(m, b, a) for m, a, b in zip(spec["u"], e0, e1)]
     mod = ktheory.FredholmModule.build(e0, e1, u)
     idx = ktheory.fredholm_index(mod, alg, gap=cfg.rank_gap)
     oracle = ktheory.index_by_kernel_cokernel(mod, alg, gap=cfg.rank_gap)

@@ -36,12 +36,14 @@ from .repring import (
     dual,
     invariant_multiplicity,
     irr_character,
+    label_weight,
     product,
 )
 from .rootsys import (
     LATTICE_BOX_CAP,
     RootSystem,
     Weight,
+    check_dominant_integral,
     grlex_key,
     inner,
     integer_coords,
@@ -56,6 +58,8 @@ EXCLUSION_SINGULAR = "singular"
 EXCLUSION_UNEQUAL_RANK = "unequal_rank"
 EXCLUSION_ODD_PARITY = "odd_parity"
 
+# Most parameters ds enumeration builds; refused before building any.
+ENUMERATION_OUTPUT_CAP = 50_000
 # Box points per int64 slab of the enumeration; bounds its working memory.
 _SLAB_POINTS = 1 << 16
 
@@ -137,21 +141,6 @@ def chamber_of(lam: Weight, rs: RootSystem) -> int:
     return rs.chambers[bytes(x > 0 for x in p)]
 
 
-def _label_weight(v) -> Weight:
-    hw = v.highest_weight if isinstance(v, IrrLabel) else v
-    return tuple(Fraction(c) for c in hw)
-
-
-def _check_k_dominant(hw: Weight, pair: RealPair) -> None:
-    k = pair.k
-    for i in range(len(k.simple_roots)):
-        c = k.coroot_pairing(hw, i)
-        if c < 0:
-            raise ValidationError(f"K-type {vec_str(hw)} is not dominant for K")
-        if c.denominator != 1:
-            raise ValidationError(f"K-type {vec_str(hw)} is not integral for K")
-
-
 def dirac_induct(v, pair: RealPair, degree_roots: str = "positive") -> InductionResult:
     """Map a K-type to its discrete-series parameter or an exclusion.
 
@@ -159,10 +148,8 @@ def dirac_induct(v, pair: RealPair, degree_roots: str = "positive") -> Induction
     parameter. Successful results carry the exact formal degree and
     the chamber id of lambda.
     """
-    hw = _label_weight(v)
-    if len(hw) != pair.g.rank:
-        raise ValidationError("K-type dimension does not match the pair")
-    _check_k_dominant(hw, pair)
+    hw = label_weight(v, pair.g)
+    check_dominant_integral(hw, pair.k, "K-type")
     if not pair.equal_rank:
         return InductionResult(exclusion=EXCLUSION_UNEQUAL_RANK)
     if pair.parity == 1:
@@ -228,11 +215,9 @@ def _lattice_box(pair: RealPair, bound: Fraction, basis: tuple[Weight, ...]) -> 
     lat = np.array(flat[: n * n], dtype=np.int64).reshape(n, n)  # D * basis
     shift = np.array(flat[n * n :], dtype=np.int64)  # D * rho_K
     form = g.integral
-    # mu is K-dominant iff every 2 (mu, beta) / (beta, beta) >= 0 over the
-    # simple roots beta of K, and K-integral iff each is an integer.
-    k_roots = np.array(k.simple_roots, dtype=np.int64).reshape(-1, n)
-    k_fr = 2 * form.gram @ k_roots.T
-    k_den = den * np.einsum("ij,ji->i", k_roots, k_fr) // 2
+    # D * mu pairs to D <mu, beta^vee> over the simple roots beta of K:
+    # mu is K-dominant iff all are >= 0, and K-integral iff all are integers.
+    k_coroots = k.integral.coroots
 
     # Every |D lambda_j| and every entry of D * basis is at most reach, so
     # each int64 value below is at most 4 n^2 reach^2 times the largest
@@ -242,7 +227,7 @@ def _lattice_box(pair: RealPair, bound: Fraction, basis: tuple[Weight, ...]) -> 
         + sum(max(abs(r.start), abs(r.stop - 1), 1) * abs(flat[i * n + j]) for i, r in enumerate(ranges))
         for j in range(n)
     )
-    entry = max(int(np.abs(m).max(initial=0)) for m in (form.gram, form.fr, k_fr))
+    entry = max(int(np.abs(m).max(initial=0)) for m in (form.gram, form.fr, k_coroots))
     if n * n * reach * reach * entry >= 2**60:
         raise DeskScaleError("enumeration box coordinates are too large for exact int64 arithmetic")
     threshold = min(math.floor(bound * form.scale * den * den), 2**62)
@@ -266,11 +251,15 @@ def _lattice_box(pair: RealPair, bound: Fraction, basis: tuple[Weight, ...]) -> 
         if not slab.size:
             continue
         lam = rest[row] + c0[slab] * lat[0]
-        mu_pairs = (lam - shift) @ k_fr
+        mu_pairs = (lam - shift) @ k_coroots
         dominant = (mu_pairs >= 0).all(axis=1)
-        integral = (mu_pairs % k_den == 0).all(axis=1)
+        integral = (mu_pairs % den == 0).all(axis=1)
         regular = (lam @ form.fr != 0).all(axis=1)
         kept.extend((lam[dominant & (regular | ~integral)] - shift).tolist())
+        if len(kept) > ENUMERATION_OUTPUT_CAP:
+            raise DeskScaleError(
+                f"enumeration would exceed the cap of {ENUMERATION_OUTPUT_CAP} parameters; lower the bound"
+            )
     return [tuple(Fraction(c, den) for c in row) for row in kept]
 
 
@@ -320,13 +309,11 @@ def pairing_compact_oracle(h_label, v, pair: RealPair) -> int:
     """
     if not pair.is_compact:
         raise ValidationError("compact oracle needs a fully compact pair")
-    hw_h = _label_weight(h_label)
-    hw_v = _label_weight(v)
     sc = spin_characters(pair)
     s_total = sc.s_plus + sc.s_minus
     chi = product(
-        product(dual(irr_character(hw_v, pair.k)), dual(s_total)),
-        irr_character(hw_h, pair.k),
+        product(dual(irr_character(v, pair.k)), dual(s_total)),
+        irr_character(h_label, pair.k),
     )
     return invariant_multiplicity(chi)
 

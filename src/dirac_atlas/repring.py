@@ -23,6 +23,8 @@ from .jsonutil import vec_str
 from .rootsys import (
     RootSystem,
     Weight,
+    check_dim,
+    check_dominant_integral,
     fw_to_simple_coords,
     grlex_key,
     inner,
@@ -31,6 +33,7 @@ from .rootsys import (
     make_dominant,
     rootsys_to_json,
     wadd,
+    weight,
     weyl_orbit,
     wneg,
     wscale,
@@ -112,15 +115,12 @@ def trivial_character(rs: RootSystem) -> VirtualCharacter:
     return VirtualCharacter(rs, {wzero(rs.rank): 1})
 
 
-def _check_label(mu: Weight, rs: RootSystem) -> None:
-    for i in range(len(rs.simple_roots)):
-        c = rs.coroot_pairing(mu, i)
-        if c < 0:
-            raise ValidationError(f"highest weight {vec_str(mu)} is not dominant")
-        if c.denominator != 1:
-            raise ValidationError(
-                f"highest weight {vec_str(mu)} is not integral for the system"
-            )
+def label_weight(v, rs: RootSystem) -> Weight:
+    """The highest weight of an IrrLabel, or a coordinate sequence, as a
+    Weight with one coordinate per rank of rs."""
+    hw = weight(v.highest_weight if isinstance(v, IrrLabel) else v)
+    check_dim(hw, rs.rank)
+    return hw
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,8 +177,8 @@ def _dominant_multiplicities(mu: Weight, rs: RootSystem) -> dict:
 def dominant_multiplicities(mu, rs: RootSystem) -> dict:
     """Map of dominant weights to multiplicities for the irreducible
     with highest weight mu."""
-    hw: Weight = mu.highest_weight if isinstance(mu, IrrLabel) else tuple(Fraction(c) for c in mu)
-    _check_label(hw, rs)
+    hw = label_weight(mu, rs)
+    check_dominant_integral(hw, rs, "highest weight")
     return dict(_dominant_multiplicities(hw, rs))
 
 
@@ -189,12 +189,8 @@ def irr_character(mu, kk: RootSystem) -> VirtualCharacter:
     coordinates are fine as long as the coroot pairings with kk's
     simple roots are nonnegative integers).
     """
-    hw: Weight = mu.highest_weight if isinstance(mu, IrrLabel) else tuple(Fraction(c) for c in mu)
-    if len(hw) != kk.rank:
-        raise ValidationError("highest weight dimension does not match the system")
-    _check_label(hw, kk)
     terms: dict[Weight, int] = {}
-    for lam, m in _dominant_multiplicities(hw, kk).items():
+    for lam, m in dominant_multiplicities(mu, kk).items():
         for w in weyl_orbit(lam, kk):
             terms[w] = m
     return VirtualCharacter(kk, terms)
@@ -211,8 +207,7 @@ def weyl_dimension(mu, rs: RootSystem) -> Fraction:
     Independent of the Freudenthal path; exact rational (integral on
     dominant integral weights).
     """
-    hw: Weight = mu.highest_weight if isinstance(mu, IrrLabel) else tuple(Fraction(c) for c in mu)
-    shifted = wadd(hw, rs.rho)
+    shifted = wadd(label_weight(mu, rs), rs.rho)
     out = Fraction(1)
     for a in rs.positive_roots:
         out *= inner(shifted, a, rs) / inner(rs.rho, a, rs)

@@ -14,12 +14,14 @@ so formal-degree style ratios (x, a)/(rho, a) are scale-free. The
 stored bilinear form is the Gram matrix of the coordinate basis.
 
 Integer scaling: every quantity here lies on a lattice with a small
-known denominator, so the classification path runs on integers. Each
-RootSystem carries an IntegralForm (built once, on first use): the
-form scaled by the least common denominator of its entries, and the
-positive roots as integer rows. Root pairings, regularity, Weyl-group
-materialization and chamber lookup are integer computations on it.
-Fractions remain the currency of the public API and the JSON boundary.
+known denominator, so the exact core runs on integers. Each RootSystem
+carries an IntegralForm (built once, on first use): the scaled form, the
+positive roots and the simple coroots as integer arrays. A weight enters
+as integer numerators over one denominator, after the one length check
+(check_dim); inner, coroot_pairing, is_dominant, make_dominant,
+weyl_orbit, regularity, Weyl-group materialization and chamber lookup
+are integer computations. Fractions remain the currency of the public
+API and the JSON boundary: they are made only for returned values.
 
 Everything here is immutable after construction and safe to share;
 all operations are pure functions.
@@ -27,6 +29,7 @@ all operations are pure functions.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -38,7 +41,7 @@ import numpy as np
 
 from ._linalg import Matrix, mat_inv, solve_left
 from .errors import DeskScaleError, ValidationError
-from .jsonutil import mat_str, vec_str
+from .jsonutil import fr_str, mat_str, vec_str
 
 Weight = tuple[Fraction, ...]
 
@@ -248,21 +251,34 @@ def positive_roots_from_cartan(cartan_matrix) -> list[tuple[int, ...]]:
 
 def integer_coords(x: Weight) -> tuple[tuple[int, ...], int]:
     """(nums, den) with x = nums / den and den the LCD of x's coordinates."""
-    x = tuple(Fraction(c) for c in x)
+    x = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in x)
     den = math.lcm(*(c.denominator for c in x))
     return tuple(c.numerator * (den // c.denominator) for c in x), den
 
 
+def check_dim(x: Weight, rank: int) -> None:
+    """The one length check: a weight has one coordinate per rank."""
+    if len(x) != rank:
+        raise ValidationError(f"dimension mismatch: weight has {len(x)} coords, system rank {rank}")
+
+
+def _dots(nums: tuple[int, ...], columns: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    return tuple(sum(a * b for a, b in zip(nums, col)) for col in columns)
+
+
 @dataclass(frozen=True, eq=False)
 class IntegralForm:
-    """Integer-scaled form and positive roots of one RootSystem.
+    """Integer-scaled form, positive roots and simple coroots of one RootSystem.
 
     scale is the least common denominator L of the form's entries and
     gram = L * form. roots holds the positive roots as integer rows, in
     positive_roots order, and fr = gram @ roots.T, so that for an
     integer row vector x the product x @ fr is L * (x, a) for every
     positive root a at once. simple_index locates the simple roots
-    among the positive ones.
+    among the positive ones, simple holds them as rows, and x @ coroots
+    is the vector of coroot pairings <x, a_i^vee> = 2 (x, a_i) / (a_i, a_i)
+    over the simple roots a_i. The kernels compute in Python integers,
+    so they are exact for any input size.
     """
 
     scale: int
@@ -270,22 +286,39 @@ class IntegralForm:
     roots: np.ndarray
     fr: np.ndarray
     simple_index: tuple[int, ...]
+    simple: np.ndarray
+    coroots: np.ndarray
 
     @functools.cached_property
     def _fr_columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.fr.T.tolist()))
 
-    def pairings(self, x: Weight) -> tuple[tuple[int, ...], int]:
-        """(p, d) with p[j] / d = (x, a_j) for each positive root a_j.
+    @functools.cached_property
+    def _coroot_columns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.coroots.T.tolist()))
 
-        Python integers, so the result is exact for any input size.
-        """
-        if len(x) != self.gram.shape[0]:
-            raise ValidationError(
-                f"dimension mismatch: weight has {len(x)} coords, system rank {self.gram.shape[0]}"
-            )
-        nums, den = integer_coords(x)
-        return tuple(sum(a * b for a, b in zip(nums, col)) for col in self._fr_columns), den * self.scale
+    @functools.cached_property
+    def _simple_rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.simple.tolist()))
+
+    @functools.cached_property
+    def _gram_rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.gram.tolist()))
+
+    def coords(self, x: Weight) -> tuple[tuple[int, ...], int]:
+        """integer_coords of x, after the length check."""
+        check_dim(x, len(self.gram))
+        return integer_coords(x)
+
+    def pairings(self, x: Weight) -> tuple[tuple[int, ...], int]:
+        """(p, d) with p[j] / d = (x, a_j) for each positive root a_j."""
+        nums, den = self.coords(x)
+        return _dots(nums, self._fr_columns), den * self.scale
+
+    def coroot_pairings(self, x: Weight) -> tuple[tuple[int, ...], int]:
+        """(p, d) with p[i] / d = <x, a_i^vee> for each simple root a_i."""
+        nums, den = self.coords(x)
+        return _dots(nums, self._coroot_columns), den
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +343,7 @@ class RootSystem:
 
     @functools.cached_property
     def integral(self) -> IntegralForm:
-        """The integer-scaled form and roots; see IntegralForm."""
+        """The integer-scaled form, roots and coroots; see IntegralForm."""
         n = self.rank
         scale = math.lcm(*(c.denominator for row in self.form for c in row))
         gram = np.array([[int(c * scale) for c in row] for row in self.form], dtype=np.int64).reshape(n, n)
@@ -318,12 +351,21 @@ class RootSystem:
             raise ValidationError("positive roots must have integer coordinates")
         roots = np.array(self.positive_roots, dtype=np.int64).reshape(-1, n)
         index = {r: j for j, r in enumerate(self.positive_roots)}
+        simple_index = tuple(index[r] for r in self.simple_roots)
+        simple = roots[np.array(simple_index, dtype=np.intp)]
+        simple_fr = gram @ simple.T
+        # <x, a^vee> = 2 L (x, a) / (L (a, a)); integral for every system built here
+        coroots, rem = np.divmod(2 * simple_fr, np.einsum("ij,ji->i", simple, simple_fr))
+        if rem.any():
+            raise ValidationError("simple coroots are not integral in weight coordinates")
         return IntegralForm(
             scale=scale,
             gram=gram,
             roots=roots,
             fr=gram @ roots.T,
-            simple_index=tuple(index[r] for r in self.simple_roots),
+            simple_index=simple_index,
+            simple=simple,
+            coroots=coroots,
         )
 
     @functools.cached_property
@@ -340,28 +382,10 @@ class RootSystem:
         signs = (np.array(rho_nums, dtype=np.int64) @ elems) @ self.integral.fr > 0
         return {row.tobytes(): idx for idx, row in enumerate(signs)}
 
-    @functools.cached_property
-    def _coroot_functionals(self) -> tuple[Weight, ...]:
-        """Row vectors u with <x, beta_i_coroot> = sum_j x_j u_j."""
-        return tuple(self._coroot_functional(b) for b in self.simple_roots)
-
-    def _coroot_functional(self, root: Weight) -> Weight:
-        nn = inner(root, root, self)
-        if nn == 0:
-            raise ValidationError("zero vector is not a root")
-        col = tuple(
-            sum(self.form[j][k] * root[k] for k in range(self.rank)) for j in range(self.rank)
-        )
-        return tuple(2 * c / nn for c in col)
-
     def coroot_pairing(self, x: Weight, i: int) -> Fraction:
-        u = self._coroot_functionals[i]
-        return sum((xj * uj for xj, uj in zip(x, u)), Fraction(0))
-
-
-def _check_dim(x: Weight, rs: RootSystem) -> None:
-    if len(x) != rs.rank:
-        raise ValidationError(f"dimension mismatch: weight has {len(x)} coords, system rank {rs.rank}")
+        """<x, a_i^vee> = 2 (x, a_i) / (a_i, a_i) for the i-th simple root a_i."""
+        p, den = self.integral.coroot_pairings(x)
+        return Fraction(p[i], den)
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,14 +448,7 @@ def rescale_form(rs: RootSystem, factor) -> RootSystem:
     f = Fraction(factor)
     if f <= 0:
         raise ValidationError("form scale factor must be positive")
-    return RootSystem(
-        cartan=rs.cartan,
-        rank=rs.rank,
-        simple_roots=rs.simple_roots,
-        positive_roots=rs.positive_roots,
-        form=tuple(tuple(f * x for x in row) for row in rs.form),
-        rho=rs.rho,
-    )
+    return dataclasses.replace(rs, form=tuple(tuple(f * x for x in row) for row in rs.form))
 
 
 def subsystem(ambient: RootSystem, roots: Iterable[Weight], cartan: Optional[CartanType] = None) -> RootSystem:
@@ -447,13 +464,12 @@ def subsystem(ambient: RootSystem, roots: Iterable[Weight], cartan: Optional[Car
         if r not in ambient.positive_roots:
             raise ValidationError(f"{vec_str(r)} is not a positive root of the ambient system")
     simples = [r for r in pos if all(wsub(r, s) not in pos_set for s in pos)]
+    cm = [[2 * inner(a, b, ambient) / inner(b, b, ambient) for b in simples] for a in simples]
+    if any(x.denominator != 1 for row in cm for x in row):
+        raise ValidationError("marked set is not a root subsystem (non-integral Cartan pairing)")
+    cm = [[int(x) for x in row] for row in cm]
     if simples:
-        cm = [[2 * inner(a, b, ambient) / inner(b, b, ambient) for b in simples] for a in simples]
-        for row in cm:
-            for x in row:
-                if x.denominator != 1:
-                    raise ValidationError("marked set is not a root subsystem (non-integral Cartan pairing)")
-        closure = positive_roots_from_cartan([[int(x) for x in row] for row in cm])
+        closure = positive_roots_from_cartan(cm)
         rebuilt = {
             functools.reduce(wadd, (wscale(k[i], simples[i]) for i in range(len(simples))), wzero(ambient.rank))
             for k in closure
@@ -462,7 +478,7 @@ def subsystem(ambient: RootSystem, roots: Iterable[Weight], cartan: Optional[Car
             raise ValidationError("marked set is not a root subsystem (closure mismatch)")
     rho = wscale(Fraction(1, 2), functools.reduce(wadd, pos, wzero(ambient.rank)))
     if cartan is None:
-        cartan = identify_cartan_type(tuple(simples), ambient)
+        cartan = identify_cartan_type(tuple(simples), ambient, cm)
     return RootSystem(
         cartan=cartan,
         rank=ambient.rank,
@@ -474,16 +490,12 @@ def subsystem(ambient: RootSystem, roots: Iterable[Weight], cartan: Optional[Car
 
 
 def inner(a: Weight, b: Weight, rs: RootSystem) -> Fraction:
-    """Symmetric bilinear form, exact."""
-    _check_dim(a, rs)
-    _check_dim(b, rs)
-    total = Fraction(0)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        row = rs.form[i]
-        total += ai * sum((row[j] * bj for j, bj in enumerate(b) if bj != 0), Fraction(0))
-    return total
+    """Symmetric bilinear form, exact: one integer sum over the scaled Gram matrix."""
+    form = rs.integral
+    a_nums, a_den = form.coords(a)
+    b_nums, b_den = form.coords(b)
+    total = sum(x * sum(g * y for g, y in zip(row, b_nums)) for x, row in zip(a_nums, form._gram_rows) if x)
+    return Fraction(total, a_den * b_den * form.scale)
 
 
 def is_regular(x: Weight, rs: RootSystem) -> bool:
@@ -492,8 +504,19 @@ def is_regular(x: Weight, rs: RootSystem) -> bool:
 
 
 def is_dominant(x: Weight, rs: RootSystem) -> bool:
-    """True iff (x, a) >= 0 for every simple root a."""
-    return all(rs.coroot_pairing(x, i) >= 0 for i in range(len(rs.simple_roots)))
+    """True iff <x, a^vee> >= 0 for every simple root a."""
+    return all(p >= 0 for p in rs.integral.coroot_pairings(x)[0])
+
+
+def check_dominant_integral(x: Weight, rs: RootSystem, what: str) -> None:
+    """The one label check: each <x, a^vee> over the simple roots a of rs is a nonnegative integer."""
+    pairs, den = rs.integral.coroot_pairings(x)
+    for i, p in enumerate(pairs):
+        if p < 0 or p % den:
+            raise ValidationError(
+                f"{what} {vec_str(x)} is not {'dominant' if p < 0 else 'integral'} for {rs.cartan}: "
+                f"coroot pairing {fr_str(rs.coroot_pairing(x, i))} at simple root {i + 1}"
+            )
 
 
 def reflect(x: Weight, root: Weight, rs: RootSystem) -> Weight:
@@ -507,15 +530,14 @@ def reflect(x: Weight, root: Weight, rs: RootSystem) -> Weight:
 
 def make_dominant(x: Weight, rs: RootSystem) -> Weight:
     """The dominant representative of the Weyl orbit of x."""
-    cur = x
+    form = rs.integral
+    nums, den = form.coords(x)
     while True:
-        i = next(
-            (k for k in range(len(rs.simple_roots)) if rs.coroot_pairing(cur, k) < 0),
-            None,
-        )
+        pairs = _dots(nums, form._coroot_columns)
+        i = next((i for i, p in enumerate(pairs) if p < 0), None)
         if i is None:
-            return cur
-        cur = wsub(cur, wscale(rs.coroot_pairing(cur, i), rs.simple_roots[i]))
+            return tuple(Fraction(c, den) for c in nums)
+        nums = tuple(a - pairs[i] * r for a, r in zip(nums, form._simple_rows[i]))
 
 
 def make_antidominant(x: Weight, rs: RootSystem) -> Weight:
@@ -526,24 +548,27 @@ def make_antidominant(x: Weight, rs: RootSystem) -> Weight:
 def weyl_orbit(x: Weight, rs: RootSystem) -> tuple[Weight, ...]:
     """Orbit of x under the simple reflections, sorted graded-lex.
 
-    Streams by breadth-first search; never materializes the group.
+    Streams by breadth-first search on the numerators of x; never
+    materializes the group.
     """
-    _check_dim(x, rs)
-    seen = {x}
-    frontier = [x]
+    form = rs.integral
+    nums, den = form.coords(x)
+    seen = {nums}
+    frontier = [nums]
     while frontier:
         nxt = []
         for w in frontier:
-            for i in range(len(rs.simple_roots)):
-                c = rs.coroot_pairing(w, i)
+            for col, root in zip(form._coroot_columns, form._simple_rows):
+                c = sum(a * b for a, b in zip(w, col))
                 if c == 0:
                     continue
-                img = wsub(w, wscale(c, rs.simple_roots[i]))
+                img = tuple(a - c * r for a, r in zip(w, root))
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
-    return tuple(sorted(seen, key=grlex_key))
+    # over one positive denominator, numerators sort like the weights
+    return tuple(tuple(Fraction(c, den) for c in w) for w in sorted(seen, key=grlex_key))
 
 
 def apply_matrix(m: Matrix, x: Weight) -> Weight:
@@ -554,19 +579,10 @@ def apply_matrix(m: Matrix, x: Weight) -> Weight:
 def _simple_reflections(rs: RootSystem) -> np.ndarray:
     """Integer matrices of the simple reflections, x -> x @ s_i.
 
-    s_i = I - u^T a_i with u the coroot functional of a_i; u is
-    integral in weight coordinates for every system built here.
+    s_i = I - u_i^T a_i with u_i the i-th column of the coroot matrix.
     """
     form = rs.integral
-    n = rs.rank
-    gens = np.empty((len(form.simple_index), n, n), dtype=np.int64)
-    for g, j in enumerate(form.simple_index):
-        col = form.fr[:, j]
-        u, rem = np.divmod(2 * col, form.roots[j] @ col)
-        if rem.any():
-            raise ValidationError("simple reflection is not integral in weight coordinates")
-        gens[g] = np.eye(n, dtype=np.int64) - np.outer(u, form.roots[j])
-    return gens
+    return np.eye(rs.rank, dtype=np.int64) - np.einsum("ji,ik->ijk", form.coroots, form.simple)
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -633,23 +649,23 @@ def weyl_group_order(rs: RootSystem) -> int:
     return math.prod(_simple_weyl_order(fam, rank) for fam, rank in rs.cartan.factors)
 
 
-def identify_cartan_type(simples: tuple[Weight, ...], ambient: RootSystem) -> CartanType:
+def identify_cartan_type(simples: tuple[Weight, ...], ambient: RootSystem, pairing=None) -> CartanType:
     """Recognize the Cartan type of an independent set of simple roots.
 
     Brute force at desk scale: split into orthogonality components and
     match each component's Cartan matrix against the known families
-    under permutations.
+    under permutations. pairing is the Cartan pairing matrix
+    2(a, b)/(b, b) over the simples, when the caller has it already.
     """
     if not simples:
         return CartanType(())
     m = len(simples)
-    pair = [
-        [2 * inner(a, b, ambient) / inner(b, b, ambient) for b in simples] for a in simples
-    ]
+    if pairing is None:
+        pairing = [[2 * inner(a, b, ambient) / inner(b, b, ambient) for b in simples] for a in simples]
     adj = {i: set() for i in range(m)}
     for i in range(m):
         for j in range(m):
-            if i != j and pair[i][j] != 0:
+            if i != j and pairing[i][j] != 0:
                 adj[i].add(j)
     unvisited = set(range(m))
     components = []
@@ -683,7 +699,7 @@ def identify_cartan_type(simples: tuple[Weight, ...], ambient: RootSystem) -> Ca
     factors = []
     for comp in components:
         r = len(comp)
-        sub = [[int(pair[i][j]) for j in comp] for i in comp]
+        sub = [[int(pairing[i][j]) for j in comp] for i in comp]
         found = None
         for fam, rank in candidates(r):
             ref = _cartan_matrix_simple(fam, rank)
@@ -718,7 +734,7 @@ def fw_to_simple_coords(x: Weight, rs: RootSystem) -> Optional[Weight]:
     For subsystems the simple roots need not span the ambient space;
     None means x is outside their rational span.
     """
-    _check_dim(x, rs)
+    check_dim(x, rs.rank)
     if not rs.simple_roots:
         return () if all(c == 0 for c in x) else None
     return solve_left(rs.simple_roots, x)

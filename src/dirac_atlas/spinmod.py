@@ -16,6 +16,7 @@ class instead.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import os
@@ -35,6 +36,7 @@ from .rootsys import (
     build_root_system,
     grlex_key,
     parse_cartan,
+    rescale_form,
     subsystem,
     wadd,
     wneg,
@@ -88,20 +90,19 @@ class SpinStructure:
 
 
 def _validate_grading(rs: RootSystem, compact: set[Weight]) -> None:
-    """The marking, extended by e(-a) = e(a), must be additive."""
-    eps = {}
-    for r in rs.positive_roots:
-        eps[r] = 0 if r in compact else 1
-        eps[wneg(r)] = eps[r]
-    all_roots = list(eps)
-    root_set = set(all_roots)
-    for a in all_roots:
-        for b in all_roots:
-            s = wadd(a, b)
-            if s in root_set and (eps[a] + eps[b]) % 2 != eps[s]:
+    """The marking, extended by e(-a) = e(a), must be additive: the
+    restriction of a homomorphism from the root lattice to Z/2. By
+    induction on height, as every non-simple positive root b is
+    (b - a) + a with a simple and b - a positive, that holds iff
+    e(b) = e(b - a) + e(a) mod 2 for all such pairs."""
+    eps = {r: 0 if r in compact else 1 for r in rs.positive_roots}
+    for b in rs.positive_roots:
+        for a in rs.simple_roots:
+            rest = wsub(b, a)
+            if rest in eps and (eps[rest] + eps[a]) % 2 != eps[b]:
                 raise ValidationError(
                     "compact marking is not an additive Z/2 grading "
-                    f"(fails at {vec_str(a)} + {vec_str(b)})"
+                    f"(fails at {vec_str(rest)} + {vec_str(a)})"
                 )
 
 
@@ -166,28 +167,8 @@ def rescale_pair(pair: RealPair, factor) -> RealPair:
     Classification data (regularity, degrees, chambers) must not move;
     only norms and norm bounds scale.
     """
-    from .rootsys import rescale_form
-
     g = rescale_form(pair.g, factor)
-    k = RootSystem(
-        cartan=pair.k.cartan,
-        rank=pair.k.rank,
-        simple_roots=pair.k.simple_roots,
-        positive_roots=pair.k.positive_roots,
-        form=g.form,
-        rho=pair.k.rho,
-    )
-    return RealPair(
-        g=g,
-        k=k,
-        compact_positive=pair.compact_positive,
-        noncompact_positive=pair.noncompact_positive,
-        equal_rank=pair.equal_rank,
-        dim_g_mod_k=pair.dim_g_mod_k,
-        parity=pair.parity,
-        k_lattice=pair.k_lattice,
-        catalog_name=pair.catalog_name,
-    )
+    return dataclasses.replace(pair, g=g, k=dataclasses.replace(pair.k, form=g.form))
 
 
 def rho_noncompact(pair: RealPair) -> Weight:

@@ -1,11 +1,15 @@
 """Fraction reference paths for the integer classification core.
 
-These are the original exact-rational algorithms: the Weyl group as a
-breadth-first search over Fraction reflection matrices, the chamber id
-as a linear scan over those matrices, and the enumeration box as a
-float bounding box plus float prefilter whose survivors an exact
-Fraction quadratic form decides. The package computes the same
-results on integers; tests compare the two element by element.
+These are the original exact-rational algorithms, written against the
+Fraction form of a RootSystem only: the bilinear form as a Fraction
+double loop, coroot pairings through coroot functionals, the dominant
+representative and the Weyl orbit by Fraction reflections, the Weyl
+group as a breadth-first search over Fraction reflection matrices, the
+chamber id as a linear scan over those matrices, the enumeration box as
+a float bounding box plus float prefilter whose survivors an exact
+Fraction quadratic form decides, and the pairwise check of a Z/2 root
+grading. The package computes the same results on integers; tests
+compare the two element by element.
 """
 
 from __future__ import annotations
@@ -18,11 +22,76 @@ from fractions import Fraction
 import numpy as np
 
 from dirac_atlas._linalg import mat_inv, solve_left
-from dirac_atlas.rootsys import apply_matrix, inner, make_dominant, wadd
+from dirac_atlas.rootsys import apply_matrix, grlex_key, wadd, wneg, wscale, wsub
+
+
+def inner(a, b, rs):
+    """(a, b) as a Fraction double loop over the form."""
+    assert len(a) == len(b) == rs.rank
+    total = Fraction(0)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        row = rs.form[i]
+        total += ai * sum((row[j] * bj for j, bj in enumerate(b) if bj != 0), Fraction(0))
+    return total
+
+
+@functools.lru_cache(maxsize=None)
+def coroot_functional(root, rs):
+    """Row vector u with <x, root^vee> = sum_j x_j u_j."""
+    nn = inner(root, root, rs)
+    col = tuple(sum(rs.form[j][k] * root[k] for k in range(rs.rank)) for j in range(rs.rank))
+    return tuple(2 * c / nn for c in col)
+
+
+def coroot_pairing(x, i, rs):
+    assert len(x) == rs.rank
+    u = coroot_functional(rs.simple_roots[i], rs)
+    return sum((xj * uj for xj, uj in zip(x, u)), Fraction(0))
+
+
+def make_dominant(x, rs):
+    cur = x
+    while True:
+        i = next((k for k in range(len(rs.simple_roots)) if coroot_pairing(cur, k, rs) < 0), None)
+        if i is None:
+            return cur
+        cur = wsub(cur, wscale(coroot_pairing(cur, i, rs), rs.simple_roots[i]))
+
+
+def weyl_orbit(x, rs):
+    seen = {x}
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(len(rs.simple_roots)):
+                c = coroot_pairing(w, i, rs)
+                if c == 0:
+                    continue
+                img = wsub(w, wscale(c, rs.simple_roots[i]))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return tuple(sorted(seen, key=grlex_key))
+
+
+def grading_is_additive(rs, compact):
+    """Pairwise check: the marking, extended by e(-a) = e(a), is additive
+    on every pair of roots whose sum is a root."""
+    eps = {}
+    for r in rs.positive_roots:
+        eps[r] = 0 if r in compact else 1
+        eps[wneg(r)] = eps[r]
+    return all(
+        (eps[a] + eps[b]) % 2 == eps[wadd(a, b)] for a in eps for b in eps if wadd(a, b) in eps
+    )
 
 
 def _reflection_matrix(root, rs):
-    u = rs._coroot_functional(root)
+    u = coroot_functional(root, rs)
     n = rs.rank
     return tuple(
         tuple(Fraction(1 if j == k else 0) - u[j] * root[k] for k in range(n)) for j in range(n)
@@ -114,7 +183,7 @@ def enumerate_scan(pair, bound, degree_roots="positive"):
     roots = g.positive_roots if degree_roots == "positive" else g.simple_roots
     out = []
     for mu in lattice_box_float(pair, bound, basis):
-        if any(k.coroot_pairing(mu, i) < 0 for i in range(len(k.simple_roots))):
+        if any(coroot_pairing(mu, i, k) < 0 for i in range(len(k.simple_roots))):
             continue
         lam = wadd(mu, k.rho)
         if not is_regular_scan(lam, g):

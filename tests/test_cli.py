@@ -319,6 +319,8 @@ _MALFORMED = '{"blocks": [1], "matrices": '
         (["rootsys", "info", "A1", "--config", "{cfg}"], {"cfg": '{"power_tol": 0}'}),
         (["rootsys", "info", "A1", "--config", "{cfg}"], {"cfg": '{"power_tol": false}'}),
         (["spin", "info", "--pair", "su21", "--config", "{cfg}"], {"cfg": '{"catalog": 5}'}),
+        (["k0", "index", "--spec", "{bad}"], {"bad": '{"blocks": [1], "e0": [2], "e1": [3], "u": [[1, 2, 3, 4]]}'}),
+        (["k0", "class", "--spec", "{bad}"], {"bad": '{"blocks": ["x"], "matrices": [[[1]]]}'}),
     ],
 )
 def test_file_json_and_config_errors_exit_2(capsys, tmp_path, argv, files):
@@ -340,3 +342,16 @@ def test_oversized_enumeration_box_refused_fast(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == EXIT_VALIDATION and out == ""
     assert "exceeds the cap" in err
+
+
+def test_enumeration_output_cap_refused_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "ds", "enumerate", "--pair", "sl2r", "--bound", "100000000000")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_VALIDATION and out == ""
+    assert "exceed the cap" in err and err.count("\n") == 1
+
+
+def test_enumeration_below_output_cap_succeeds(capsys):
+    payload = run_json(capsys, "ds", "enumerate", "--pair", "sl2r", "--bound", "100000000")
+    assert payload["count"] == 28284

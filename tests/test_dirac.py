@@ -23,16 +23,20 @@ from dirac_atlas.dirac import (
     trace_product,
 )
 from dirac_atlas.errors import ValidationError
-from dirac_atlas.repring import dimension, irr_character
+from dirac_atlas.repring import dimension, dominant_multiplicities, irr_character, weyl_dimension
 from dirac_atlas.rootsys import (
     apply_matrix,
+    build_root_system,
     inner,
+    is_dominant,
     is_regular,
     make_dominant,
+    parse_cartan,
     wadd,
     weight,
     weyl_elements,
     weyl_group_order,
+    weyl_orbit,
     wneg,
     wsub,
     wzero,
@@ -302,3 +306,24 @@ def test_chamber_lookup_matches_linear_scan(name):
         for lam in grid:
             if is_regular(lam, pair.g):
                 assert chamber_of(lam, pair.g) == chamber_scan(lam, pair.g)
+
+
+A2 = build_root_system(parse_cartan("A2"))
+WRONG_LENGTH_CALLS = {
+    "coroot_pairing": lambda w: A2.coroot_pairing(w, 0),
+    "is_dominant": lambda w: is_dominant(w, A2),
+    "make_dominant": lambda w: make_dominant(w, A2),
+    "weyl_orbit": lambda w: weyl_orbit(w, A2),
+    "weyl_dimension": lambda w: weyl_dimension(w, A2),
+    "dominant_multiplicities": lambda w: dominant_multiplicities(w, A2),
+    "irr_character": lambda w: irr_character(w, A2),
+    "dirac_induct": lambda w: dirac_induct(w, SU21),
+}
+
+
+@pytest.mark.parametrize("coords", [(1, 0, 0), (1, 0, -7), (1,)])
+@pytest.mark.parametrize("name", sorted(WRONG_LENGTH_CALLS))
+def test_wrong_length_weight_is_refused(name, coords):
+    # A2 and the g of su21 have rank 2; zip would silently truncate
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        WRONG_LENGTH_CALLS[name](weight(coords))

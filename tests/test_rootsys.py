@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.liealgebras.cartan_type import CartanType as SympyCartanType
 from sympy.liealgebras.weyl_group import WeylGroup
 
 from dirac_atlas.errors import ValidationError
@@ -37,6 +38,8 @@ from dirac_atlas.rootsys import (
     wscale,
     wzero,
 )
+from dirac_atlas.spinmod import get_pair
+import fraction_oracles as oracle
 from fraction_oracles import weyl_elements_bfs
 
 
@@ -252,6 +255,35 @@ SYMPY_TYPES = (
 def test_weyl_group_order_matches_sympy(name):
     rs = build_root_system(parse_cartan(name))
     assert weyl_group_order(rs) == WeylGroup(name).group_order()
+
+
+@pytest.mark.parametrize("name", SYMPY_TYPES)
+def test_root_count_and_cartan_matrix_match_sympy(name):
+    rs = build_root_system(parse_cartan(name))
+    ref = SympyCartanType(name)
+    assert len(rs.positive_roots) == len(ref.positive_roots())
+    ours = [[2 * inner(a, b, rs) / inner(b, b, rs) for b in rs.simple_roots] for a in rs.simple_roots]
+    # sympy's A1 cartan_matrix raises IndexError
+    assert ours == (ref.cartan_matrix().tolist() if rs.rank > 1 else [[2]])
+
+
+KERNEL_SYSTEMS = {name: build_root_system(parse_cartan(name)) for name in RANK_4_TYPES}
+KERNEL_SYSTEMS.update({f"{p}.k": get_pair(p).k for p in ("su21", "sp4r")})
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
+def test_integer_kernels_match_fraction_oracle(name, data):
+    rs = KERNEL_SYSTEMS[name]
+    half_integral = st.lists(st.integers(-5, 5).map(lambda k: F(k, 2)), min_size=rs.rank, max_size=rs.rank)
+    x = tuple(data.draw(half_integral))
+    y = tuple(data.draw(half_integral))
+    assert inner(x, y, rs) == oracle.inner(x, y, rs)
+    for i in range(len(rs.simple_roots)):
+        assert rs.coroot_pairing(x, i) == oracle.coroot_pairing(x, i, rs)
+    assert make_dominant(x, rs) == oracle.make_dominant(x, rs)
+    assert weyl_orbit(x, rs) == oracle.weyl_orbit(x, rs)
 
 
 def test_weyl_materialization_cap_still_refuses():

@@ -1,13 +1,14 @@
 """Real pairs, spin modules, liftability, and catalog validation."""
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from dirac_atlas.errors import ValidationError
 from dirac_atlas.repring import decompose, dimension, is_weyl_invariant
-from dirac_atlas.rootsys import weight, wneg, wscale, wzero
+from dirac_atlas.rootsys import build_root_system, fw_to_simple_coords, parse_cartan, weight, wneg, wscale, wzero
 from dirac_atlas.spinmod import (
     build_pair,
     catalog_names,
@@ -19,6 +20,7 @@ from dirac_atlas.spinmod import (
     spin_characters,
     spin_difference_character,
 )
+from fraction_oracles import grading_is_additive
 
 EQUAL_RANK_NAMES = [n for n in catalog_names() if n != "sl2c"]
 
@@ -141,6 +143,56 @@ def test_b2_grading_with_short_root_compact():
     pair = build_pair("B2", [weight([1, 0])])
     assert pair.n_plus == 3
     assert pair.k.positive_roots == (weight([1, 0]),)
+
+
+GRADING_TYPES = [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4", "F4", "G2",
+    "A1xA1", "A1xB3", "A2xG2", "A1xA1xA2",
+]
+
+
+def _grading_accepted(cartan, compact) -> bool:
+    try:
+        build_pair(cartan, compact)
+    except ValidationError as exc:
+        if "not an additive Z/2 grading" in str(exc):
+            return False
+        raise
+    return True
+
+
+def _markings(rs, rng):
+    """Every single-root marking and its complement, then seeded random
+    subsets, random homomorphisms to Z/2 and those with one root flipped."""
+    pos = rs.positive_roots
+    for r in pos:
+        yield [r]
+        yield [s for s in pos if s != r]
+    coords = [fw_to_simple_coords(r, rs) for r in pos]
+    for _ in range(20):
+        yield [r for r in pos if rng.random() < 0.5]
+        signs = [rng.randrange(2) for _ in range(rs.rank)]
+        hom = {r for r, k in zip(pos, coords) if sum(int(c) * e for c, e in zip(k, signs)) % 2 == 0}
+        yield sorted(hom)
+        yield sorted(hom ^ {rng.choice(pos)})
+
+
+@pytest.mark.parametrize("name", GRADING_TYPES)
+def test_grading_check_matches_pairwise_oracle(name):
+    rs = build_root_system(parse_cartan(name))
+    verdicts = set()
+    for compact in _markings(rs, random.Random(name)):
+        expected = grading_is_additive(rs, set(compact))
+        assert _grading_accepted(name, compact) == expected, compact
+        verdicts.add(expected)
+    # without a root that is a sum of two others every marking is additive
+    assert verdicts == ({True, False} if len(rs.positive_roots) > rs.rank else {True})
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_markings_pass_pairwise_oracle(name):
+    pair = get_pair(name)
+    assert grading_is_additive(pair.g, set(pair.compact_positive))
 
 
 def test_all_equal_rank_pairs_have_even_dim():
