@@ -3,9 +3,13 @@
 A virtual character is a finite weight -> integer multiplicity map over
 a fixed ambient root system (the system of K, possibly a subsystem of a
 larger one sharing its coordinates). Irreducible characters come from
-highest weights via the Freudenthal multiplicity recursion; the Weyl
-dimension formula is kept as an independent second code path so the two
-can cross-validate.
+highest weights via the Freudenthal multiplicity recursion, run on
+integer numerators over one denominator: the dominant weights are found
+by descent from the highest weight, each multiplicity is computed once
+per dominant weight, and the Weyl orbits are expanded only at the end,
+after the support has been checked against SUPPORT_CAP with closed-form
+orbit sizes. The Weyl dimension formula is kept as an independent second
+code path so the two can cross-validate.
 
 Negative multiplicities are first class; nothing clamps.
 """
@@ -13,7 +17,7 @@ Negative multiplicities are first class; nothing clamps.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -23,26 +27,29 @@ from .jsonutil import vec_str
 from .rootsys import (
     RootSystem,
     Weight,
+    _dots,
     check_dim,
     check_dominant_integral,
-    fw_to_simple_coords,
     grlex_key,
     inner,
+    integer_coords,
     is_dominant,
-    make_antidominant,
     make_dominant,
+    orbit_size,
     rootsys_to_json,
     wadd,
     weight,
     weyl_orbit,
     wneg,
-    wscale,
-    wsub,
     wzero,
 )
 
 # Character supports beyond this are outside the desk scale contract.
 SUPPORT_CAP = 100_000
+# Dominant tables kept by _dominant_multiplicities' cache, well above
+# the distinct highest weights (under 250) of a stream of about a
+# hundred rep requests.
+TABLE_CACHE_SIZE = 1024
 
 
 class IrrLabel(NamedTuple):
@@ -123,55 +130,88 @@ def label_weight(v, rs: RootSystem) -> Weight:
     return hw
 
 
-@functools.lru_cache(maxsize=None)
-def _dominant_multiplicities(mu: Weight, rs: RootSystem) -> dict:
-    """Freudenthal recursion over the dominant weights below mu.
+def _numerators(x: Weight, den: int) -> tuple[int, ...]:
+    """Numerators of x over den; den is a multiple of every denominator of x."""
+    return tuple(c.numerator * (den // c.denominator) for c in x)
 
-    Candidates are enumerated in the exact box between mu and the
-    antidominant extreme, level by level, so every multiplicity needed
-    on the right-hand side is already known when a weight is processed.
+
+def _check_support(size: int, what: str) -> None:
+    if size > SUPPORT_CAP:
+        raise DeskScaleError(f"{what} has {size} weights, over the character support cap {SUPPORT_CAP}")
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _dominant_multiplicities(mu: Weight, rs: RootSystem) -> dict:
+    """Freudenthal recursion over the dominant weights below mu, on integers.
+
+    The dominant weights of V(mu) are found by descent: every one of
+    them is reached from mu through dominant weights, each a positive
+    root below the one before (Stembridge 1998), so one search over
+    lambda - alpha finds them all. They are processed by level (the
+    height of mu - lambda), then graded-lex, so every multiplicity the
+    right-hand side needs is already known when a weight is processed.
+
+    Weights are integer numerators over one denominator D, the LCD of mu
+    and rho. With L the scale of rs.integral, x @ fr is L D (lambda, a)
+    for every positive root a at once, and each step of a root string
+    adds D L (a, a). The dominant representative of each lambda + t a
+    comes from make_dominant, once per distinct weight. The final
+    division of the recursion is checked to be exact and positive.
+    Fractions are made only for the returned table.
     """
-    simples = rs.simple_roots
-    if not simples:
+    if not rs.simple_roots:
         return {mu: 1}
-    kmax = fw_to_simple_coords(wsub(mu, make_antidominant(mu, rs)), rs)
-    assert kmax is not None and all(k.denominator == 1 and k >= 0 for k in kmax)
-    candidates = []
-    for ks in itertools.product(*(range(int(k) + 1) for k in kmax)):
-        lam = mu
-        for i, k in enumerate(ks):
-            if k:
-                lam = wsub(lam, wscale(k, simples[i]))
-        if is_dominant(lam, rs):
-            candidates.append((sum(ks), lam))
-    candidates.sort(key=lambda t: (t[0], grlex_key(t[1])))
-    rho = rs.rho
-    top = inner(wadd(mu, rho), wadd(mu, rho), rs)
-    mult: dict[Weight, int] = {}
-    dom_cache: dict[Weight, Weight] = {}
-    for level, lam in candidates:
-        if level == 0:
-            mult[lam] = 1
-            continue
-        acc = Fraction(0)
-        for alpha in rs.positive_roots:
-            t = 1
+    form = rs.integral
+    den = math.lcm(integer_coords(mu)[1], integer_coords(rs.rho)[1])
+    top = _numerators(mu, den)
+    rho = _numerators(rs.rho, den)
+    steps = [tuple(den * c for c in r) for r in form.roots.tolist()]
+    step_pairings = [_dots(r, form.coroot_columns) for r in steps]
+    # descent from mu through dominant weights
+    level = {top: 0}
+    pending = [(top, _dots(top, form.coroot_columns))]
+    while pending:
+        lam, pairs = pending.pop()
+        for step, sp, h in zip(steps, step_pairings, form.heights):
+            below = tuple(p - q for p, q in zip(pairs, sp))
+            if min(below) < 0:
+                continue
+            nu = tuple(a - b for a, b in zip(lam, step))
+            if nu not in level:
+                level[nu] = level[lam] + h
+                if len(level) > SUPPORT_CAP:
+                    raise DeskScaleError(f"dominant weights below {vec_str(mu)} exceed the character support cap {SUPPORT_CAP}")
+                pending.append((nu, below))
+    order = sorted(level, key=lambda x: (level[x], grlex_key(x)))
+
+    def norm(x):  # L D^2 (x + rho, x + rho)
+        y = tuple(a + b for a, b in zip(x, rho))
+        return sum(a * sum(g * b for g, b in zip(row, y)) for a, row in zip(y, form.gram_rows) if a)
+
+    # D L (a, a) for each positive root a
+    string_steps = [sum(a * b for a, b in zip(step, col)) for step, col in zip(steps, form.fr_columns)]
+    top_norm = norm(top)
+    mult = {top: 1}
+    dom_of: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for lam in order[1:]:
+        acc = 0
+        for p, inc, step in zip(_dots(lam, form.fr_columns), string_steps, steps):
+            nu = lam
             while True:
-                nu = wadd(lam, wscale(t, alpha))
-                dom = dom_cache.get(nu)
+                nu = tuple(a + b for a, b in zip(nu, step))
+                p += inc
+                dom = dom_of.get(nu)
                 if dom is None:
-                    dom = make_dominant(nu, rs)
-                    dom_cache[nu] = dom
+                    dom = dom_of[nu] = _numerators(make_dominant(tuple(Fraction(c, den) for c in nu), rs), den)
                 m = mult.get(dom)
                 if m is None:
                     break
-                acc += m * inner(nu, alpha, rs)
-                t += 1
-        den = top - inner(wadd(lam, rho), wadd(lam, rho), rs)
-        val = 2 * acc / den
-        assert val.denominator == 1 and val > 0, "Freudenthal recursion broke"
-        mult[lam] = int(val)
-    return mult
+                acc += m * p
+        num, gap = 2 * den * acc, top_norm - norm(lam)
+        if gap <= 0 or num <= 0 or num % gap:
+            raise AssertionError(f"Freudenthal recursion broke at {vec_str(tuple(Fraction(c, den) for c in lam))}")
+        mult[lam] = num // gap
+    return {tuple(Fraction(c, den) for c in lam): m for lam, m in mult.items()}
 
 
 def dominant_multiplicities(mu, rs: RootSystem) -> dict:
@@ -187,10 +227,17 @@ def irr_character(mu, kk: RootSystem) -> VirtualCharacter:
 
     mu must be dominant and integral for kk (half-integral ambient
     coordinates are fine as long as the coroot pairings with kk's
-    simple roots are nonnegative integers).
+    simple roots are nonnegative integers). The support is refused
+    past SUPPORT_CAP before it is built: first the orbit of mu alone,
+    before any work, then the orbits of all the dominant weights.
     """
+    hw = label_weight(mu, kk)
+    check_dominant_integral(hw, kk, "highest weight")
+    _check_support(orbit_size(hw, kk), f"the Weyl orbit of {vec_str(hw)}")
+    table = _dominant_multiplicities(hw, kk)
+    _check_support(sum(orbit_size(lam, kk) for lam in table), f"the character of {vec_str(hw)}")
     terms: dict[Weight, int] = {}
-    for lam, m in dominant_multiplicities(mu, kk).items():
+    for lam, m in table.items():
         for w in weyl_orbit(lam, kk):
             terms[w] = m
     return VirtualCharacter(kk, terms)
@@ -253,30 +300,39 @@ def decompose(chi: VirtualCharacter) -> list[tuple[IrrLabel, int]]:
     """Write chi as an integer combination of irreducibles.
 
     Iterated extraction at the maximal dominant weight of the support;
-    the reconstruction identity holds exactly. Output is sorted by
-    graded-lex highest weight. Raises on non-Weyl-invariant input.
+    the reconstruction identity holds exactly. The dominant part of the
+    remaining support is kept up to date as characters are subtracted:
+    the dominant weights of an irreducible are the keys of its dominant
+    table. Output is sorted by graded-lex highest weight. Raises on
+    non-Weyl-invariant input.
     """
     rs = chi.ambient
     if not is_weyl_invariant(chi):
         raise ValidationError("character is not Weyl-invariant")
     rho = rs.rho
+
+    def key(w):
+        return (inner(wadd(w, rho), wadd(w, rho), rs), grlex_key(w))
+
     rest = dict(chi.terms)
+    dominants = {w: key(w) for w in rest if is_dominant(w, rs)}
     out: list[tuple[IrrLabel, int]] = []
     while rest:
-        dominants = [w for w in rest if is_dominant(w, rs)]
         if not dominants:
             raise ValidationError("character is not Weyl-invariant")
-        mu = max(
-            dominants,
-            key=lambda w: (inner(wadd(w, rho), wadd(w, rho), rs), grlex_key(w)),
-        )
+        mu = max(dominants, key=dominants.__getitem__)
         c = rest[mu]
-        for w, m in irr_character(IrrLabel(mu), rs).terms.items():
+        terms = irr_character(IrrLabel(mu), rs).terms
+        table = _dominant_multiplicities(mu, rs)
+        for w, m in terms.items():
             nm = rest.get(w, 0) - c * m
             if nm == 0:
                 rest.pop(w, None)
+                dominants.pop(w, None)
             else:
                 rest[w] = nm
+                if w in table and w not in dominants:
+                    dominants[w] = key(w)
         out.append((IrrLabel(mu), c))
     out.sort(key=lambda t: grlex_key(t[0].highest_weight))
     return out

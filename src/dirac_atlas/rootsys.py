@@ -20,8 +20,11 @@ positive roots and the simple coroots as integer arrays. A weight enters
 as integer numerators over one denominator, after the one length check
 (check_dim); inner, coroot_pairing, is_dominant, make_dominant,
 weyl_orbit, regularity, Weyl-group materialization and chamber lookup
-are integer computations. Fractions remain the currency of the public
-API and the JSON boundary: they are made only for returned values.
+are integer computations. Weyl group and orbit orders are closed-form:
+the Cartan type of a set of simple roots is read off its Dynkin diagram,
+so |W x| = |W| / |W_x| needs neither the group nor the orbit. Fractions
+remain the currency of the public API and the JSON boundary: they are
+made only for returned values.
 
 Everything here is immutable after construction and safe to share;
 all operations are pure functions.
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +56,10 @@ WEYL_MATERIALIZE_CAP = 100_000
 # admits compact_f4 at bound 120 (about 2.7M points) and keeps every
 # int64 pairing of a box point far below overflow.
 LATTICE_BOX_CAP = 5_000_000
+# Orbits kept by weyl_orbit's cache. A stream of about a hundred rep
+# requests asks for under 200 distinct orbits; this keeps every one of
+# them and still bounds a long-lived process.
+ORBIT_CACHE_SIZE = 4096
 
 # Weyl group orders of the exceptional simple types.
 _EXCEPTIONAL_WEYL_ORDERS = {
@@ -278,7 +284,9 @@ class IntegralForm:
     among the positive ones, simple holds them as rows, and x @ coroots
     is the vector of coroot pairings <x, a_i^vee> = 2 (x, a_i) / (a_i, a_i)
     over the simple roots a_i. The kernels compute in Python integers,
-    so they are exact for any input size.
+    so they are exact for any input size; fr_columns, coroot_columns,
+    simple_rows and gram_rows hold the same matrices as tuples of
+    Python ints for them.
     """
 
     scale: int
@@ -290,20 +298,47 @@ class IntegralForm:
     coroots: np.ndarray
 
     @functools.cached_property
-    def _fr_columns(self) -> tuple[tuple[int, ...], ...]:
+    def fr_columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.fr.T.tolist()))
 
     @functools.cached_property
-    def _coroot_columns(self) -> tuple[tuple[int, ...], ...]:
+    def coroot_columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.coroots.T.tolist()))
 
     @functools.cached_property
-    def _simple_rows(self) -> tuple[tuple[int, ...], ...]:
+    def simple_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.simple.tolist()))
 
     @functools.cached_property
-    def _gram_rows(self) -> tuple[tuple[int, ...], ...]:
+    def gram_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.gram.tolist()))
+
+    @functools.cached_property
+    def cartan(self) -> tuple[tuple[int, ...], ...]:
+        """Cartan matrix C[i][j] = <a_i, a_j^vee> over the simple roots."""
+        return tuple(map(tuple, (self.simple @ self.coroots).tolist()))
+
+    @functools.cached_property
+    def heights(self) -> tuple[int, ...]:
+        """Height over the simple roots of each positive root, in roots order.
+
+        Breadth-first upwards from the simple roots: a positive root of
+        height h + 1 is a root of height h plus a simple root.
+        """
+        rows = list(map(tuple, self.roots.tolist()))
+        index = {r: j for j, r in enumerate(rows)}
+        height = dict.fromkeys(self.simple_index, 1)
+        level = list(self.simple_index)
+        while level:
+            nxt = []
+            for j in level:
+                for s in self.simple_rows:
+                    k = index.get(tuple(a + b for a, b in zip(rows[j], s)))
+                    if k is not None and k not in height:
+                        height[k] = height[j] + 1
+                        nxt.append(k)
+            level = nxt
+        return tuple(height[j] for j in range(len(rows)))
 
     def coords(self, x: Weight) -> tuple[tuple[int, ...], int]:
         """integer_coords of x, after the length check."""
@@ -313,12 +348,12 @@ class IntegralForm:
     def pairings(self, x: Weight) -> tuple[tuple[int, ...], int]:
         """(p, d) with p[j] / d = (x, a_j) for each positive root a_j."""
         nums, den = self.coords(x)
-        return _dots(nums, self._fr_columns), den * self.scale
+        return _dots(nums, self.fr_columns), den * self.scale
 
     def coroot_pairings(self, x: Weight) -> tuple[tuple[int, ...], int]:
         """(p, d) with p[i] / d = <x, a_i^vee> for each simple root a_i."""
         nums, den = self.coords(x)
-        return _dots(nums, self._coroot_columns), den
+        return _dots(nums, self.coroot_columns), den
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,7 +529,7 @@ def inner(a: Weight, b: Weight, rs: RootSystem) -> Fraction:
     form = rs.integral
     a_nums, a_den = form.coords(a)
     b_nums, b_den = form.coords(b)
-    total = sum(x * sum(g * y for g, y in zip(row, b_nums)) for x, row in zip(a_nums, form._gram_rows) if x)
+    total = sum(x * sum(g * y for g, y in zip(row, b_nums)) for x, row in zip(a_nums, form.gram_rows) if x)
     return Fraction(total, a_den * b_den * form.scale)
 
 
@@ -533,18 +568,18 @@ def make_dominant(x: Weight, rs: RootSystem) -> Weight:
     form = rs.integral
     nums, den = form.coords(x)
     while True:
-        pairs = _dots(nums, form._coroot_columns)
+        pairs = _dots(nums, form.coroot_columns)
         i = next((i for i, p in enumerate(pairs) if p < 0), None)
         if i is None:
             return tuple(Fraction(c, den) for c in nums)
-        nums = tuple(a - pairs[i] * r for a, r in zip(nums, form._simple_rows[i]))
+        nums = tuple(a - pairs[i] * r for a, r in zip(nums, form.simple_rows[i]))
 
 
 def make_antidominant(x: Weight, rs: RootSystem) -> Weight:
     return wneg(make_dominant(wneg(x), rs))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=ORBIT_CACHE_SIZE)
 def weyl_orbit(x: Weight, rs: RootSystem) -> tuple[Weight, ...]:
     """Orbit of x under the simple reflections, sorted graded-lex.
 
@@ -558,7 +593,7 @@ def weyl_orbit(x: Weight, rs: RootSystem) -> tuple[Weight, ...]:
     while frontier:
         nxt = []
         for w in frontier:
-            for col, root in zip(form._coroot_columns, form._simple_rows):
+            for col, root in zip(form.coroot_columns, form.simple_rows):
                 c = sum(a * b for a, b in zip(w, col))
                 if c == 0:
                     continue
@@ -644,78 +679,105 @@ def _simple_weyl_order(fam: str, rank: int) -> int:
     return _EXCEPTIONAL_WEYL_ORDERS[(fam, rank)]
 
 
+def _weyl_order(cartan: CartanType) -> int:
+    return math.prod(_simple_weyl_order(fam, rank) for fam, rank in cartan.factors)
+
+
 def weyl_group_order(rs: RootSystem) -> int:
     """|W| in closed form: the product of the standard orders of the factors."""
-    return math.prod(_simple_weyl_order(fam, rank) for fam, rank in rs.cartan.factors)
+    return _weyl_order(rs.cartan)
 
 
-def identify_cartan_type(simples: tuple[Weight, ...], ambient: RootSystem, pairing=None) -> CartanType:
-    """Recognize the Cartan type of an independent set of simple roots.
+def orbit_size(x: Weight, rs: RootSystem) -> int:
+    """|W x| for a dominant weight x, in closed form: |W| / |W_x|.
 
-    Brute force at desk scale: split into orthogonality components and
-    match each component's Cartan matrix against the known families
-    under permutations. pairing is the Cartan pairing matrix
-    2(a, b)/(b, b) over the simples, when the caller has it already.
+    The stabilizer of a dominant weight is the parabolic subgroup
+    generated by the simple reflections that fix it, so |W_x| is the
+    Weyl order of the Cartan type of the simple roots pairing to 0 with x.
     """
-    if not simples:
-        return CartanType(())
-    m = len(simples)
-    if pairing is None:
-        pairing = [[2 * inner(a, b, ambient) / inner(b, b, ambient) for b in simples] for a in simples]
-    adj = {i: set() for i in range(m)}
-    for i in range(m):
-        for j in range(m):
-            if i != j and pairing[i][j] != 0:
-                adj[i].add(j)
+    pairs, _ = rs.integral.coroot_pairings(x)
+    if any(p < 0 for p in pairs):
+        raise ValidationError(f"orbit_size needs a dominant weight, got {vec_str(x)}")
+    fixed = [i for i, p in enumerate(pairs) if p == 0]
+    cartan = rs.integral.cartan
+    return weyl_group_order(rs) // _weyl_order(_cartan_type([[cartan[i][j] for j in fixed] for i in fixed]))
+
+
+def _arm_length(nbrs: list[list[int]], branch: int, start: int) -> int:
+    """Nodes on the arm of a Dynkin tree that leaves branch through start."""
+    length, prev, cur = 1, branch, start
+    while len(nbrs[cur]) == 2:
+        prev, cur = cur, next(k for k in nbrs[cur] if k != prev)
+        length += 1
+    return length
+
+
+def _component_type(c: list[list[int]]) -> tuple[str, int]:
+    """(family, rank) of a connected Cartan matrix, read off its Dynkin diagram.
+
+    A triple bond is G2. A double bond is F4 when neither end is a leaf,
+    else B (the short end a leaf) or C; B2 for rank 2. With single bonds
+    only, a branch node with two arms of one node is D, another branch
+    node E, and a chain A (so D3 reads as A3).
+    """
+    r = len(c)
+    nbrs = [[j for j in range(r) if j != i and c[i][j]] for i in range(r)]
+    # c[i][j] = -2 or -3: a_j is the short end of a multiple bond
+    multiple = [(i, j) for i in range(r) for j in nbrs[i] if c[i][j] < -1]
+    if multiple:
+        i, j = multiple[0]
+        if c[i][j] == -3:
+            return ("G", 2)
+        if r == 2:
+            return ("B", 2)
+        if len(nbrs[i]) == 2 and len(nbrs[j]) == 2:
+            return ("F", 4)
+        return ("B", r) if len(nbrs[j]) == 1 else ("C", r)
+    branch = next((i for i in range(r) if len(nbrs[i]) == 3), None)
+    if branch is None:
+        return ("A", r)
+    arms = sorted(_arm_length(nbrs, branch, k) for k in nbrs[branch])
+    return ("D", r) if arms[1] == 1 else ("E", r)
+
+
+def _cartan_type(pairing) -> CartanType:
+    """CartanType of an integer Cartan pairing matrix: its orthogonality
+    components, each classified by its Dynkin diagram, sorted.
+
+    The pairing of linearly independent vectors is of finite type once
+    its off-diagonal entries are <= 0; a positive one (two roots at an
+    acute angle) is refused.
+    """
+    m = len(pairing)
+    if any(pairing[i][j] > 0 for i in range(m) for j in range(m) if i != j):
+        raise ValidationError("could not identify the Cartan type of the subsystem")
     unvisited = set(range(m))
-    components = []
+    factors = []
     while unvisited:
         start = min(unvisited)
         comp = {start}
         stack = [start]
         while stack:
             v = stack.pop()
-            for w in adj[v]:
-                if w not in comp:
+            for w in range(m):
+                if w != v and pairing[v][w] and w not in comp:
                     comp.add(w)
                     stack.append(w)
         unvisited -= comp
-        components.append(sorted(comp))
+        comp = sorted(comp)
+        factors.append(_component_type([[int(pairing[i][j]) for j in comp] for i in comp]))
+    return CartanType(tuple(sorted(factors)))
 
-    def candidates(r: int) -> list[tuple[str, int]]:
-        cands = [("A", r)]
-        if r >= 2:
-            cands += [("B", r), ("C", r)]
-        if r >= 3:
-            cands.append(("D", r))
-        if r in (6, 7, 8):
-            cands.append(("E", r))
-        if r == 4:
-            cands.append(("F", r))
-        if r == 2:
-            cands.append(("G", r))
-        return cands
 
-    factors = []
-    for comp in components:
-        r = len(comp)
-        sub = [[int(pairing[i][j]) for j in comp] for i in comp]
-        found = None
-        for fam, rank in candidates(r):
-            ref = _cartan_matrix_simple(fam, rank)
-            for perm in itertools.permutations(range(r)):
-                if all(
-                    sub[perm[i]][perm[j]] == ref[i][j] for i in range(r) for j in range(r)
-                ):
-                    found = (fam, rank)
-                    break
-            if found:
-                break
-        if found is None:
-            raise ValidationError("could not identify the Cartan type of the subsystem")
-        factors.append(found)
-    factors.sort()
-    return CartanType(tuple(factors))
+def identify_cartan_type(simples: tuple[Weight, ...], ambient: RootSystem, pairing=None) -> CartanType:
+    """Recognize the Cartan type of an independent set of simple roots.
+
+    pairing is the Cartan pairing matrix 2(a, b)/(b, b) over the
+    simples, when the caller has it already.
+    """
+    if pairing is None:
+        pairing = [[2 * inner(a, b, ambient) / inner(b, b, ambient) for b in simples] for a in simples]
+    return _cartan_type(pairing)
 
 
 def rootsys_to_json(rs: RootSystem) -> dict:

@@ -7,9 +7,12 @@ representative and the Weyl orbit by Fraction reflections, the Weyl
 group as a breadth-first search over Fraction reflection matrices, the
 chamber id as a linear scan over those matrices, the enumeration box as
 a float bounding box plus float prefilter whose survivors an exact
-Fraction quadratic form decides, and the pairwise check of a Z/2 root
-grading. The package computes the same results on integers; tests
-compare the two element by element.
+Fraction quadratic form decides, the pairwise check of a Z/2 root
+grading, the Freudenthal recursion over the candidate box between a
+highest weight and its antidominant image, and the Cartan type matched
+against the standard matrices under every permutation. The package
+computes the same results on integers; tests compare the two element
+by element.
 """
 
 from __future__ import annotations
@@ -22,7 +25,16 @@ from fractions import Fraction
 import numpy as np
 
 from dirac_atlas._linalg import mat_inv, solve_left
-from dirac_atlas.rootsys import apply_matrix, grlex_key, wadd, wneg, wscale, wsub
+from dirac_atlas.rootsys import (
+    _cartan_matrix_simple,
+    apply_matrix,
+    fw_to_simple_coords,
+    grlex_key,
+    wadd,
+    wneg,
+    wscale,
+    wsub,
+)
 
 
 def inner(a, b, rs):
@@ -194,3 +206,83 @@ def enumerate_scan(pair, bound, degree_roots="positive"):
         out.append((lam, mu, signed, chamber_scan(lam, g)))
     out.sort(key=lambda t: (inner(t[0], t[0], g), sum(t[0]), t[0]))
     return out
+
+
+def dominant_multiplicities_box(mu, rs):
+    """Freudenthal recursion over the dominant points of the candidate box.
+
+    Candidates are mu - sum k_i a_i for 0 <= k_i <= kmax_i, where kmax
+    are the simple-root coordinates of mu minus its antidominant image,
+    taken level by level (then graded-lex) so every multiplicity on the
+    right-hand side is known when a weight is processed.
+    """
+    simples = rs.simple_roots
+    if not simples:
+        return {mu: 1}
+    kmax = fw_to_simple_coords(wsub(mu, wneg(make_dominant(wneg(mu), rs))), rs)
+    if kmax is None or not all(k.denominator == 1 and k >= 0 for k in kmax):
+        raise AssertionError("mu minus its antidominant image is not in the positive root cone")
+    candidates = []
+    for ks in itertools.product(*(range(int(k) + 1) for k in kmax)):
+        lam = mu
+        for i, k in enumerate(ks):
+            if k:
+                lam = wsub(lam, wscale(k, simples[i]))
+        if all(coroot_pairing(lam, i, rs) >= 0 for i in range(len(simples))):
+            candidates.append((sum(ks), lam))
+    candidates.sort(key=lambda t: (t[0], grlex_key(t[1])))
+    rho = rs.rho
+    top = inner(wadd(mu, rho), wadd(mu, rho), rs)
+    mult = {}
+    for level, lam in candidates:
+        if level == 0:
+            mult[lam] = 1
+            continue
+        acc = Fraction(0)
+        for alpha in rs.positive_roots:
+            t = 1
+            while True:
+                nu = wadd(lam, wscale(t, alpha))
+                m = mult.get(make_dominant(nu, rs))
+                if m is None:
+                    break
+                acc += m * inner(nu, alpha, rs)
+                t += 1
+        val = 2 * acc / (top - inner(wadd(lam, rho), wadd(lam, rho), rs))
+        if val.denominator != 1 or val <= 0:
+            raise AssertionError("Freudenthal recursion broke")
+        mult[lam] = int(val)
+    return mult
+
+
+def cartan_type_by_permutation(pairing):
+    """(family, rank) factors of a Cartan pairing matrix, sorted: each
+    orthogonality component matched against the standard Cartan matrices
+    of rank r under every permutation of its nodes, families in order."""
+    m = len(pairing)
+    unvisited = set(range(m))
+    factors = []
+    while unvisited:
+        comp = {min(unvisited)}
+        stack = list(comp)
+        while stack:
+            v = stack.pop()
+            for w in range(m):
+                if w != v and pairing[v][w] and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        unvisited -= comp
+        comp = sorted(comp)
+        r = len(comp)
+        sub = [[int(pairing[i][j]) for j in comp] for i in comp]
+        cands = [("A", r)] + [(f, r) for f in "BC" if r >= 2] + [("D", r)] * (r >= 3)
+        cands += [("E", r)] * (r in (6, 7, 8)) + [("F", r)] * (r == 4) + [("G", r)] * (r == 2)
+        found = next(
+            (fam, rank)
+            for fam, rank in cands
+            for ref in [_cartan_matrix_simple(fam, rank)]
+            for perm in itertools.permutations(range(r))
+            if all(sub[perm[i]][perm[j]] == ref[i][j] for i in range(r) for j in range(r))
+        )
+        factors.append(found)
+    return tuple(sorted(factors))

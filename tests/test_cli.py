@@ -355,3 +355,22 @@ def test_enumeration_output_cap_refused_fast(capsys):
 def test_enumeration_below_output_cap_succeeds(capsys):
     payload = run_json(capsys, "ds", "enumerate", "--pair", "sl2r", "--bound", "100000000")
     assert payload["count"] == 28284
+
+
+def test_e8_adjoint_character_fast(capsys):
+    t0 = time.perf_counter()
+    payload = run_json(capsys, "rep", "irr", "--type", "E8", "--hw", "0,0,0,0,0,0,0,1")
+    assert time.perf_counter() - t0 < 2.0
+    assert payload["dimension"] == 248 and payload["weyl_dimension"] == "248"
+    assert payload["dominant_multiplicities"] == [
+        {"weight": ["0"] * 8, "mult": 8},
+        {"weight": ["0"] * 7 + ["1"], "mult": 1},
+    ]
+
+
+def test_character_support_cap_refused_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "rep", "irr", "--type", "E8", "--hw", "1,1,1,1,1,1,1,1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_VALIDATION and out == ""
+    assert "support cap" in err and err.count("\n") == 1

@@ -8,15 +8,17 @@ formula cross-checks every dimension.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dirac_atlas.errors import ValidationError
+import fraction_oracles as oracle
+from dirac_atlas.errors import DeskScaleError, ValidationError
 from dirac_atlas.repring import (
     IrrLabel,
     char_from_terms,
     decompose,
     dimension,
+    dominant_multiplicities,
     dual,
     invariant_multiplicity,
     irr_character,
@@ -30,12 +32,14 @@ from dirac_atlas.repring import (
 from dirac_atlas.rootsys import (
     apply_matrix,
     build_root_system,
+    orbit_size,
     parse_cartan,
     weight,
     weyl_elements,
     wneg,
     wzero,
 )
+from dirac_atlas.spinmod import get_pair
 
 A1 = build_root_system(parse_cartan("A1"))
 A2 = build_root_system(parse_cartan("A2"))
@@ -324,3 +328,65 @@ def test_half_integral_label_on_rank_one():
     assert dimension(chi) == 2
     assert set(chi.terms) == {half_alpha, wneg(half_alpha)}
     assert half_alpha == tuple(c / 2 for c in alpha)
+
+
+# Every type of rank <= 3, and the K systems (A1 in rank 2) of two
+# catalog pairs, whose labels may be half-integral in ambient coordinates.
+FREUDENTHAL_SYSTEMS = {
+    name: build_root_system(parse_cartan(name))
+    for name in ("A1", "A2", "B2", "G2", "A1xA1", "A3", "B3", "C3", "D3", "A1xA2", "A1xB2", "A1xG2", "A1xA1xA1")
+}
+FREUDENTHAL_SYSTEMS.update({f"{p}.k": get_pair(p).k for p in ("su21", "sp4r")})
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", sorted(FREUDENTHAL_SYSTEMS))
+def test_freudenthal_matches_box_oracle(name, data):
+    rs = FREUDENTHAL_SYSTEMS[name]
+    top = 3 if rs.rank <= 2 else 2
+    if name.endswith(".k"):
+        coord = st.integers(-2 * top, 2 * top).map(lambda k: F(k, 2))
+    else:
+        coord = st.integers(0, top).map(F)
+    mu = oracle.make_dominant(tuple(data.draw(st.lists(coord, min_size=rs.rank, max_size=rs.rank))), rs)
+    assume(all(oracle.coroot_pairing(mu, i, rs).denominator == 1 for i in range(len(rs.simple_roots))))
+    table = dominant_multiplicities(mu, rs)
+    box = oracle.dominant_multiplicities_box(mu, rs)
+    assert list(table.items()) == list(box.items())
+
+
+@pytest.mark.parametrize("name", ["F4", "G2", "E6", "E7", "E8"])
+def test_fundamental_dimensions_from_orbit_sizes(name):
+    rs = build_root_system(parse_cartan(name))
+    for i in range(rs.rank):
+        mu = tuple(1 if j == i else 0 for j in range(rs.rank))
+        table = dominant_multiplicities(mu, rs)
+        assert sum(m * orbit_size(lam, rs) for lam, m in table.items()) == weyl_dimension(mu, rs), mu
+
+
+def test_descent_refused_past_the_cap():
+    # two weights in the orbit, but half a million dominant weights below
+    with pytest.raises(DeskScaleError, match="dominant weights"):
+        irr_character((1_000_000,), A1)
+
+
+def test_orbit_of_highest_weight_refused_before_work():
+    e8 = build_root_system(parse_cartan("E8"))
+    with pytest.raises(DeskScaleError, match="Weyl orbit"):
+        irr_character((1,) * 8, e8)
+
+
+def test_support_refused_after_the_recursion():
+    # the orbit of the highest weight (60480) is under the cap; the
+    # orbits of its dominant table add up to 117361
+    e8 = build_root_system(parse_cartan("E8"))
+    with pytest.raises(DeskScaleError, match="the character of"):
+        irr_character((0, 0, 0, 0, 0, 1, 0, 0), e8)
+
+
+def test_decompose_finds_a_dominant_weight_uncovered_by_subtraction():
+    # the zero weight cancels in chi and reappears once V(2) is subtracted
+    chi = irr_character((2,), A1) - trivial_character(A1)
+    assert wzero(1) not in chi.terms
+    assert decompose(chi) == [(IrrLabel(wzero(1)), -1), (IrrLabel(weight([2])), 1)]

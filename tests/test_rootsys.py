@@ -25,6 +25,7 @@ from dirac_atlas.rootsys import (
     is_dominant,
     is_regular,
     make_dominant,
+    orbit_size,
     parse_cartan,
     reflect,
     rescale_form,
@@ -389,3 +390,40 @@ def test_rescale_form_keeps_cartan_ratios():
                     == 2 * inner(a, b, rs) / inner(b, b, rs)
                 )
     assert is_regular(rs.rho, scaled)
+
+
+CLASSIFIER_TYPES = ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4", "F4", "D5", "C5", "E6", "E7", "E8", "A1xB3"]
+
+
+@pytest.mark.parametrize("name", CLASSIFIER_TYPES)
+def test_cartan_type_matches_permutation_oracle_on_parabolics(name):
+    rs = build_root_system(parse_cartan(name))
+    simples = rs.simple_roots
+    for mask in range(1, 2 ** rs.rank):
+        sub = tuple(a for i, a in enumerate(simples) if mask >> i & 1)
+        pairing = [[2 * inner(a, b, rs) / inner(b, b, rs) for b in sub] for a in sub]
+        assert identify_cartan_type(sub, rs).factors == oracle.cartan_type_by_permutation(pairing), (name, mask)
+
+
+def test_catalog_k_types_match_permutation_oracle():
+    from dirac_atlas.spinmod import load_catalog
+
+    for name, pair in load_catalog().items():
+        k = pair.k
+        pairing = [[2 * inner(a, b, k) / inner(b, b, k) for b in k.simple_roots] for a in k.simple_roots]
+        assert k.cartan.factors == oracle.cartan_type_by_permutation(pairing), name
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "A1xA2", "B4", "D4", "F4"])
+def test_orbit_size_matches_orbit_count(name, data):
+    rs = build_root_system(parse_cartan(name))
+    mu = weight(data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank)))
+    assert orbit_size(mu, rs) == len(weyl_orbit(mu, rs))
+
+
+def test_orbit_size_needs_a_dominant_weight():
+    rs = build_root_system(parse_cartan("A2"))
+    with pytest.raises(ValidationError, match="dominant"):
+        orbit_size(weight([1, -1]), rs)
