@@ -515,7 +515,7 @@ def _cmd_group_wedderburn(args, cfg: Config) -> dict:
     seed = _require_seed(args, cfg)
     if args.table:
         table = _load_json(args.table, "table file")
-        G = ktheory.wedderburn(np.array(table, dtype=int), seed=seed)
+        G = ktheory.wedderburn(ktheory.table_from_rows(table), seed=seed)
         name = args.table
     else:
         if not args.name:

@@ -9,10 +9,14 @@ per-block kernel/cokernel counting.
 
 Finite groups enter through their convolution algebra under the
 mass-one Haar measure. The Wedderburn decomposition is computed
-numerically from the regular representation: class sums cut out the
-isotypic components, a random Hermitian element of the commutant cuts
-each isotypic down to a single irreducible copy, and compressing the
-left action to that copy yields unitary irreducible matrices.
+numerically from the regular representation: a random Hermitian class
+function cuts out the isotypic components, a random Hermitian element
+of the commutant cuts each isotypic down to a single irreducible copy,
+and compressing the left action to that copy yields unitary
+irreducible matrices. Every one of these operators is a permutation
+written in the multiplication table, so each is built by indexing the
+table (left translation by g is the gather x -> g^-1 x), never as a
+stack of |G| dense permutation matrices.
 
 Scalars are floating complex with tolerance TAU = 1e-9 for idempotency
 and equality; rank decisions use an explicit eigenvalue/singular-value
@@ -486,6 +490,33 @@ GROUP_CATALOG = {
 }
 
 
+def _check_order(n: int) -> None:
+    if n > GROUP_ORDER_CAP:
+        raise ValidationError(f"group order {n} exceeds the desk-scale cap {GROUP_ORDER_CAP}")
+
+
+def table_from_rows(rows) -> np.ndarray:
+    """Multiplication table from a square list of lists of integers.
+
+    This is the JSON form of a table. Ragged rows, non-integer or
+    boolean entries and entries outside 0..n-1 are refused instead of
+    being coerced, and so is an order past the cap.
+    """
+    if not isinstance(rows, (list, tuple)) or not rows:
+        raise ValidationError("multiplication table must be a nonempty list of rows")
+    n = len(rows)
+    _check_order(n)
+    if not all(isinstance(row, (list, tuple)) and len(row) == n for row in rows):
+        raise ValidationError("multiplication table must be a square list of lists")
+    for row in rows:
+        for x in row:
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValidationError(f"table entry {x!r} is not an integer")
+            if not 0 <= x < n:
+                raise ValidationError("table entries must be element indices")
+    return np.array(rows, dtype=int)
+
+
 def resolve_group_table(name_or_table) -> np.ndarray:
     if isinstance(name_or_table, str):
         name = name_or_table.lower()
@@ -493,13 +524,20 @@ def resolve_group_table(name_or_table) -> np.ndarray:
             return GROUP_CATALOG[name]()
         if name.startswith("z") or name.startswith("c"):
             try:
-                return cyclic_table(int(name[1:]))
+                n = int(name[1:])
             except ValueError:
                 pass
+            else:
+                _check_order(n)
+                return cyclic_table(n)
         raise ValidationError(
             f"unknown group {name_or_table!r}; use z<n>, s3, s4, d4, q8 or a table"
         )
-    return np.asarray(name_or_table, dtype=int)
+    if isinstance(name_or_table, np.ndarray):
+        if not np.issubdtype(name_or_table.dtype, np.integer):
+            raise ValidationError("multiplication table entries must be integers")
+        return name_or_table
+    return table_from_rows(name_or_table)
 
 
 def _validate_table(table: np.ndarray) -> tuple[int, np.ndarray]:
@@ -507,8 +545,7 @@ def _validate_table(table: np.ndarray) -> tuple[int, np.ndarray]:
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise ValidationError("multiplication table must be square")
     n = table.shape[0]
-    if n > GROUP_ORDER_CAP:
-        raise ValidationError(f"group order {n} exceeds the desk-scale cap {GROUP_ORDER_CAP}")
+    _check_order(n)
     if table.min() < 0 or table.max() >= n:
         raise ValidationError("table entries must be element indices")
     ident = np.arange(n)
@@ -533,16 +570,14 @@ def validate_group_table(table: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _conjugacy_classes(table: np.ndarray, inv: np.ndarray) -> list[list[int]]:
-    n = table.shape[0]
-    seen = set()
+    """Classes in order of their least element; the orbit of g is table[h g, h^-1] over all h."""
+    seen = np.zeros(table.shape[0], dtype=bool)
     classes = []
-    for g in range(n):
-        if g in seen:
-            continue
-        orbit = {int(table[table[h, g], inv[h]]) for h in range(n)}
-        seen |= orbit
-        classes.append(sorted(orbit))
-    classes.sort(key=lambda c: c[0])
+    for g in range(table.shape[0]):
+        if not seen[g]:
+            orbit = np.unique(table[table[:, g], inv])
+            seen[orbit] = True
+            classes.append(orbit.tolist())
     return classes
 
 
@@ -573,51 +608,44 @@ class FiniteGroupAlgebra:
         return self.algebra.blocks
 
 
-def _left_regular(table: np.ndarray) -> np.ndarray:
-    """Stack of permutation matrices L[g] e_y = e_{g y}."""
-    n = table.shape[0]
-    L = np.zeros((n, n, n))
-    for g in range(n):
-        L[g, table[g], np.arange(n)] = 1.0
-    return L
-
-
 def wedderburn(group: Union[str, np.ndarray, Sequence], seed: int = 0) -> FiniteGroupAlgebra:
     """Numerical Wedderburn decomposition of a finite group algebra.
 
-    Two seeded stages: a random Hermitian combination of class sums
-    splits the regular representation into isotypic components, and a
-    random Hermitian commutant element splits each isotypic into
-    irreducible copies, the first of which carries the block.
+    Two seeded stages: a random Hermitian central element splits the
+    regular representation into isotypic components, and a random
+    Hermitian commutant element splits each isotypic into irreducible
+    copies, the first of which carries the block.
+
+    Both stages are index arithmetic on the table, with shift[g, x] =
+    g^-1 x: left convolution by a group function w is the matrix
+    w(x y^-1), and the left translate of a basis B is the row gather
+    B[shift[g]]. No |G|^3 array is formed.
     """
     table = resolve_group_table(group)
     e, inv = _validate_table(table)
     n = table.shape[0]
     classes = _conjugacy_classes(table, inv)
-    L = _left_regular(table)
+    shift = table[inv]
     rng = np.random.default_rng(seed)
 
-    # Stage 1: isotypic decomposition from the center.
-    center_combo = np.zeros((n, n), dtype=complex)
+    # Stage 1: isotypic decomposition from the center (w is a Hermitian
+    # class function, so its convolution operator is central).
+    w = np.zeros(n, dtype=complex)
     for cls in classes:
-        z = L[cls].sum(axis=0).astype(complex)
-        zc = L[[inv[g] for g in cls]].sum(axis=0).astype(complex)
         a, b = rng.normal(size=2)
-        center_combo += a * (z + zc) + 1j * b * (z - zc)
-    evals, evecs = np.linalg.eigh(center_combo)
+        w[cls] += a + 1j * b
+        w[inv[cls]] += a - 1j * b
+    evals, evecs = np.linalg.eigh(w[table[:, inv]])
     groups = _group_eigenvalues(evals)
     if len(groups) != len(classes):
         raise NumericalAmbiguityError(
             f"isotypic split found {len(groups)} components for {len(classes)} classes"
         )
 
-    # Stage 2: one irreducible copy per isotypic via the commutant.
+    # Stage 2: one irreducible copy per isotypic via the commutant, the
+    # Hermitian part of a random combination of right translations.
     coeff = rng.normal(size=n) + 1j * rng.normal(size=n)
-    commutant = np.zeros((n, n), dtype=complex)
-    for g in range(n):
-        r = np.zeros((n, n), dtype=complex)
-        r[table[:, g], np.arange(n)] = 1.0
-        commutant += coeff[g] * r + np.conj(coeff[g]) * r.conj().T
+    commutant = coeff[shift.T] + np.conj(coeff[shift])
     blocks = []
     for idx in groups:
         q = evecs[:, idx]
@@ -627,26 +655,23 @@ def wedderburn(group: Union[str, np.ndarray, Sequence], seed: int = 0) -> Finite
             raise NumericalAmbiguityError(
                 f"isotypic dimension {m2} is not a perfect square"
             )
-        x = q.conj().T @ commutant @ q
-        xev, xvec = np.linalg.eigh(x)
-        xgroups = _group_eigenvalues(xev)
-        first = xgroups[0]
+        xev, xvec = np.linalg.eigh(q.conj().T @ commutant @ q)
+        first = _group_eigenvalues(xev)[0]
         if len(first) != dim:
             raise NumericalAmbiguityError(
                 f"commutant eigenspace has dimension {len(first)}, expected {dim}"
             )
         basis = q @ xvec[:, first]
-        rep = np.einsum("pi,gpq,qj->gij", basis.conj(), L, basis)
-        blocks.append((dim, rep))
+        blocks.append((dim, basis.conj().T @ basis[shift]))
 
     if sum(d * d for d, _ in blocks) != n:
         raise NumericalAmbiguityError("block dimensions do not satisfy sum d^2 = |G|")
 
     def sort_key(item):
         dim, rep = item
-        chars = tuple(round(float(np.trace(rep[cls[0]]).real), 6) for cls in classes)
-        ichars = tuple(round(float(np.trace(rep[cls[0]]).imag), 6) for cls in classes)
-        return (dim, chars, ichars)
+        chars = np.trace(rep[[cls[0] for cls in classes]], axis1=1, axis2=2)
+        return (dim, tuple(round(c, 6) for c in chars.real.tolist()),
+                tuple(round(c, 6) for c in chars.imag.tolist()))
 
     blocks.sort(key=sort_key)
     return FiniteGroupAlgebra(

@@ -321,6 +321,10 @@ _MALFORMED = '{"blocks": [1], "matrices": '
         (["spin", "info", "--pair", "su21", "--config", "{cfg}"], {"cfg": '{"catalog": 5}'}),
         (["k0", "index", "--spec", "{bad}"], {"bad": '{"blocks": [1], "e0": [2], "e1": [3], "u": [[1, 2, 3, 4]]}'}),
         (["k0", "class", "--spec", "{bad}"], {"bad": '{"blocks": ["x"], "matrices": [[[1]]]}'}),
+        (["group", "wedderburn", "--table", "{bad}", "--seed", "0"], {"bad": "[[0, 1], [0]]"}),
+        (["group", "wedderburn", "--table", "{bad}", "--seed", "0"], {"bad": '[["a", "b"], ["b", "a"]]'}),
+        (["group", "wedderburn", "--table", "{bad}", "--seed", "0"], {"bad": '{"rows": [[0]]}'}),
+        (["group", "wedderburn", "--table", "{bad}", "--seed", "0"], {"bad": "[[0.5, 1], [1, 0]]"}),
     ],
 )
 def test_file_json_and_config_errors_exit_2(capsys, tmp_path, argv, files):
@@ -334,6 +338,19 @@ def test_file_json_and_config_errors_exit_2(capsys, tmp_path, argv, files):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["group", "wedderburn", "--name", "z1000000000", "--seed", "1"],
+     ["group", "idempotent", "--name", "z1000000000", "--block", "0", "--seed", "1"]],
+)
+def test_group_order_cap_refused_fast(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_VALIDATION and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
 
 
 def test_oversized_enumeration_box_refused_fast(capsys):

@@ -1,13 +1,16 @@
 """K0, Fredholm index, Wedderburn, and group-algebra idempotent tests."""
 
+import time
 import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+import wedderburn_reference
 from dirac_atlas.errors import NumericalAmbiguityError, ValidationError
 from dirac_atlas.ktheory import (
+    TAU,
     AlgebraElement,
     ExactMatrix,
     FDAlgebra,
@@ -30,6 +33,7 @@ from dirac_atlas.ktheory import (
     singular_value_rank,
     spectral_pairing,
     symmetric_table,
+    table_from_rows,
     trace_pairing,
     wedderburn,
     wedderburn_image,
@@ -301,6 +305,88 @@ def test_group_order_cap():
     big = np.zeros((1001, 1001), dtype=int)
     with pytest.raises(ValidationError, match="cap"):
         wedderburn(big)
+
+
+def test_group_order_cap_checked_before_the_table_is_built():
+    t0 = time.perf_counter()
+    with pytest.raises(ValidationError, match="cap"):
+        resolve_group_table("z1000000000")
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[0, 1], [0]], [["a", "b"], ["b", "a"]], {"a": 1}, [[0.5, 1], [1, 0]], [[True, False], [False, True]],
+     [[0, 2**70], [2**70, 0]], [], "z5"],
+)
+def test_table_rows_must_be_a_square_integer_list(rows):
+    with pytest.raises(ValidationError):
+        table_from_rows(rows)
+
+
+def test_float_array_table_rejected():
+    with pytest.raises(ValidationError, match="integers"):
+        wedderburn(np.array([[0.5, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "group,seeds",
+    [("z1", (0, 1, 7)), ("z5", (0, 1, 7)), ("z6", (0, 1, 7)), ("s3", (0, 1, 7)), ("s4", (0, 1, 7)),
+     ("d4", (0, 1, 7)), ("q8", (0, 1, 7)), ("d100", (0, 3))],
+)
+def test_wedderburn_matches_dense_reference(group, seeds):
+    table = dihedral_table(50) if group == "d100" else group
+    for seed in seeds:
+        got = wedderburn(table, seed=seed)
+        want = wedderburn_reference.wedderburn(table, seed=seed)
+        assert got.order == want.order
+        assert got.classes == want.classes
+        assert got.algebra.blocks == want.algebra.blocks
+        for blk, (x, y) in enumerate(zip(got.irreps, want.irreps)):
+            assert x.shape == y.shape
+            assert np.max(np.abs(x - y)) < 1e-12
+            assert np.max(np.abs(ds_idempotent(got, blk) - ds_idempotent(want, blk))) < 1e-12
+
+
+def _sympy_table(perm_group) -> np.ndarray:
+    forms = sorted(tuple(p.array_form) for p in perm_group.elements)
+    index = {f: i for i, f in enumerate(forms)}
+    arr = np.array(forms)
+    return np.array([[index[tuple(arr[b][arr[a]])] for b in range(len(forms))] for a in range(len(forms))])
+
+
+@pytest.mark.parametrize(
+    "name,dims",
+    [("S5", (1, 1, 4, 4, 5, 5, 6)), ("A5", (1, 3, 3, 4, 5)), ("D7", None), ("D8", None), ("S3xZ2", None)],
+)
+def test_wedderburn_against_sympy_groups(name, dims):
+    from sympy.combinatorics import AlternatingGroup, CyclicGroup, DihedralGroup, SymmetricGroup
+    from sympy.combinatorics.group_constructs import DirectProduct
+
+    perm_group = {
+        "S5": lambda: SymmetricGroup(5),
+        "A5": lambda: AlternatingGroup(5),
+        "D7": lambda: DihedralGroup(7),
+        "D8": lambda: DihedralGroup(8),
+        "S3xZ2": lambda: DirectProduct(SymmetricGroup(3), CyclicGroup(2)),
+    }[name]()
+    G = wedderburn(_sympy_table(perm_group), seed=0)
+    assert G.order == perm_group.order()
+    assert G.algebra.k == len(perm_group.conjugacy_classes()) == len(G.classes)
+    assert sum(d * d for d in G.algebra.blocks) == G.order
+    if dims is not None:
+        assert G.algebra.blocks == dims
+    for blk, d in enumerate(G.algebra.blocks):
+        p = ds_idempotent(G, blk)
+        assert np.max(np.abs(convolve(p, p, G) - p)) <= TAU
+        assert abs(trace_pairing(p, G) - d) <= TAU
+
+
+def test_wedderburn_z256_is_fast():
+    t0 = time.perf_counter()
+    G = wedderburn("z256", seed=0)
+    assert time.perf_counter() - t0 < 5.0
+    assert G.algebra.blocks == (1,) * 256
 
 
 def test_z5_fourier_idempotent_against_formula():

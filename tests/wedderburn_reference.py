@@ -1,0 +1,116 @@
+"""Dense reference path for the numerical Wedderburn decomposition.
+
+This is the original algorithm, written on explicit matrices: the left
+regular representation as an n x n x n stack of permutation matrices,
+the central element as a sum of class-sum matrices, the commutant as a
+sum of n dense right-translation matrices, conjugacy classes by a
+Python double loop, and the irreducible blocks as a three-operand
+einsum over the stack. It draws the same random numbers in the same
+order as `dirac_atlas.ktheory.wedderburn`, which computes the same
+blocks by index arithmetic on the table; tests compare the two.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from dirac_atlas.errors import NumericalAmbiguityError
+from dirac_atlas.ktheory import (
+    FDAlgebra,
+    FiniteGroupAlgebra,
+    _group_eigenvalues,
+    _validate_table,
+    resolve_group_table,
+)
+
+
+def conjugacy_classes(table: np.ndarray, inv: np.ndarray) -> list[list[int]]:
+    n = table.shape[0]
+    seen = set()
+    classes = []
+    for g in range(n):
+        if g in seen:
+            continue
+        orbit = {int(table[table[h, g], inv[h]]) for h in range(n)}
+        seen |= orbit
+        classes.append(sorted(orbit))
+    classes.sort(key=lambda c: c[0])
+    return classes
+
+
+def left_regular(table: np.ndarray) -> np.ndarray:
+    """Stack of permutation matrices L[g] e_y = e_{g y}."""
+    n = table.shape[0]
+    L = np.zeros((n, n, n))
+    for g in range(n):
+        L[g, table[g], np.arange(n)] = 1.0
+    return L
+
+
+def wedderburn(group, seed: int = 0) -> FiniteGroupAlgebra:
+    table = resolve_group_table(group)
+    e, inv = _validate_table(table)
+    n = table.shape[0]
+    classes = conjugacy_classes(table, inv)
+    L = left_regular(table)
+    rng = np.random.default_rng(seed)
+
+    center_combo = np.zeros((n, n), dtype=complex)
+    for cls in classes:
+        z = L[cls].sum(axis=0).astype(complex)
+        zc = L[[inv[g] for g in cls]].sum(axis=0).astype(complex)
+        a, b = rng.normal(size=2)
+        center_combo += a * (z + zc) + 1j * b * (z - zc)
+    evals, evecs = np.linalg.eigh(center_combo)
+    groups = _group_eigenvalues(evals)
+    if len(groups) != len(classes):
+        raise NumericalAmbiguityError(
+            f"isotypic split found {len(groups)} components for {len(classes)} classes"
+        )
+
+    coeff = rng.normal(size=n) + 1j * rng.normal(size=n)
+    commutant = np.zeros((n, n), dtype=complex)
+    for g in range(n):
+        r = np.zeros((n, n), dtype=complex)
+        r[table[:, g], np.arange(n)] = 1.0
+        commutant += coeff[g] * r + np.conj(coeff[g]) * r.conj().T
+    blocks = []
+    for idx in groups:
+        q = evecs[:, idx]
+        m2 = q.shape[1]
+        dim = int(round(m2 ** 0.5))
+        if dim * dim != m2:
+            raise NumericalAmbiguityError(
+                f"isotypic dimension {m2} is not a perfect square"
+            )
+        x = q.conj().T @ commutant @ q
+        xev, xvec = np.linalg.eigh(x)
+        first = _group_eigenvalues(xev)[0]
+        if len(first) != dim:
+            raise NumericalAmbiguityError(
+                f"commutant eigenspace has dimension {len(first)}, expected {dim}"
+            )
+        basis = q @ xvec[:, first]
+        rep = np.einsum("pi,gpq,qj->gij", basis.conj(), L, basis)
+        blocks.append((dim, rep))
+
+    if sum(d * d for d, _ in blocks) != n:
+        raise NumericalAmbiguityError("block dimensions do not satisfy sum d^2 = |G|")
+
+    def sort_key(item):
+        dim, rep = item
+        chars = tuple(round(float(np.trace(rep[cls[0]]).real), 6) for cls in classes)
+        ichars = tuple(round(float(np.trace(rep[cls[0]]).imag), 6) for cls in classes)
+        return (dim, chars, ichars)
+
+    blocks.sort(key=sort_key)
+    return FiniteGroupAlgebra(
+        table=table,
+        order=n,
+        identity=e,
+        inverses=inv,
+        classes=tuple(tuple(c) for c in classes),
+        algebra=FDAlgebra(tuple(d for d, _ in blocks)),
+        irreps=tuple(rep for _, rep in blocks),
+        seed=seed,
+    )
