@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dirac, ktheory, rapid_decay, repring, rootsys, spinmod
 from .errors import NumericalAmbiguityError, ValidationError
-from .jsonutil import fr_str, parse_coords, parse_fr, vec_str
+from .jsonutil import finite_number, fr_str, load_json_file, parse_coords, parse_fr, vec_str
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -40,21 +40,10 @@ class Config:
     seed: Optional[int] = None
 
 
-def _load_json(path: str, what: str):
-    """Parse a JSON input file; unreadable files and bad JSON are validation errors."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {what}: {exc}") from exc
-    except ValueError as exc:
-        raise ValidationError(f"{what} {path!r} is not valid JSON: {exc}") from exc
-
-
 def load_config(path: Optional[str]) -> Config:
     cfg = Config()
     if path:
-        data = _load_json(path, "config file")
+        data = load_json_file(path, "config file")
         if not isinstance(data, dict):
             raise ValidationError("config file must hold a JSON object")
         unknown = set(data) - _CONFIG_KEYS
@@ -426,14 +415,20 @@ def _cmd_ds_enumerate(args, cfg: Config) -> dict:
 
 
 def _parse_matrix_entries(mat):
-    """Nested JSON matrix: numbers, [re, im] pairs, or "p/q" strings."""
+    """Nested JSON matrix: numbers, [re, im] pairs, or "p/q" strings.
+
+    Exact when every entry is an integer, a "p/q" string or a pair of
+    those; complex floats otherwise, with finite parts.
+    """
+    if not isinstance(mat, list) or not mat or any(not isinstance(row, list) or len(row) != len(mat) for row in mat):
+        raise ValidationError(f"block matrix {mat!r} is not a nonempty square list of rows")
 
     def conv_exact(x):
         if isinstance(x, str):
             return parse_fr(x)
-        if isinstance(x, int):
+        if type(x) is int:
             return Fraction(x)
-        if isinstance(x, list) and len(x) == 2 and all(isinstance(y, (str, int)) for y in x):
+        if isinstance(x, list) and len(x) == 2 and all(isinstance(y, str) or type(y) is int for y in x):
             return (parse_fr(str(x[0])), parse_fr(str(x[1])))
         raise TypeError
 
@@ -443,20 +438,16 @@ def _parse_matrix_entries(mat):
         pass
 
     def conv_float(x):
-        if isinstance(x, (int, float)):
-            return complex(x)
-        if isinstance(x, list) and len(x) == 2:
-            return complex(float(x[0]), float(x[1]))
-        if isinstance(x, str):
-            return complex(float(parse_fr(x)))
-        raise ValidationError(f"cannot parse matrix entry {x!r}")
+        parts = x if isinstance(x, list) and len(x) == 2 else (x, 0)
+        re, im = (finite_number(parse_fr(y) if isinstance(y, str) else y, f"matrix entry {x!r}") for y in parts)
+        return complex(re, im)
 
     return np.array([[conv_float(x) for x in row] for row in mat], dtype=complex)
 
 
 def _load_spec(path: str, what: str, int_keys: tuple[str, ...], matrix_key: str) -> dict:
     """A spec file of lists, one entry per block: int_keys (blocks first) hold integers."""
-    spec = _load_json(path, "spec file")
+    spec = load_json_file(path, "spec file")
     if not isinstance(spec, dict):
         raise ValidationError(f"{what} spec must hold a JSON object")
     for key in int_keys + (matrix_key,):
@@ -474,6 +465,8 @@ def _u_block(m, rows: int, cols: int) -> np.ndarray:
         mat = np.array(m, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"k0 index spec: u block {m!r} is not a numeric matrix") from exc
+    if not np.isfinite(mat).all():
+        raise ValidationError(f"k0 index spec: u block {m!r} has non-finite entries")
     if mat.shape != (rows, cols) and not mat.size == rows * cols == 0:
         raise ValidationError(f"k0 index spec: u block of shape {mat.shape}, expected ({rows}, {cols})")
     return mat.reshape(rows, cols)
@@ -514,7 +507,7 @@ def _require_seed(args, cfg: Config) -> int:
 def _cmd_group_wedderburn(args, cfg: Config) -> dict:
     seed = _require_seed(args, cfg)
     if args.table:
-        table = _load_json(args.table, "table file")
+        table = load_json_file(args.table, "table file")
         G = ktheory.wedderburn(ktheory.table_from_rows(table), seed=seed)
         name = args.table
     else:
@@ -549,15 +542,25 @@ def _cmd_group_idempotent(args, cfg: Config) -> dict:
     }
 
 
+def _rd_group(args):
+    """The marked group of an rd subcommand, after checking that --s and
+    --radius, where given, are finite."""
+    for name in ("s", "radius"):
+        val = getattr(args, name, None)
+        if val is not None:
+            finite_number(val, f"--{name}")
+    return rapid_decay.parse_group(args.group)
+
+
 def _load_group_function(args, group):
     if args.input:
-        items = _load_json(args.input, "input file")
+        items = load_json_file(args.input, "input file")
         return rapid_decay.function_from_json(items, group)
     raise ValidationError("--input FILE with the group function is required")
 
 
 def _cmd_rd_norms(args, cfg: Config) -> dict:
-    group = rapid_decay.parse_group(args.group)
+    group = _rd_group(args)
     f = _load_group_function(args, group)
     report = rapid_decay.compute_norm_report(f, group, args.s, args.radius, tol=cfg.power_tol)
     return {
@@ -578,7 +581,7 @@ def _default_probe_function(group) -> dict:
 
 def _cmd_rd_probe_unconditional(args, cfg: Config) -> dict:
     seed = _require_seed(args, cfg)
-    group = rapid_decay.parse_group(args.group)
+    group = _rd_group(args)
     f = _load_group_function(args, group) if args.input else _default_probe_function(group)
     radius = args.radius
     if args.norm == "reduced_truncated" and radius is None:
@@ -598,7 +601,7 @@ def _cmd_rd_probe_unconditional(args, cfg: Config) -> dict:
 
 def _cmd_rd_probe_rd(args, cfg: Config) -> dict:
     seed = _require_seed(args, cfg)
-    group = rapid_decay.parse_group(args.group)
+    group = _rd_group(args)
     rep = rapid_decay.rd_inequality_probe(
         group,
         args.s,

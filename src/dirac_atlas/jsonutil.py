@@ -1,4 +1,5 @@
-"""Rational <-> "p/q" string helpers used by every JSON surface.
+"""Rational <-> "p/q" string helpers used by every JSON surface, and
+the one reader of JSON input files.
 
 Classification outputs never pass through floats: rationals are
 rendered as "p/q" (or "p" when integral) and parsed back exactly.
@@ -6,10 +7,34 @@ rendered as "p/q" (or "p" when integral) and parsed back exactly.
 
 from __future__ import annotations
 
+import json
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
+
+
+def load_json_file(path: str, what: str):
+    """Parse a JSON input file; unreadable files and bad JSON are validation errors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+
+
+def finite_number(x, what: str) -> float:
+    """x, an int, float or Fraction (not a bool), as a finite float."""
+    try:
+        val = float(x) if type(x) in (int, float, Fraction) else math.nan
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        raise ValidationError(f"{what} must be a finite number, got {x!r}")
+    return val
 
 
 def fr_str(x: Fraction) -> str:

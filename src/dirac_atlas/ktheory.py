@@ -189,8 +189,9 @@ class AlgebraElement:
             elif exact:
                 converted.append(ExactMatrix.from_rows(b))
             else:
+                # an exact block among float ones holds Gaussian rational pairs
                 mat = b if isinstance(b, np.ndarray) else np.array(
-                    [[complex(x) for x in row] for row in b]
+                    [[complex(*x) if isinstance(x, tuple) else complex(x) for x in row] for row in b]
                 ).reshape(len(list(b)), -1)
                 if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                     raise ValidationError("block matrices must be square")

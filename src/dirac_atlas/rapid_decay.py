@@ -13,7 +13,6 @@ grid with a Lipschitz correction, serves as ground truth in tests.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
@@ -22,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConvergenceError, DeskScaleError, ValidationError
+from .jsonutil import finite_number
 from .ktheory import resolve_group_table, validate_group_table
 
 BALL_CAP = 1_000_000
@@ -143,24 +143,55 @@ class MarkedGroup:
 
     # -- ball enumeration ---------------------------------------------------
 
+    def ball_size(self, radius) -> int:
+        """Number of elements of length <= radius, in closed form, summed
+        sphere by sphere: exact up to BALL_CAP, and past it the first
+        partial sum over the cap.
+
+        F_k, k >= 2: the sphere of radius j holds 2k(2k-1)^(j-1) reduced
+        words, so |B_r| = 1 + k((2k-1)^r - 1)/(k-1). Z^d, and F_1 = Z:
+        the points with i nonzero coordinates number 2^i C(d,i) C(r,i),
+        so |B_r| = 2r + 1 for d = 1.
+        """
+        if self.kind == "finite":
+            return self.rank
+        r, k = math.floor(radius), self.rank
+        if self.kind == "free" and k > 1:
+            spheres = (2 * k * (2 * k - 1) ** (j - 1) for j in range(1, r + 1))
+        else:
+            spheres = (2**i * math.comb(k, i) * math.comb(r, i) for i in range(1, min(k, r) + 1))
+        total = 1
+        for part in spheres:
+            total += part
+            if total > BALL_CAP:
+                break
+        return total
+
+    def check_ball(self, radius) -> None:
+        """Refuse a ball over BALL_CAP before any work.
+
+        A point of Z^d is d integers, so there the cap also bounds the
+        number of points times d.
+        """
+        if not 0 <= radius < math.inf:
+            raise ValidationError(f"radius must be a nonnegative finite number, got {radius}")
+        size = self.ball_size(radius)
+        if size > BALL_CAP:
+            raise DeskScaleError(f"ball of radius {radius} would exceed {BALL_CAP} elements")
+        if self.kind == "lattice" and size * self.rank > BALL_CAP:
+            raise DeskScaleError(
+                f"ball of radius {radius} holds {size} points of {self.rank} coordinates, over the cap {BALL_CAP}"
+            )
+
     def ball(self, radius) -> list[Element]:
-        """Elements of length <= radius, capped at BALL_CAP."""
-        if radius < 0:
-            raise ValidationError("radius must be nonnegative")
+        """Elements of length <= radius: lattice points in lexicographic
+        order, reduced words by length. Refused past BALL_CAP first."""
+        self.check_ball(radius)
         if self.kind == "finite":
             return list(range(self.rank))
+        r = math.floor(radius)
         if self.kind == "lattice":
-            r = int(math.floor(radius))
-            est = (2 * r + 1) ** self.rank
-            if est > BALL_CAP:
-                raise DeskScaleError(f"ball of radius {radius} would exceed {BALL_CAP} elements")
-            out = [
-                pt
-                for pt in itertools.product(range(-r, r + 1), repeat=self.rank)
-                if sum(abs(x) for x in pt) <= r
-            ]
-            return out
-        r = int(math.floor(radius))
+            return _l1_ball(self.rank, r)
         out: list[Element] = [()]
         frontier: list[FreeWord] = [()]
         for _ in range(r):
@@ -172,13 +203,35 @@ class MarkedGroup:
                             continue
                         nxt.append(w + (signed,))
             out.extend(nxt)
-            if len(out) > BALL_CAP:
-                raise DeskScaleError(f"ball of radius {radius} would exceed {BALL_CAP} elements")
             frontier = nxt
         return out
 
     def sphere(self, radius: int) -> list[Element]:
         return [g for g in self.ball(radius) if self.length(g) == radius]
+
+
+def _l1_ball(d: int, r: int) -> list[LatticePoint]:
+    """The points of Z^d with l1 norm <= r, in lexicographic order.
+
+    An odometer: the successor raises the last coordinate that can
+    still grow within its budget and resets the tail to its smallest
+    completion (-rest, 0, ..., 0). O(d) per point.
+    """
+    pt = [-r] + [0] * (d - 1)
+    left = [r] + [0] * (d - 1)  # left[j]: the l1 budget of coordinates j..d-1
+    out = [tuple(pt)]
+    while True:
+        j = d - 1
+        while j >= 0 and pt[j] == left[j]:
+            j -= 1
+        if j < 0:
+            return out
+        pt[j] += 1
+        if j + 1 < d:
+            rest = left[j] - abs(pt[j])
+            pt[j + 1], left[j + 1] = -rest, rest
+            pt[j + 2 :] = left[j + 2 :] = [0] * (d - j - 2)
+        out.append(tuple(pt))
 
 
 def validate_length(group: MarkedGroup, trials: int = 200, seed: int = 0, radius: int = 3) -> None:
@@ -245,9 +298,12 @@ def hs_norm(f: GroupFunction, s, group: MarkedGroup) -> float:
     if s < 0:
         raise ValidationError("s must be nonnegative")
     total = 0.0
-    for g, c in f.items():
-        w = (1.0 + group.length(g)) ** s
-        total += (w * abs(c)) ** 2
+    try:
+        for g, c in f.items():
+            w = (1.0 + group.length(g)) ** s
+            total += (w * abs(c)) ** 2
+    except OverflowError as exc:
+        raise ValidationError(f"the Sobolev norm at s = {s} overflows a float") from exc
     return math.sqrt(total)
 
 
@@ -476,6 +532,7 @@ def rd_inequality_probe(
         raise ValidationError("the rapid-decay probe runs on free groups and lattices")
     if samples < 1:
         raise ValidationError("at least one sample required")
+    group.check_ball(min(samples, max_support_radius) + radius_margin)
     rng = np.random.default_rng(seed)
     ratios = []
     for i in range(samples):
@@ -526,6 +583,7 @@ def schur_ratio_probe(
     """Max over samples of red_trunc(c . f) / red_trunc(f)."""
     if samples < 1:
         raise ValidationError("at least one sample required")
+    group.check_ball(min(samples, max_support_radius) + radius_margin)
     rng = np.random.default_rng(seed)
     ratios = []
     for i in range(samples):
@@ -583,15 +641,24 @@ def compute_norm_report(
 
 
 def function_from_json(items, group: MarkedGroup) -> GroupFunction:
-    """Parse [{"g": ..., "re": ..., "im": ...}] into a group function."""
+    """Parse [{"g": ..., "re": ..., "im": ...}] into a group function.
+
+    g is a list of integers (a reduced word, or lattice coordinates),
+    or for a finite group an integer index; re and im are finite
+    numbers and default to 0.
+    """
+    if not isinstance(items, list):
+        raise ValidationError("a group function is a JSON list of {g, re, im} entries")
     out: GroupFunction = {}
     for item in items:
         if not isinstance(item, dict) or "g" not in item:
             raise ValidationError("each entry needs a 'g' key")
         g = item["g"]
-        if isinstance(g, list):
-            g = tuple(int(x) for x in g)
-        c = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+        if isinstance(g, list) and all(type(x) is int for x in g):
+            g = tuple(g)
+        elif not (group.kind == "finite" and type(g) is int):
+            raise ValidationError(f"element {g!r} is not a list of integers")
+        c = complex(finite_number(item.get("re", 0), "re"), finite_number(item.get("im", 0), "im"))
         if c != 0:
             key = group.check_element(g)
             out[key] = out.get(key, 0j) + c

@@ -8,8 +8,10 @@ integer numerators over one denominator: the dominant weights are found
 by descent from the highest weight, each multiplicity is computed once
 per dominant weight, and the Weyl orbits are expanded only at the end,
 after the support has been checked against SUPPORT_CAP with closed-form
-orbit sizes. The Weyl dimension formula is kept as an independent second
-code path so the two can cross-validate.
+orbit sizes. Decomposition into irreducibles works on dominant parts
+alone: it subtracts dominant tables and expands no orbit. The Weyl
+dimension formula is kept as an independent second code path so the two
+can cross-validate.
 
 Negative multiplicities are first class; nothing clamps.
 """
@@ -299,40 +301,36 @@ def is_weyl_invariant(chi: VirtualCharacter) -> bool:
 def decompose(chi: VirtualCharacter) -> list[tuple[IrrLabel, int]]:
     """Write chi as an integer combination of irreducibles.
 
-    Iterated extraction at the maximal dominant weight of the support;
-    the reconstruction identity holds exactly. The dominant part of the
-    remaining support is kept up to date as characters are subtracted:
-    the dominant weights of an irreducible are the keys of its dominant
-    table. Output is sorted by graded-lex highest weight. Raises on
-    non-Weyl-invariant input.
+    A Weyl-invariant character is fixed by its dominant part, since the
+    orbit sums form a basis of the invariants (Humphreys, Lie algebras,
+    22.5). So only the dominant part is kept: the maximal dominant
+    weight mu (by the norm of mu + rho, then graded-lex) is a highest
+    weight, and c times the dominant table of V(mu) is subtracted. No
+    orbit is expanded. Output is sorted by graded-lex highest weight.
+    Raises on non-Weyl-invariant input and on a non-integral maximal
+    weight.
     """
     rs = chi.ambient
     if not is_weyl_invariant(chi):
         raise ValidationError("character is not Weyl-invariant")
     rho = rs.rho
 
+    @functools.cache
     def key(w):
         return (inner(wadd(w, rho), wadd(w, rho), rs), grlex_key(w))
 
-    rest = dict(chi.terms)
-    dominants = {w: key(w) for w in rest if is_dominant(w, rs)}
+    rest = {w: m for w, m in chi.terms.items() if is_dominant(w, rs)}
     out: list[tuple[IrrLabel, int]] = []
     while rest:
-        if not dominants:
-            raise ValidationError("character is not Weyl-invariant")
-        mu = max(dominants, key=dominants.__getitem__)
+        mu = max(rest, key=key)
+        check_dominant_integral(mu, rs, "highest weight")
         c = rest[mu]
-        terms = irr_character(IrrLabel(mu), rs).terms
-        table = _dominant_multiplicities(mu, rs)
-        for w, m in terms.items():
+        for w, m in _dominant_multiplicities(mu, rs).items():
             nm = rest.get(w, 0) - c * m
-            if nm == 0:
-                rest.pop(w, None)
-                dominants.pop(w, None)
-            else:
+            if nm:
                 rest[w] = nm
-                if w in table and w not in dominants:
-                    dominants[w] = key(w)
+            else:
+                del rest[w]
         out.append((IrrLabel(mu), c))
     out.sort(key=lambda t: grlex_key(t[0].highest_weight))
     return out

@@ -470,7 +470,8 @@ def build_root_system(cartan: CartanType) -> RootSystem:
         form=form,
         rho=rho,
     )
-    assert rho == (Fraction(1),) * n
+    if rho != (Fraction(1),) * n:
+        raise AssertionError("rho is not the sum of the fundamental weights")
     return rs
 
 
@@ -573,10 +574,6 @@ def make_dominant(x: Weight, rs: RootSystem) -> Weight:
         if i is None:
             return tuple(Fraction(c, den) for c in nums)
         nums = tuple(a - pairs[i] * r for a, r in zip(nums, form.simple_rows[i]))
-
-
-def make_antidominant(x: Weight, rs: RootSystem) -> Weight:
-    return wneg(make_dominant(wneg(x), rs))
 
 
 @functools.lru_cache(maxsize=ORBIT_CACHE_SIZE)

@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Optional, Union
 
-from ._linalg import solve_left
+from ._linalg import mat_inv, solve_left
 from .errors import ValidationError
-from .jsonutil import parse_vec, vec_str
+from .jsonutil import load_json_file, parse_vec, vec_str
 from .repring import VirtualCharacter, char_from_terms, product, trivial_character, zero_character
 from .rootsys import (
     CartanType,
@@ -146,8 +145,15 @@ def build_pair(
         )
     else:
         basis = tuple(tuple(Fraction(c) for c in b) for b in k_lattice)
-        if len(basis) != g.rank:
-            raise ValidationError("K lattice basis must have full rank")
+        if len(basis) != g.rank or any(len(b) != g.rank for b in basis):
+            raise ValidationError(f"K lattice basis must be {g.rank} vectors of {g.rank} coordinates")
+        try:
+            mat_inv(basis)
+        except ValueError as exc:
+            raise ValidationError("K lattice basis must have full rank") from exc
+        # the roots are weights of the torus, so they lie in the K weight lattice
+        if not all(lattice_contains(basis, a) for a in g.simple_roots):
+            raise ValidationError("K lattice must contain the roots of g")
     return RealPair(
         g=g,
         k=k,
@@ -243,7 +249,8 @@ def check_spin_structure(pair: RealPair) -> SpinStructure:
     rn = rho_noncompact(pair)
     on_g = lattice_contains(pair.k_lattice, rn)
     half_basis = tuple(wscale(Fraction(1, 2), b) for b in pair.k_lattice)
-    assert lattice_contains(half_basis, rn), "rho_n escaped the half lattice"
+    if not lattice_contains(half_basis, rn):
+        raise AssertionError("rho_n escaped the half lattice")
     return SpinStructure(lifts_on_G=on_g, lifts_on_double_cover=True)
 
 
@@ -276,30 +283,46 @@ def load_catalog(path: Optional[str] = None) -> dict[str, RealPair]:
 
 @functools.lru_cache(maxsize=None)
 def _load_catalog_cached(actual: str) -> dict[str, RealPair]:
-    with open(actual, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = load_json_file(actual, "catalog")
     if not isinstance(data, dict) or "pairs" not in data or "version" not in data:
         raise ValidationError(f"catalog {actual} lacks version/pairs")
-    out: dict[str, RealPair] = {}
-    for pname, entry in data["pairs"].items():
-        unknown = set(entry) - _ALLOWED_CATALOG_KEYS
-        if unknown:
-            raise ValidationError(f"catalog entry {pname}: unknown keys {sorted(unknown)}")
-        marking: Union[str, list] = entry["compact"]
-        if marking != "all":
-            marking = [parse_vec(v) for v in marking]
-        lattice = entry.get("k_lattice")
-        if lattice is not None:
-            lattice = [parse_vec(v) for v in lattice]
-        out[pname] = build_pair(
-            entry["cartan"],
-            marking,
-            equal_rank=entry.get("equal_rank"),
-            dim_g_mod_k=entry.get("dim_g_mod_k"),
-            k_lattice=lattice,
-            name=pname,
-        )
-    return out
+    if not isinstance(data["pairs"], dict):
+        raise ValidationError(f"catalog {actual}: pairs must be an object")
+    return {pname: _pair_from_entry(pname, entry) for pname, entry in data["pairs"].items()}
+
+
+def _pair_from_entry(pname: str, entry) -> RealPair:
+    """One catalog entry: cartan and compact are required, the rest optional."""
+    if not isinstance(entry, dict):
+        raise ValidationError(f"catalog entry {pname}: must be an object")
+    unknown = set(entry) - _ALLOWED_CATALOG_KEYS
+    if unknown:
+        raise ValidationError(f"catalog entry {pname}: unknown keys {sorted(unknown)}")
+    missing = {"cartan", "compact"} - set(entry)
+    if missing:
+        raise ValidationError(f"catalog entry {pname}: missing keys {sorted(missing)}")
+
+    def vectors(key: str) -> list:
+        val = entry[key]
+        if not isinstance(val, list) or not all(isinstance(v, list) for v in val):
+            raise ValidationError(f"catalog entry {pname}: {key} must be a list of coordinate lists")
+        return [parse_vec(v) for v in val]
+
+    if not isinstance(entry["cartan"], str):
+        raise ValidationError(f"catalog entry {pname}: cartan must be a string")
+    equal_rank, dim = entry.get("equal_rank"), entry.get("dim_g_mod_k")
+    if equal_rank is not None and not isinstance(equal_rank, bool):
+        raise ValidationError(f"catalog entry {pname}: equal_rank must be true or false")
+    if dim is not None and (type(dim) is not int or dim < 0):
+        raise ValidationError(f"catalog entry {pname}: dim_g_mod_k must be a nonnegative integer")
+    return build_pair(
+        entry["cartan"],
+        "all" if entry["compact"] == "all" else vectors("compact"),
+        equal_rank=equal_rank,
+        dim_g_mod_k=dim,
+        k_lattice=None if entry.get("k_lattice") is None else vectors("k_lattice"),
+        name=pname,
+    )
 
 
 def get_pair(name: str, path: Optional[str] = None) -> RealPair:

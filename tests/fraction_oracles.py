@@ -9,9 +9,11 @@ chamber id as a linear scan over those matrices, the enumeration box as
 a float bounding box plus float prefilter whose survivors an exact
 Fraction quadratic form decides, the pairwise check of a Z/2 root
 grading, the Freudenthal recursion over the candidate box between a
-highest weight and its antidominant image, and the Cartan type matched
-against the standard matrices under every permutation. The package
-computes the same results on integers; tests compare the two element
+highest weight and its antidominant image, the Cartan type matched
+against the standard matrices under every permutation, and the
+decomposition of a character by peeling off full irreducible characters.
+The package computes the same results on integers (or, for the
+decomposition, on dominant tables only); tests compare the two element
 by element.
 """
 
@@ -24,7 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from dirac_atlas import repring
 from dirac_atlas._linalg import mat_inv, solve_left
+from dirac_atlas.errors import ValidationError
 from dirac_atlas.rootsys import (
     _cartan_matrix_simple,
     apply_matrix,
@@ -286,3 +290,39 @@ def cartan_type_by_permutation(pairing):
         )
         factors.append(found)
     return tuple(sorted(factors))
+
+
+def decompose_peel(chi):
+    """Decomposition by peeling: subtract the full character of the
+    irreducible at the maximal dominant weight of what is left, keeping
+    the dominant weights of the remainder in a second dict."""
+    rs = chi.ambient
+    if not repring.is_weyl_invariant(chi):
+        raise ValidationError("character is not Weyl-invariant")
+    rho = rs.rho
+
+    def key(w):
+        return (inner(wadd(w, rho), wadd(w, rho), rs), grlex_key(w))
+
+    rest = dict(chi.terms)
+    dominants = {w: key(w) for w in rest if all(coroot_pairing(w, i, rs) >= 0 for i in range(len(rs.simple_roots)))}
+    out = []
+    while rest:
+        if not dominants:
+            raise ValidationError("character is not Weyl-invariant")
+        mu = max(dominants, key=dominants.__getitem__)
+        c = rest[mu]
+        terms = repring.irr_character(repring.IrrLabel(mu), rs).terms
+        table = repring.dominant_multiplicities(mu, rs)
+        for w, m in terms.items():
+            nm = rest.get(w, 0) - c * m
+            if nm == 0:
+                rest.pop(w, None)
+                dominants.pop(w, None)
+            else:
+                rest[w] = nm
+                if w in table and w not in dominants:
+                    dominants[w] = key(w)
+        out.append((repring.IrrLabel(mu), c))
+    out.sort(key=lambda t: grlex_key(t[0].highest_weight))
+    return out

@@ -299,6 +299,7 @@ def test_degree_roots_flag(capsys):
 
 
 _MALFORMED = '{"blocks": [1], "matrices": '
+_DELTA = '[{"g": [0], "re": 1.0}]'
 
 
 @pytest.mark.parametrize(
@@ -325,6 +326,25 @@ _MALFORMED = '{"blocks": [1], "matrices": '
         (["group", "wedderburn", "--table", "{bad}", "--seed", "0"], {"bad": '[["a", "b"], ["b", "a"]]'}),
         (["group", "wedderburn", "--table", "{bad}", "--seed", "0"], {"bad": '{"rows": [[0]]}'}),
         (["group", "wedderburn", "--table", "{bad}", "--seed", "0"], {"bad": "[[0.5, 1], [1, 0]]"}),
+        (["rd", "norms", "--group", "z", "--s", "1", "--input", "{bad}", "--radius", "2"], {"bad": "5"}),
+        (["rd", "norms", "--group", "z", "--s", "1", "--input", "{bad}", "--radius", "2"], {"bad": '[{"g": [1.5], "re": 1}]'}),
+        (["rd", "norms", "--group", "z", "--s", "1", "--input", "{bad}", "--radius", "2"], {"bad": '[{"g": [true], "re": 1}]'}),
+        (["rd", "norms", "--group", "z", "--s", "1", "--input", "{bad}", "--radius", "2"], {"bad": '[{"g": "ab", "re": 1}]'}),
+        (["rd", "norms", "--group", "z", "--s", "1", "--input", "{bad}", "--radius", "2"], {"bad": '[{"g": [1], "re": "x"}]'}),
+        (["rd", "norms", "--group", "z", "--s", "1", "--input", "{f}", "--radius", "nan"], {"f": _DELTA}),
+        (["rd", "norms", "--group", "z", "--s", "1", "--input", "{f}", "--radius", "inf"], {"f": _DELTA}),
+        (["rd", "norms", "--group", "z", "--s", "nan", "--input", "{f}", "--radius", "2"], {"f": _DELTA}),
+        (["rd", "probe-rd", "--group", "z", "--s", "inf", "--seed", "1"], {}),
+        (["rd", "probe-unconditional", "--group", "z", "--radius", "nan", "--seed", "1"], {}),
+        (["spin", "info", "--pair", "su21", "--catalog", "{missing}"], {}),
+        (["spin", "info", "--pair", "su21", "--catalog", "{bad}"], {"bad": '{"version": 1, "pairs": '}),
+        (["spin", "info", "--pair", "su21", "--catalog", "{bad}"], {"bad": '{"version": 1, "pairs": []}'}),
+        (["spin", "info", "--pair", "su21", "--catalog", "{bad}"], {"bad": '{"version": 1, "pairs": {"p": {"cartan": "A1"}}}'}),
+        (["spin", "info", "--pair", "su21", "--catalog", "{bad}"], {"bad": '{"version": 1, "pairs": {"p": {"compact": "all"}}}'}),
+        (["ds", "induct", "--pair", "p", "--hw", "1", "--catalog", "{bad}"],
+         {"bad": '{"version": 1, "pairs": {"p": {"cartan": "A1", "compact": 5}}}'}),
+        (["spin", "info", "--pair", "p", "--catalog", "{bad}"],
+         {"bad": '{"version": 1, "pairs": {"p": {"cartan": "A1", "compact": [], "k_lattice": [["4"]]}}}'}),
     ],
 )
 def test_file_json_and_config_errors_exit_2(capsys, tmp_path, argv, files):
@@ -338,6 +358,30 @@ def test_file_json_and_config_errors_exit_2(capsys, tmp_path, argv, files):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_missing_catalog_from_env_var_exits_2(capsys, tmp_path, monkeypatch):
+    from dirac_atlas.spinmod import CATALOG_ENV_VAR
+
+    monkeypatch.setenv(CATALOG_ENV_VAR, str(tmp_path / "nowhere.json"))
+    code, out, err = run_cli(capsys, "spin", "info", "--pair", "su21")
+    assert code == EXIT_VALIDATION and out == ""
+    assert err.startswith("error: cannot read catalog") and err.count("\n") == 1
+
+
+def test_rd_probe_defaults_on_f3_refused_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "rd", "probe-rd", "--group", "f3", "--s", "1", "--seed", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_VALIDATION and out == ""
+    assert err.startswith("error: ball of radius 10") and err.count("\n") == 1
+
+
+def test_rd_norms_on_z9_ball_of_radius_2(capsys, tmp_path):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps([{"g": [0] * 8 + [1], "re": 1.0}, {"g": [0] * 9, "re": 1.0}]))
+    payload = run_json(capsys, "rd", "norms", "--group", "z9", "--s", "1", "--input", str(f), "--radius", "2")
+    assert payload["l1"] == 2.0 and payload["red_lower"] <= 2.0
 
 
 @pytest.mark.parametrize(

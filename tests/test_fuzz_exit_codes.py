@@ -1,0 +1,122 @@
+"""Exit-code fuzz test over the contents of the CLI's JSON input files.
+
+Random JSON, and random near-valid shapes that reach past the first
+type checks, are written to the file behind one argument of a CLI
+call. Whatever the contents, the call ends in exit 0, 2 or 3; a
+failure writes one stderr line, and no traceback.
+"""
+
+import contextlib
+import io
+import itertools
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dirac_atlas.cli import main
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(-1e6, 1e6)
+    | st.sampled_from([1e300, float("nan"), float("inf"), 2**70])
+    | st.text(max_size=3)
+    | st.sampled_from(["all", "A1", "A2", "1/2", "-1", "0", "x", "1/0"])
+)
+KEYS = st.text(max_size=2) | st.sampled_from(
+    ["g", "re", "im", "blocks", "matrices", "e0", "e1", "u", "version", "pairs", "cartan", "compact", "k_lattice",
+     "equal_rank", "dim_g_mod_k", "description"]
+)
+JSON = st.recursive(SCALARS, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(KEYS, kids, max_size=4), max_leaves=10)
+
+
+def mostly(good, bad=JSON):
+    """good seven times in eight, else bad: most examples get past the
+    first checks, and every check still meets bad values."""
+    return st.sampled_from([good] * 7 + [bad]).flatmap(lambda strategy: strategy)
+
+
+NUMBER = st.integers(-3, 3) | st.floats(-1e6, 1e6)
+COEFFS = {"re": mostly(NUMBER, SCALARS), "im": mostly(NUMBER, SCALARS)}
+
+
+def _group_function(element):
+    entry = st.fixed_dictionaries({"g": mostly(element, SCALARS | st.lists(SCALARS, max_size=2))}, optional=COEFFS)
+    return mostly(st.lists(mostly(entry), max_size=4))
+
+
+LETTER = st.sampled_from([1, -1, 2, -2])
+COORD = mostly(st.sampled_from(["0", "1", "2", "-1", "1/2", "-3/2"]), SCALARS)
+VECTORS = mostly(st.lists(st.lists(COORD, min_size=1, max_size=3), max_size=3))
+CATALOG_ENTRY = st.fixed_dictionaries(
+    {"cartan": mostly(st.sampled_from(["A1", "A2", "B2", "C2", "G2", "A1xA1", "H3", "A0", "B1"])),
+     "compact": mostly(st.just("all") | VECTORS)},
+    optional={
+        "k_lattice": VECTORS,
+        "equal_rank": mostly(st.booleans()),
+        "dim_g_mod_k": mostly(st.integers(-1, 4)),
+        "description": st.text(max_size=3) | JSON,
+    },
+)
+CATALOG = mostly(st.fixed_dictionaries({"version": st.just(1), "pairs": mostly(st.fixed_dictionaries({"p": mostly(CATALOG_ENTRY)}))}))
+
+
+def _square(entry, sizes=st.integers(0, 3)):
+    return sizes.flatmap(lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+ENTRY = mostly(st.one_of(NUMBER, st.sampled_from(["1/2", "-1", "3"]), st.lists(NUMBER | st.just("1/2"), min_size=2, max_size=2)), SCALARS)
+
+
+def _spec(keys):
+    """A k0 spec: one block list, and per block one entry of each key (ints or matrices)."""
+    def build(n):
+        fields = {key: mostly(st.lists(value, min_size=n, max_size=n)) for key, value in keys.items()}
+        fields["blocks"] = mostly(st.lists(mostly(st.integers(1, 2), SCALARS), min_size=n, max_size=n))
+        return st.fixed_dictionaries(fields)
+    return mostly(st.integers(1, 3).flatmap(build))
+
+
+K0_CLASS = _spec({"matrices": mostly(_square(ENTRY))})
+K0_INDEX = _spec({"e0": mostly(st.integers(0, 2)), "e1": mostly(st.integers(0, 2)), "u": mostly(st.lists(st.lists(ENTRY, max_size=2), max_size=2))})
+TABLE = mostly(st.integers(1, 4).flatmap(lambda n: _square(mostly(st.integers(-1, n), SCALARS), st.just(n))))
+
+# target -> (argv with {f} for the file, contents)
+TARGETS = {
+    "rd-norms-z2": (["rd", "norms", "--group", "z2", "--s", "1", "--input", "{f}", "--radius", "3"],
+                    _group_function(mostly(st.lists(st.integers(-2, 2), min_size=2, max_size=2), st.lists(st.integers(-2, 2))))),
+    "rd-norms-f2": (["rd", "norms", "--group", "f2", "--s", "1", "--input", "{f}", "--radius", "3"],
+                    _group_function(st.lists(LETTER, max_size=4))),
+    "catalog-spin": (["spin", "info", "--pair", "p", "--catalog", "{f}"], CATALOG),
+    "catalog-ds": (["ds", "enumerate", "--pair", "p", "--bound", "6", "--catalog", "{f}"], CATALOG),
+    "k0-class": (["k0", "class", "--spec", "{f}"], K0_CLASS),
+    "k0-index": (["k0", "index", "--spec", "{f}"], K0_INDEX),
+    "group-table": (["group", "wedderburn", "--table", "{f}", "--seed", "0"], TABLE),
+}
+_COUNTER = itertools.count()
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_input_files_exit_0_2_or_3_without_traceback(target, tmp_path_factory):
+    argv, contents = TARGETS[target]
+    workdir = tmp_path_factory.mktemp(target)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=contents)
+    def run(data):
+        # a fresh path per example: the catalog is cached by path
+        path = workdir / f"{next(_COUNTER)}.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([a.format(f=path) for a in argv])
+        message = err.getvalue()
+        assert code in (0, 2, 3), (code, message)
+        assert "Traceback" not in message
+        if code:
+            assert message.count("\n") == 1 and out.getvalue() == "", message
+
+    run()

@@ -1,6 +1,8 @@
 """Norm laboratory tests: lengths, balls, truncated norms, probes."""
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -304,3 +306,98 @@ def test_free_group_elements_validated():
         normalize_function({(1, -1): 1}, F2)  # not reduced
     with pytest.raises(ValidationError):
         normalize_function({(3,): 1}, F2)  # letter out of range
+
+
+def ball_reference(group, radius):
+    """The ball as enumerated before closed-form caps: the (2r+1)^d box
+    filtered by l1 norm, and reduced words sphere by sphere."""
+    r = int(math.floor(radius))
+    if group.kind == "lattice":
+        return [pt for pt in itertools.product(range(-r, r + 1), repeat=group.rank) if sum(map(abs, pt)) <= r]
+    out, frontier = [()], [()]
+    for _ in range(r):
+        frontier = [w + (s,) for w in frontier for a in range(1, group.rank + 1) for s in (a, -a) if not w or w[-1] != -s]
+        out.extend(frontier)
+    return out
+
+
+@pytest.mark.parametrize(
+    "name,radii",
+    [("z", range(8)), ("z2", range(7)), ("z3", range(5)), ("f1", range(8)), ("f2", range(6)), ("f3", range(5))],
+)
+def test_ball_matches_reference_enumerator(name, radii):
+    group = parse_group(name)
+    for r in radii:
+        ball = group.ball(r)
+        assert ball == ball_reference(group, r), (name, r)
+        assert group.ball_size(r) == len(ball)
+    assert group.ball(2.5) == group.ball(2)
+
+
+def test_ball_size_closed_forms():
+    for k in range(2, 6):
+        group = MarkedGroup.free_group(k)
+        for r in range(6):
+            assert group.ball_size(r) == 1 + k * ((2 * k - 1) ** r - 1) // (k - 1)
+    assert MarkedGroup.free_group(1).ball_size(40) == 81
+    # Delannoy-type counts of the l1 ball
+    assert MarkedGroup.integer_lattice(9).ball_size(2) == 181
+    # octahedral numbers
+    for r in range(8):
+        assert MarkedGroup.integer_lattice(3).ball_size(r) == (2 * r + 1) * (2 * r * r + 2 * r + 3) // 3
+
+
+@pytest.mark.parametrize(
+    "group,radius",
+    [(MarkedGroup.free_group(3), 10), (MarkedGroup.free_group(2), 10**9), (MarkedGroup.integer_lattice(2), 10**12),
+     (MarkedGroup.integer_lattice(10**6), 10**6), (MarkedGroup.integer_lattice(400_000), 1)],
+)
+def test_ball_refused_in_closed_form_before_work(group, radius):
+    t0 = time.perf_counter()
+    with pytest.raises(DeskScaleError):
+        group.ball(radius)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_ball_counts_lattice_coordinates_against_the_cap():
+    # 1001 points, each of 500 coordinates
+    assert len(MarkedGroup.integer_lattice(500).ball(1)) == 1001
+    with pytest.raises(DeskScaleError, match="coordinates"):
+        MarkedGroup.integer_lattice(2000).ball(1)
+    assert MarkedGroup.integer_lattice(100_000).ball(0) == [(0,) * 100_000]
+
+
+@pytest.mark.parametrize("radius", [-1, math.nan, math.inf])
+def test_ball_radius_must_be_finite_and_nonnegative(radius):
+    with pytest.raises(ValidationError):
+        Z.ball(radius)
+
+
+def test_rd_probe_refuses_its_largest_ball_before_sampling():
+    t0 = time.perf_counter()
+    with pytest.raises(DeskScaleError, match="radius 10"):
+        rd_inequality_probe(MarkedGroup.free_group(3), 1.0, 50, seed=1)
+    assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        {"g": [1]},
+        [{"g": [1.5], "re": 1.0}],
+        [{"g": [True], "re": 1.0}],
+        [{"g": "ab", "re": 1.0}],
+        [{"g": 1, "re": 1.0}],
+        [{"g": [1], "re": "x"}],
+        [{"g": [1], "re": True}],
+        [{"g": [1], "im": math.nan}],
+        [{"g": [1], "re": 10**400}],
+    ],
+)
+def test_function_from_json_refuses_non_integer_elements_and_non_numbers(items):
+    with pytest.raises(ValidationError):
+        function_from_json(items, Z)
+
+
+def test_function_from_json_takes_integer_indices_on_finite_groups():
+    assert function_from_json([{"g": 2, "re": 1, "im": 0}], FIN) == {2: 1 + 0j}

@@ -36,6 +36,7 @@ from dirac_atlas.rootsys import (
     parse_cartan,
     weight,
     weyl_elements,
+    weyl_orbit,
     wneg,
     wzero,
 )
@@ -390,3 +391,65 @@ def test_decompose_finds_a_dominant_weight_uncovered_by_subtraction():
     chi = irr_character((2,), A1) - trivial_character(A1)
     assert wzero(1) not in chi.terms
     assert decompose(chi) == [(IrrLabel(wzero(1)), -1), (IrrLabel(weight([2])), 1)]
+
+
+# Systems of the decompose oracle test: ranks up to 3 and the K systems
+# of two catalog pairs, whose labels are half-integral in ambient
+# coordinates.
+DECOMPOSE_SYSTEMS = {name: FREUDENTHAL_SYSTEMS[name] for name in ("A1", "A2", "B2", "G2", "A3", "B3", "C3", "A1xA2", "su21.k", "sp4r.k")}
+
+
+def _draw_label(data, rs, top, half=False):
+    """A dominant weight; with half, or on a K system, from half-integral coordinates."""
+    half = half or any(c.denominator != 1 for c in rs.rho)
+    coord = st.integers(-2 * top, 2 * top).map(lambda k: F(k, 2)) if half else st.integers(0, top).map(F)
+    return oracle.make_dominant(tuple(data.draw(st.lists(coord, min_size=rs.rank, max_size=rs.rank))), rs)
+
+
+def _integral(mu, rs):
+    return all(oracle.coroot_pairing(mu, i, rs).denominator == 1 for i in range(len(rs.simple_roots)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_SYSTEMS))
+def test_decompose_matches_peel_oracle(name, data):
+    # random virtual characters sum c_i chi(mu_i), c_i in -2..2, with
+    # repeated labels, so whole irreducibles and single weights cancel
+    rs = DECOMPOSE_SYSTEMS[name]
+    top = 2 if rs.rank <= 2 else 1
+    labels = [mu for mu in (_draw_label(data, rs, top) for _ in range(3)) if _integral(mu, rs)]
+    assume(labels)
+    chi = zero_character(rs)
+    for _ in range(data.draw(st.integers(1, 5))):
+        mu = data.draw(st.sampled_from(labels))
+        chi = chi + irr_character(mu, rs).scaled(data.draw(st.integers(-2, 2)))
+    got = decompose(chi)
+    assert got == oracle.decompose_peel(chi)
+    assert resum(rs, got).terms == chi.terms
+
+
+def _error_text(fn, chi):
+    with pytest.raises(ValidationError) as info:
+        fn(chi)
+    return str(info.value)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", sorted(DECOMPOSE_SYSTEMS))
+def test_decompose_errors_match_peel_oracle(name, data):
+    rs = DECOMPOSE_SYSTEMS[name]
+    # a non-invariant character: a few weights with random multiplicities
+    coord = st.integers(-4, 4).map(lambda k: F(k, 2))
+    weights = data.draw(st.lists(st.tuples(*[coord] * rs.rank), min_size=1, max_size=4))
+    chi = char_from_terms(rs, {w: data.draw(st.integers(1, 2)) for w in weights})
+    if not is_weyl_invariant(chi):
+        assert _error_text(decompose, chi) == _error_text(oracle.decompose_peel, chi)
+    # an invariant character whose peel meets a non-integral weight: the
+    # orbit sum of a dominant non-integral weight, plus an irreducible
+    odd = _draw_label(data, rs, 2, half=True)
+    assume(not _integral(odd, rs))
+    chi = char_from_terms(rs, {w: 1 for w in weyl_orbit(odd, rs)})
+    chi = chi + irr_character(wzero(rs.rank), rs).scaled(data.draw(st.integers(-2, 2)))
+    assert _error_text(decompose, chi) == _error_text(oracle.decompose_peel, chi)

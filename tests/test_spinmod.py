@@ -237,3 +237,36 @@ def test_custom_catalog_roundtrip(tmp_path):
     path.write_text(json.dumps(data))
     pair = get_pair("mine", str(path))
     assert pair.is_compact and pair.catalog_name == "mine"
+
+
+@pytest.mark.parametrize(
+    "lattice,match",
+    [
+        ([weight([1]), weight([1])], "vectors of"),
+        ([weight([1, 0])], "vectors of"),
+        ([weight([0])], "full rank"),
+        ([weight([4])], "contain the roots"),
+        ([weight([F(3, 2)])], "contain the roots"),
+    ],
+)
+def test_k_lattice_validated(lattice, match):
+    # sl2r lives on A1, whose root has fundamental-weight coordinate 2
+    with pytest.raises(ValidationError, match=match):
+        build_pair("A1", [], k_lattice=lattice)
+
+
+def test_k_lattice_containing_the_roots_accepted():
+    for lattice in ([weight([2])], [weight([1])], [weight([F(1, 2)])]):
+        check_spin_structure(build_pair("A1", [], k_lattice=lattice))
+    pair = build_pair("A2", [weight([1, 1])], k_lattice=[weight([2, -1]), weight([-1, 2])])
+    assert check_spin_structure(pair).lifts_on_double_cover
+
+
+def test_half_lattice_invariant_is_an_explicit_check():
+    # build_pair refuses such a lattice; bypassing it, the invariant still
+    # raises, with or without python -O
+    import dataclasses
+
+    pair = dataclasses.replace(get_pair("sl2r"), k_lattice=(weight([4]),))
+    with pytest.raises(AssertionError, match="half lattice"):
+        check_spin_structure(pair)
