@@ -264,6 +264,8 @@ SCHEMAS = {
             "hs": {"type": "number"},
             "red_lower": {"type": "number"},
             "red_upper": {"type": "number"},
+            "iterations": {"type": "integer"},
+            "residual": {"type": "number"},
         },
         "required": ["group", "s", "radius", "l1", "hs", "red_lower", "red_upper"],
     },
@@ -571,6 +573,8 @@ def _cmd_rd_norms(args, cfg: Config) -> dict:
         "hs": report.hs,
         "red_lower": report.red_lower,
         "red_upper": report.red_upper,
+        "iterations": report.iterations,
+        "residual": report.residual,
     }
 
 

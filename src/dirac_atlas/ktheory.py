@@ -572,13 +572,15 @@ def validate_group_table(table: np.ndarray) -> tuple[int, np.ndarray]:
 
 def _conjugacy_classes(table: np.ndarray, inv: np.ndarray) -> list[list[int]]:
     """Classes in order of their least element; the orbit of g is table[h g, h^-1] over all h."""
-    seen = np.zeros(table.shape[0], dtype=bool)
+    n = table.shape[0]
+    seen = np.zeros(n, dtype=bool)
     classes = []
-    for g in range(table.shape[0]):
+    for g in range(n):
         if not seen[g]:
-            orbit = np.unique(table[table[:, g], inv])
-            seen[orbit] = True
-            classes.append(orbit.tolist())
+            orbit = np.zeros(n, dtype=bool)
+            orbit[table[table[:, g], inv]] = True
+            seen |= orbit
+            classes.append(np.flatnonzero(orbit).tolist())
     return classes
 
 

@@ -7,18 +7,20 @@ Group functions are finite-support dicts element -> complex.
 The reduced norm is never reported as a point value: compressing the
 left convolution operator to a ball gives a certified lower bound
 (nondecreasing in the radius), and the L1 norm is the upper bound.
-For Z^d the sup of the symbol over the torus, bracketed by a dense
-grid with a Lipschitz correction, serves as ground truth in tests.
+The ball is numbered once as integer index arrays, so the compressed
+operator is built by gathers, and its top singular value comes from a
+restarted Lanczos iteration on M^H M in plain numpy. For Z^d the sup
+of the symbol over the torus, bracketed by a dense grid with a
+Lipschitz correction, serves as ground truth in tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConvergenceError, DeskScaleError, ValidationError
 from .jsonutil import finite_number
@@ -27,9 +29,14 @@ from .ktheory import resolve_group_table, validate_group_table
 BALL_CAP = 1_000_000
 POWER_TOL = 1e-6
 POWER_MAX_ITER = 200_000
-# The stopping rule compares estimates this many iterations apart, so
-# slow spectral tails cannot stall the iteration into a false stop.
-POWER_CHECK_WINDOW = 64
+# Krylov vectors kept by the Lanczos solver, so its memory is this many
+# complex vectors of the ball's length.
+LANCZOS_BASIS = 16
+# A Gram-Schmidt pass is repeated when it leaves less than this share of
+# the vector's norm: the classical criterion for one pass not being enough.
+REORTH_RATIO = 0.7071067811865476  # 1/sqrt(2)
+# Step of the equidistributed sequence that perturbs the Lanczos start.
+START_STEP = (math.sqrt(5) - 1) / 2
 
 FreeWord = tuple[int, ...]
 LatticePoint = tuple[int, ...]
@@ -67,6 +74,8 @@ class MarkedGroup:
     inverses: Optional[np.ndarray] = None
     identity_index: int = 0
     length_fn: Optional[Callable] = None
+    # radius -> _BallIndex, filled on first use; it lives as long as the group
+    _indices: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def free_group(cls, k: int) -> "MarkedGroup":
@@ -311,20 +320,253 @@ def support_radius(f: GroupFunction, group: MarkedGroup):
     return max((group.length(g) for g in f), default=0)
 
 
-def _compressed_operator(f: GroupFunction, group: MarkedGroup, radius) -> sp.csr_matrix:
-    ball = group.ball(radius)
-    index = {g: i for i, g in enumerate(ball)}
-    rows, cols, vals = [], [], []
-    for s_elem, coeff in f.items():
-        for h, j in index.items():
-            t = group.mul(s_elem, h)
-            i = index.get(t)
-            if i is not None:
-                rows.append(i)
-                cols.append(j)
-                vals.append(coeff)
-    n = len(ball)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
+def _letter_code(letter: int) -> int:
+    """Letters 1, -1, 2, -2, ... as codes 0, 1, 2, 3, ...: the order in
+    which MarkedGroup.ball appends them. code ^ 1 is the inverse letter."""
+    return 2 * (abs(letter) - 1) + (letter < 0)
+
+
+class _FreeBall:
+    """The ball B_r(F_k) in the order of MarkedGroup.ball, as arrays.
+
+    The children w.a of a word w are contiguous, in code order without
+    the inverse of w's last letter, so the right action w -> w.a is
+    closed-form arithmetic on (level, position, last letter). The left
+    action of a letter x is a row left(x)[i] = index of x.w_i, or -1
+    outside the ball, built level by level from x.(w.a) = (x.w).a on
+    first use: x.w for w below the top level never leaves the ball.
+    Rows are built only for the letters a support uses: all 2k rows of
+    the ball of F_k at radius 1 would take O(k^2) memory.
+    """
+
+    def __init__(self, k: int, r: int):
+        two_k, q = 2 * k, 2 * k - 1
+        sizes = [1] + [two_k * q ** (level - 1) for level in range(1, r + 1)]
+        self.start = np.cumsum([0] + sizes)
+        self.r, self.q, self.size = r, q, int(self.start[-1])
+        self.level = np.repeat(np.arange(r + 1), sizes)
+        self.last = np.full(self.size, -1, dtype=np.intp)  # code of the last letter
+        self.parent = np.zeros(self.size, dtype=np.intp)
+        if r >= 1:
+            self.last[1 : 1 + two_k] = np.arange(two_k)
+        for level in range(1, r):
+            lo, hi, end = self.start[level], self.start[level + 1], self.start[level + 2]
+            kids = np.arange(end - hi)
+            up, rank = kids // q, kids % q
+            self.parent[hi:end] = lo + up
+            self.last[hi:end] = rank + (rank >= (self.last[lo:hi] ^ 1)[up])
+        self.rows: dict[int, np.ndarray] = {}
+
+    def right(self, j: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """Index of w_j.a for letter codes a, or -1 outside the ball."""
+        level = self.level[j]
+        back = self.last[j] ^ 1  # the code that cancels
+        down = self.start[level + 1] + (j - self.start[level]) * self.q + a - (a > back)
+        down = np.where(level == 0, 1 + a, np.where(level == self.r, -1, down))
+        return np.where((a == back) & (level > 0), self.parent[j], down)
+
+    def left(self, x: int) -> np.ndarray:
+        """left(x)[i] for the letter of code x, with a last entry -1, so a
+        gather at -1 stays at -1."""
+        if x not in self.rows:
+            row = np.full(self.size + 1, -1, dtype=np.intp)
+            row[0] = 1 + x if self.r >= 1 else -1
+            for level in range(1, self.r + 1):
+                lo, hi = self.start[level], self.start[level + 1]
+                row[lo:hi] = self.right(row[self.parent[lo:hi]], self.last[lo:hi])
+            self.rows[x] = row
+        return self.rows[x]
+
+
+def _lattice_keys(points: np.ndarray, r: int) -> np.ndarray:
+    """Points with coordinates in [-r, r] as byte strings that sort like
+    the points (lexicographically): big-endian unsigned offsets, which
+    np.searchsorted compares with memcmp."""
+    shifted = np.ascontiguousarray(points + r, dtype=">u4")
+    return shifted.view(np.dtype((np.void, 4 * points.shape[1]))).ravel()
+
+
+class _BallIndex:
+    """The ball of radius r, numbered once in the order of MarkedGroup.ball.
+
+    translate(g) is the left action of g as an index array: entry j is
+    the index of g.w_j, or -1 when the product leaves the ball.
+    """
+
+    def __init__(self, group: MarkedGroup, r: int):
+        self.kind, self.radius = group.kind, r
+        if group.kind == "free":
+            self.free = _FreeBall(group.rank, r)
+            self.size = self.free.size
+        elif group.kind == "lattice":
+            self.points = np.array(group.ball(r), dtype=np.int64).reshape(-1, group.rank)
+            self.keys = _lattice_keys(self.points, r)
+            self.size = len(self.points)
+        else:
+            self.table = group.table
+            self.size = group.rank
+
+    def translate(self, g: Element) -> np.ndarray:
+        if self.kind == "finite":
+            return np.asarray(self.table[g], dtype=np.intp)
+        if self.kind == "lattice":
+            moved = self.points + np.asarray(g, dtype=np.int64)
+            inside = np.abs(moved).sum(axis=1) <= self.radius
+            out = np.full(self.size, -1, dtype=np.intp)
+            out[inside] = np.searchsorted(self.keys, _lattice_keys(moved[inside], self.radius))
+            return out
+        # Composing the letters of a reduced word right to left is exact:
+        # along a_j...a_m.h the length first falls, then rises, so no
+        # partial product leaves the ball unless the whole product does.
+        idx = np.arange(self.size + 1)
+        idx[-1] = -1
+        for letter in reversed(g):
+            idx = self.free.left(_letter_code(letter))[idx]
+        return idx[:-1]
+
+
+def _ball_index(group: MarkedGroup, radius) -> _BallIndex:
+    """The index of the ball of this radius, built on first use and kept
+    on the group, so a probe builds one per radius it uses."""
+    group.check_ball(radius)
+    r = math.floor(radius)
+    if r not in group._indices:
+        group._indices[r] = _BallIndex(group, r)
+    return group._indices[r]
+
+
+def _compact(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Renumber the indices that occur in idx as 0..m-1, in order; also
+    return the m indices kept."""
+    used = np.zeros(n, dtype=bool)
+    used[idx] = True
+    return (np.cumsum(used) - 1)[idx], np.flatnonzero(used)
+
+
+class _Compression:
+    """Left convolution by functions on one support, compressed to a ball.
+
+    M[i, j] is the sum of f(s) over the support elements s with
+    w_i = s.w_j. The pattern (row, column, support index) is built once,
+    by one translate per support element; only the values move with f.
+    Rows and columns without entries are dropped, which changes no
+    singular value.
+    """
+
+    def __init__(self, index: _BallIndex, support: list):
+        rows, cols, which = [], [], []
+        for k, s in enumerate(support):
+            t = index.translate(s)
+            j = np.flatnonzero(t >= 0)
+            rows.append(t[j])
+            cols.append(j)
+            which.append(np.full(len(j), k, dtype=np.intp))
+        self.rows, self.row_ids = _compact(np.concatenate(rows), index.size)
+        self.cols, self.col_ids = _compact(np.concatenate(cols), index.size)
+        self.which = np.concatenate(which)
+        # A complex vector viewed as floats interleaves (re, im), so one
+        # bincount over these indices sums complex products.
+        self.rows2 = (2 * self.rows[:, None] + np.arange(2)).ravel()
+        self.cols2 = (2 * self.cols[:, None] + np.arange(2)).ravel()
+
+    def norm(self, coeffs: np.ndarray, tol: float, max_iter: int) -> tuple[float, int, float]:
+        """(lower bound, operator applications, relative residual) for
+        the coefficients of the support elements, in support order.
+
+        f is scaled by 2^-e, with e the binary exponent of max |f(s)|,
+        before the solve; a power-of-two scale is exact, and the squares
+        in M^H M then neither overflow nor underflow.
+        """
+        peak = float(np.abs(coeffs).max())
+        if peak == 0.0:
+            return 0.0, 0, 0.0
+        e = math.frexp(peak)[1]
+        vals = (np.ldexp(coeffs.real, -e) + 1j * np.ldexp(coeffs.imag, -e))[self.which]
+        conj = vals.conj()
+        m, n = 2 * len(self.row_ids), 2 * len(self.col_ids)
+
+        def forward(x):
+            p = np.take(x, self.cols)
+            p *= vals
+            return np.bincount(self.rows2, p.view(float), m).view(complex)
+
+        def gram(x):
+            p = np.take(forward(x), self.rows)
+            p *= conj
+            return np.bincount(self.cols2, p.view(float), n).view(complex)
+
+        sigma, applications, residual = _lanczos_top(gram, forward, len(self.col_ids), tol, max_iter)
+        return math.ldexp(sigma, e), applications, residual
+
+
+def _lanczos_top(gram, forward, n: int, tol: float, max_iter: int) -> tuple[float, int, float]:
+    """Top singular value of M by thick-restarted Lanczos on M^H M.
+
+    gram(x) = M^H M x, forward(x) = M x. The basis holds at most
+    LANCZOS_BASIS vectors, fully reorthogonalized; a restart keeps the
+    top half of the Ritz vectors. The start vector is positive like
+    ones/sqrt(n) but has no symmetry: ones lies in the subspace fixed by
+    the ball's symmetries, the Krylov space of a symmetric f never
+    leaves it, and with full reorthogonalization no rounding error
+    brings back a top singular vector outside it (on f2 at radius 2,
+    (1.5+1.5i) a - (1+i) a^-1 stopped at 2.5495 against 3.0822).
+    Stops once ||M^H M x - theta x|| <= tol * max(1, theta) for the top
+    Ritz pair (theta, x); by the Lanczos relation that residual is
+    beta * |last entry of the Ritz coefficients|. Returns ||M x|| for
+    the unit Ritz vector x, which never exceeds ||M||, the number of
+    gram applications, and the residual divided by theta.
+    """
+    size = min(LANCZOS_BASIS, n)
+    keep = max(1, size // 2)
+    basis = np.zeros((size, n), dtype=complex)
+    proj = np.zeros((size, size), dtype=complex)
+    start = 0.5 + np.arange(1, n + 1) * START_STEP % 1.0
+    basis[0] = start / np.linalg.norm(start)
+    k = 1
+    for applications in range(1, max_iter + 1):
+        j = k - 1
+        w = gram(basis[j])
+        # Full reorthogonalization: Gram-Schmidt against the whole basis,
+        # repeated when it cancelled most of w (Daniel et al., 1976).
+        beta = float(np.linalg.norm(w))
+        for _ in range(2):
+            before = beta
+            h = (basis[:k] @ w.conj()).conj()
+            w -= h @ basis[:k]
+            proj[:k, j] += h
+            beta = float(np.linalg.norm(w))
+            if beta > REORTH_RATIO * before:
+                break
+        proj[j, :k] = proj[:k, j].conj()
+        proj[j, j] = proj[j, j].real
+        thetas, vecs = np.linalg.eigh(proj[:k, :k])
+        theta, u = float(thetas[-1]), vecs[:, -1]
+        residual = beta * abs(u[-1])
+        if residual <= tol * max(1.0, theta):
+            x = u @ basis[:k]
+            x /= np.linalg.norm(x)
+            return float(np.linalg.norm(forward(x))), applications, residual / theta if theta > 0 else 0.0
+        if k == size:
+            basis[:keep] = vecs[:, -keep:].T @ basis[:k]
+            proj[:] = 0.0
+            proj[:keep, :keep] = np.diag(thetas[-keep:])
+            k = keep
+        basis[k] = w / beta
+        k += 1
+    raise ConvergenceError("Lanczos iteration did not converge", max_iter)
+
+
+def _reduced_norm(f: GroupFunction, group: MarkedGroup, radius, tol: float, max_iter: int) -> tuple[float, int, float]:
+    """reduced_norm_truncated with the solver's applications and relative residual."""
+    f = normalize_function(f, group)
+    if not f:
+        return 0.0, 0, 0.0
+    if radius < support_radius(f, group):
+        raise ValidationError("radius must cover the support of f")
+    support = list(f)
+    return _Compression(_ball_index(group, radius), support).norm(
+        np.array([f[g] for g in support], dtype=complex), tol, max_iter
+    )
 
 
 def reduced_norm_truncated(
@@ -337,33 +579,14 @@ def reduced_norm_truncated(
     """Certified lower bound for the reduced norm of f.
 
     Compresses the left convolution operator to the ball of the given
-    radius and runs power iteration on the normal matrix; the returned
-    Rayleigh estimate never exceeds the true operator norm, and grows
-    with the radius. Requires the radius to cover the support of f.
+    radius and runs restarted Lanczos on the normal matrix; the
+    returned ||Mx|| for a unit Ritz vector x never exceeds the norm of
+    the compression, which never exceeds the reduced norm and grows
+    with the radius. max_iter bounds the operator applications; past it
+    ConvergenceError carries the count. Requires the radius to cover
+    the support of f.
     """
-    f = normalize_function(f, group)
-    if not f:
-        return 0.0
-    if radius < support_radius(f, group):
-        raise ValidationError("radius must cover the support of f")
-    m = _compressed_operator(f, group, radius)
-    mh = m.conj().T.tocsr()
-    n = m.shape[1]
-    x = np.ones(n) / math.sqrt(n)
-    sigma = 0.0
-    checkpoint = 0.0
-    for it in range(1, max_iter + 1):
-        y = m @ x
-        sigma = float(np.linalg.norm(y))
-        if sigma == 0.0:
-            return 0.0
-        x = mh @ y
-        x /= np.linalg.norm(x)
-        if it % POWER_CHECK_WINDOW == 0:
-            if abs(sigma - checkpoint) <= tol * max(1.0, sigma):
-                return sigma
-            checkpoint = sigma
-    raise ConvergenceError("power iteration did not converge", max_iter)
+    return _reduced_norm(f, group, radius, tol, max_iter)[0]
 
 
 @dataclass(frozen=True)
@@ -483,10 +706,18 @@ def unconditionality_probe(
     worst = 0.0
     witness = None
     elems = sorted(f, key=repr)
+    pattern = None
+    if norm.name == "reduced_truncated" and f:
+        # evaluate has checked the radius; only the values move per trial
+        pattern = _Compression(_ball_index(group, norm.radius), elems)
     for _ in range(trials):
         phases = np.exp(2j * math.pi * rng.random(len(elems)))
         flipped = {g: f[g] * phases[i] for i, g in enumerate(elems)}
-        dev = abs(norm.evaluate(flipped, group) - base)
+        if pattern is None:
+            value = norm.evaluate(flipped, group)
+        else:
+            value = pattern.norm(np.array([flipped[g] for g in elems]), POWER_TOL, POWER_MAX_ITER)[0]
+        dev = abs(value - base)
         if dev > worst:
             worst = dev
             witness = flipped
@@ -615,7 +846,9 @@ def schur_ratio_probe(
 @dataclass(frozen=True)
 class NormReport:
     """The norms of one function: exact l1, Sobolev at one s, and the
-    truncated reduced-norm bracket [red_lower, red_upper = l1]."""
+    truncated reduced-norm bracket [red_lower, red_upper = l1], with the
+    Lanczos operator applications behind red_lower and its final
+    residual relative to the top Ritz value."""
 
     l1: float
     s: float
@@ -623,6 +856,8 @@ class NormReport:
     radius: float
     red_lower: float
     red_upper: float
+    iterations: int = 0
+    residual: float = 0.0
 
 
 def compute_norm_report(
@@ -630,13 +865,17 @@ def compute_norm_report(
 ) -> NormReport:
     f = normalize_function(f, group)
     l1 = l1_norm(f)
+    hs = hs_norm(f, s, group)
+    red_lower, iterations, residual = _reduced_norm(f, group, radius, tol, POWER_MAX_ITER)
     return NormReport(
         l1=l1,
         s=float(s),
-        hs=hs_norm(f, s, group),
+        hs=hs,
         radius=float(radius),
-        red_lower=reduced_norm_truncated(f, group, radius, tol=tol),
+        red_lower=red_lower,
         red_upper=l1,
+        iterations=iterations,
+        residual=residual,
     )
 
 

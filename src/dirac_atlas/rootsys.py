@@ -56,6 +56,10 @@ WEYL_MATERIALIZE_CAP = 100_000
 # admits compact_f4 at bound 120 (about 2.7M points) and keeps every
 # int64 pairing of a box point far below overflow.
 LATTICE_BOX_CAP = 5_000_000
+# Largest total rank parse_cartan admits. Cold `rootsys info` of a rank-22
+# type (B22, C22, D22) takes about 1.9 s on a 2-vCPU VM; A40 takes 8.7 s
+# and A60 35 s, and a catalog cartan that size stalls spin and ds too.
+RANK_CAP = 22
 # Orbits kept by weyl_orbit's cache. A stream of about a hundred rep
 # requests asks for under 200 distinct orbits; this keeps every one of
 # them and still bounds a long-lived process.
@@ -153,6 +157,9 @@ def parse_cartan(text: str) -> CartanType:
         factors.append((fam, rank))
     if not factors:
         raise ValidationError(f"cannot parse Cartan type {text!r}")
+    total = sum(rank for _, rank in factors)
+    if total > RANK_CAP:
+        raise DeskScaleError(f"total rank {total} of {text!r} exceeds the cap {RANK_CAP}")
     return CartanType(tuple(factors))
 
 
@@ -634,6 +641,25 @@ def _key_rows(keys: np.ndarray, n: int) -> np.ndarray:
     return np.frombuffer(keys.tobytes(), dtype=np.uint8).reshape(-1, n, n).astype(np.int64) - 128
 
 
+def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys in sorted order, like np.unique, which imports
+    numpy.ma on its first call."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _in_sorted(keys: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """Whether each key occurs in the sorted array pool, like np.isin
+    (which calls np.unique)."""
+    pos = np.searchsorted(pool, keys)
+    found = np.zeros(len(keys), dtype=bool)
+    inside = pos < len(pool)
+    found[inside] = pool[pos[inside]] == keys[inside]
+    return found
+
+
 @functools.lru_cache(maxsize=None)
 def weyl_elements(rs: RootSystem) -> tuple[Matrix, ...]:
     """All Weyl group elements as integer coordinate matrices.
@@ -655,8 +681,8 @@ def weyl_elements(rs: RootSystem) -> tuple[Matrix, ...]:
     total = 1
     while len(level):
         prods = np.einsum("fij,gjk->fgik", _key_rows(level, n), gens)
-        keys = np.unique(_row_keys(prods.reshape(-1, n * n)))
-        prev, level = level, keys[~np.isin(keys, prev)]
+        keys = _distinct_sorted(_row_keys(prods.reshape(-1, n * n)))
+        prev, level = level, keys[~_in_sorted(keys, prev)]
         levels.append(level)
         total += len(level)
         if total > WEYL_MATERIALIZE_CAP:

@@ -1,7 +1,13 @@
 """CLI contract tests: examples, determinism, exit codes, schemas."""
 
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 import time
+import warnings
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -435,3 +441,92 @@ def test_character_support_cap_refused_fast(capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == EXIT_VALIDATION and out == ""
     assert "support cap" in err and err.count("\n") == 1
+
+
+def test_rank_cap_refused_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "rootsys", "info", "A60")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == EXIT_VALIDATION and out == ""
+    assert "exceeds the cap" in err and err.count("\n") == 1
+
+
+def test_rd_norms_large_coefficients_do_not_overflow(capsys, tmp_path):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps([{"g": [0], "re": 1e154}, {"g": [1], "re": 1}]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "rd", "norms", "--group", "z", "--s", "1", "--radius", "3", "--input", str(f))
+    assert code == EXIT_OK and err == ""
+    payload = json.loads(out)
+    assert payload["red_lower"] == pytest.approx(1e154, rel=1e-6)
+
+
+def test_rd_norms_reports_iterations_and_residual(capsys, tmp_path):
+    schema = SCHEMAS["rd.norms"]
+    assert {"iterations", "residual"} <= set(schema["properties"])
+    assert not {"iterations", "residual"} & set(schema["required"])
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps([{"g": [1, 2], "re": 1.0}, {"g": [], "re": 0.5, "im": -1}]))
+    payload = run_json(capsys, "rd", "norms", "--group", "f2", "--s", "1", "--input", str(f), "--radius", "6")
+    jsonschema.validate(payload, schema)
+    assert payload["iterations"] >= 1 and 0 <= payload["residual"] <= 4e-6
+
+
+def _labs_rd_argvs(workdir):
+    """The rd requests of one labs benchmark stream (perfbench/workloads.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    stream = workloads.build_stream("labs", 1, str(workdir), {})
+    return [req["argv"] for req in stream if req["argv"][0] == "rd"]
+
+
+def test_labs_rd_requests_are_byte_identical(capsys, tmp_path):
+    argvs = _labs_rd_argvs(tmp_path)
+    assert len(argvs) >= 30
+    for argv in argvs:
+        first = run_cli(capsys, *argv)
+        assert first[0] == EXIT_OK, (argv, first[2])
+        assert run_cli(capsys, *argv) == first, argv
+
+
+_ONE_OF_EACH = """
+import contextlib, io, json, sys
+from dirac_atlas.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in ("scipy", "numpy.ma") if m in sys.modules)))
+"""
+
+
+def test_cold_run_imports_neither_scipy_nor_numpy_ma(tmp_path):
+    k0_class = tmp_path / "class.json"
+    k0_class.write_text(json.dumps({"blocks": [2], "matrices": [[["1/2", "1/2"], ["1/2", "1/2"]]]}))
+    k0_index = tmp_path / "index.json"
+    k0_index.write_text(json.dumps({"blocks": [1], "e0": [3], "e1": [2], "u": [[[0, 0, 0], [0, 0, 0]]]}))
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps([{"g": [1], "re": 1.0}]))
+    argvs = [
+        ["rootsys", "info", "A2"],
+        ["rep", "irr", "--type", "B2", "--hw", "1,1"],
+        ["rep", "tensor", "--type", "A2", "--hw", "1,0", "--hw2", "0,1"],
+        ["spin", "info", "--pair", "su21"],
+        ["ds", "induct", "--pair", "su21", "--hw", "1,1"],
+        ["ds", "enumerate", "--pair", "sl2r", "--bound", "10"],
+        ["group", "wedderburn", "--name", "s3", "--seed", "1"],
+        ["group", "idempotent", "--name", "s3", "--block", "2", "--seed", "1"],
+        ["k0", "class", "--spec", str(k0_class)],
+        ["k0", "index", "--spec", str(k0_index)],
+        ["rd", "norms", "--group", "f2", "--s", "1", "--radius", "3", "--input", str(fn)],
+        ["rd", "probe-unconditional", "--group", "z", "--trials", "2", "--seed", "1"],
+        ["rd", "probe-rd", "--group", "z", "--s", "1", "--samples", "2", "--seed", "1"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _ONE_OF_EACH, json.dumps(argvs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

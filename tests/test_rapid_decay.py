@@ -3,14 +3,18 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rapid_decay_reference as reference
 from dirac_atlas.errors import ConvergenceError, DeskScaleError, ValidationError
 from dirac_atlas.rapid_decay import (
+    _ball_index,
+    _Compression,
     MarkedGroup,
     NormSpec,
     compute_norm_report,
@@ -401,3 +405,120 @@ def test_function_from_json_refuses_non_integer_elements_and_non_numbers(items):
 
 def test_function_from_json_takes_integer_indices_on_finite_groups():
     assert function_from_json([{"g": 2, "re": 1, "im": 0}], FIN) == {2: 1 + 0j}
+
+
+def gather_operator(f, group, radius) -> np.ndarray:
+    """The gather-built compression as a dense matrix over the whole ball."""
+    index = _ball_index(group, radius)
+    support = list(f)
+    op = _Compression(index, support)
+    dense = np.zeros((index.size, index.size), dtype=complex)
+    vals = np.array([f[g] for g in support], dtype=complex)[op.which]
+    np.add.at(dense, (op.row_ids[op.rows], op.col_ids[op.cols]), vals)
+    return dense
+
+
+@pytest.mark.parametrize(
+    "name,radii",
+    [("z", range(6)), ("z2", range(5)), ("z3", range(4)), ("f1", range(6)), ("f2", range(5)), ("f3", range(4)),
+     ("s4", [0])],
+)
+def test_gather_operator_matches_loop_reference(name, radii):
+    group = MarkedGroup.from_table(name) if name == "s4" else parse_group(name)
+    rng = np.random.default_rng(11)
+    for r in radii:
+        ball = group.ball(r)
+        for _ in range(4):
+            size = int(rng.integers(1, min(len(ball), 6) + 1))
+            f = {ball[i]: complex(*rng.normal(size=2)) for i in rng.choice(len(ball), size, replace=False)}
+            radius = r + int(rng.integers(0, 3))
+            want = reference.compressed_operator_reference(f, group, radius)
+            assert np.array_equal(gather_operator(f, group, radius), want), (name, r, f)
+
+
+# Largest radius per group, so that the dense oracles stay fast: balls of
+# 201, 313, 485 and 266 elements.
+ORACLE_RADII = {"z": 100, "z2": 12, "f2": 5, "f3": 3}
+
+
+@st.composite
+def truncated_problems(draw):
+    name = draw(st.sampled_from(sorted(ORACLE_RADII)))
+    group = parse_group(name)
+    radius = draw(st.integers(0, ORACLE_RADII[name]))
+    pool = group.ball(min(radius, 3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=8, unique=True))
+    # the power-iteration oracle underflows on tiny coefficients, which the
+    # solver under test scales away (test_reduced_norm_scales_extreme_coefficients)
+    parts = st.floats(-4, 4).filter(lambda x: x == 0 or abs(x) >= 1e-3)
+    f = {pool[i]: complex(draw(parts), draw(parts)) for i in picks}
+    return group, f, radius
+
+
+@given(truncated_problems())
+@settings(max_examples=40, deadline=None)
+def test_lanczos_bound_against_power_iteration_and_dense_norm(problem):
+    group, f, radius = problem
+    value = reduced_norm_truncated(f, group, radius)
+    f = normalize_function(f, group)
+    if not f:
+        assert value == 0.0
+        return
+    sigma = float(np.linalg.norm(reference.compressed_operator_reference(f, group, radius), 2))
+    assert value >= reference.power_iteration_reference(f, group, radius) - 1e-9 * max(1.0, sigma)
+    assert value <= sigma + 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-310])
+def test_reduced_norm_scales_extreme_coefficients(scale):
+    # M^H M squares the coefficients: 1e160 overflows and 1e-310 underflows
+    # unless f is rescaled first.
+    unit = reduced_norm_truncated({(0,): 1.0, (1,): 3.0}, Z, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = reduced_norm_truncated({(0,): scale, (1,): 3 * scale}, Z, 3)
+    assert value == pytest.approx(scale * unit, rel=1e-6)
+
+
+def test_norm_report_carries_iterations_and_residual():
+    rep = compute_norm_report(F_TRIPLE, Z, s=1.0, radius=30)
+    assert rep.iterations >= 1
+    # the scaled f has max |c| in [1/2, 1), so theta >= 1/4 and the stopping
+    # rule bounds the residual over theta by 4 * POWER_TOL
+    assert 0 <= rep.residual <= 4e-6
+    assert compute_norm_report({}, Z, s=1.0, radius=3).iterations == 0
+
+
+def test_unconditionality_probe_reuses_one_pattern():
+    f = {(): 1, (1,): 1, (-1,): 1, (2,): 1, (-2,): 1}
+    rep = unconditionality_probe(NormSpec("reduced_truncated", radius=4), f, F2, trials=5, seed=2)
+    assert rep.base_value == pytest.approx(reduced_norm_truncated(f, F2, 4), rel=1e-12)
+    again = reduced_norm_truncated(rep.witness, F2, 4)
+    assert rep.max_deviation == pytest.approx(abs(again - rep.base_value), abs=1e-12)
+
+
+def test_ball_index_is_built_once_per_radius():
+    group = parse_group("f2")
+    assert _ball_index(group, 3) is _ball_index(group, 3.5)
+    assert _ball_index(group, 4) is not _ball_index(group, 3)
+    with pytest.raises(ValidationError):
+        _ball_index(group, math.nan)
+
+
+@pytest.mark.parametrize(
+    "group,f,radius",
+    [(F2, {(1,): 1.5 + 1.5j, (-1,): -1 - 1j}, 2), (FIN, {0: 1.0, 1: -1.0}, 1)],
+    ids=["f2-symmetric", "s3-trivial-kernel"],
+)
+def test_lanczos_start_has_no_symmetry(group, f, radius):
+    # from ones/sqrt(n) the Krylov space of these f stays in a symmetric
+    # subspace that misses the top singular vector (2.5495 and 0.0)
+    sigma = float(np.linalg.norm(reference.compressed_operator_reference(f, group, radius), 2))
+    assert reduced_norm_truncated(f, group, radius) == pytest.approx(sigma, rel=1e-9)
+
+
+def test_free_ball_builds_left_rows_only_for_the_letters_used():
+    # all 2k rows over the 400 001-word ball would take 6.4 GB
+    group = MarkedGroup.free_group(200_000)
+    assert reduced_norm_truncated({(1,): 1, (-2,): 0.5}, group, 1) == pytest.approx(math.sqrt(1.25), rel=1e-9)
+    assert sorted(_ball_index(group, 1).free.rows) == [0, 3]

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from sympy.liealgebras.cartan_type import CartanType as SympyCartanType
 from sympy.liealgebras.weyl_group import WeylGroup
 
-from dirac_atlas.errors import ValidationError
+from dirac_atlas.errors import DeskScaleError, ValidationError
 from dirac_atlas.rootsys import (
+    RANK_CAP,
     CartanType,
     apply_matrix,
     build_root_system,
@@ -427,3 +428,11 @@ def test_orbit_size_needs_a_dominant_weight():
     rs = build_root_system(parse_cartan("A2"))
     with pytest.raises(ValidationError, match="dominant"):
         orbit_size(weight([1, -1]), rs)
+
+
+def test_parse_cartan_caps_the_total_rank():
+    for text in ("A22", "B22", "C22", "D22", "E8xE8xA3xA3", "A11xA11"):
+        assert sum(rank for _, rank in parse_cartan(text).factors) == RANK_CAP
+    for text in ("A23", "A12xA11", "A60", "D1000000000000"):
+        with pytest.raises(DeskScaleError, match="exceeds the cap"):
+            parse_cartan(text)
