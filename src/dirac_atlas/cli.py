@@ -311,15 +311,11 @@ def _maybe_schema(args, key: str) -> bool:
 
 def _cmd_rootsys_info(args, cfg: Config) -> dict:
     rs = rootsys.build_root_system(rootsys.parse_cartan(args.type))
-    try:
-        order = rootsys.weyl_group_order(rs)
-    except ValidationError:
-        order = None
     return {
         "cartan": str(rs.cartan),
         "rank": rs.rank,
         "num_positive_roots": len(rs.positive_roots),
-        "weyl_order": order,
+        "weyl_order": rootsys.weyl_group_order(rs),
         "rootsys": rootsys.rootsys_to_json(rs),
     }
 
@@ -503,6 +499,8 @@ def _require_seed(args, cfg: Config) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     if seed is None:
         raise ValidationError("this subcommand is randomized: --seed is required")
+    if seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
     return int(seed)
 
 
@@ -635,8 +633,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON config file; unknown keys are rejected")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reports a usage error on one stderr line, like every other failure."""
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dirac-atlas",
         description="Exact discrete-series classification and desk-scale K-theory/norm laboratories.",
     )

@@ -12,11 +12,11 @@ a switch restores the product over simple roots only (see README for
 the discrepancy the switch preserves).
 
 Regularity, formal degrees and chamber ids come from the integer root
-pairings of the g system (rootsys.IntegralForm). The enumeration box
-runs in int64: weights are scaled by the common denominator of the
-lattice basis and rho_K, and the ball, K-dominance and regularity
-tests are integer comparisons. Fractions appear only where parameters
-are built and rendered.
+pairings of the g system (rootsys.IntegralForm). Enumeration walks the
+integral weights mu in an int64 box whose half-widths come from the
+simple root lengths: weights are scaled by the denominator of rho_K, and
+the ball, K-dominance and regularity tests are integer comparisons.
+Fractions appear only where parameters are built and rendered.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._linalg import mat_inv, solve_left
 from .errors import DeskScaleError, ValidationError
 from .jsonutil import fr_str, vec_str
 from .repring import (
@@ -170,69 +169,62 @@ def dirac_induct(v, pair: RealPair, degree_roots: str = "positive") -> Induction
     )
 
 
-def _box_ranges(pair: RealPair, bound: Fraction, basis: tuple[Weight, ...]) -> list[range]:
-    """Coefficient ranges of a box around the bound ellipsoid.
+def _box_ranges(pair: RealPair, bound: Fraction) -> list[range]:
+    """Coordinate ranges of a box around the bound ellipsoid.
 
-    In coefficient space the ball (lambda, lambda) <= bound is an
-    ellipsoid centred at the coefficients of -rho_K; its extent along
-    axis i is sqrt(bound * G^-1_ii) for the basis Gram matrix G. The
-    ranges are rounded outwards to whole integers, exactly.
+    The ball (lambda, lambda) <= bound is centred at -rho_K in the
+    coordinates of mu: fundamental-weight coordinates, whose dual basis
+    is the simple coroots a_i^vee. So its extent along axis i is
+    sqrt(bound (a_i^vee, a_i^vee)) = sqrt(4 bound / (a_i, a_i)), rounded
+    outwards to whole integers, exactly.
     """
-    g = pair.g
-    gram_inv = mat_inv(tuple(tuple(inner(bi, bj, g) for bj in basis) for bi in basis))
-    center = solve_left(basis, tuple(-c for c in pair.k.rho))
-    if center is None:
-        raise ValidationError("rho_K is outside the rational span of the lattice basis")
+    form = pair.g.integral
+    lengths = np.einsum("ij,jk,ik->i", form.simple, form.gram, form.simple).tolist()  # L (a_i, a_i)
     ranges = []
-    for i, c in enumerate(center):
-        s = math.isqrt(math.floor(bound * gram_inv[i][i]))
-        ranges.append(range(math.floor(c) - s, math.ceil(c) + s + 1))
+    for rho_i, length in zip(pair.k.rho, lengths):
+        s = math.isqrt(math.floor(Fraction(4 * form.scale, length) * bound))
+        ranges.append(range(math.floor(-rho_i) - s, math.ceil(-rho_i) + s + 1))
     return ranges
 
 
-def _lattice_box(pair: RealPair, bound: Fraction, basis: tuple[Weight, ...]) -> list[Weight]:
-    """Lattice points mu worth inducing, for a nonnegative bound.
+def _lattice_box(pair: RealPair, bound: Fraction) -> list[Weight]:
+    """Integral weights mu worth inducing, for a nonnegative bound.
 
-    These are the mu = sum c_i b_i with lambda = mu + rho_K inside the
-    ball (lambda, lambda) <= bound, mu K-dominant, and lambda regular
-    for g. K-dominant points that are not K-integral also pass, so
-    that dirac_induct refuses them as it would any such input.
+    These are the mu with lambda = mu + rho_K inside the ball
+    (lambda, lambda) <= bound, mu K-dominant, and lambda regular for g.
+    Every such mu is K-integral too: the coroots of K are coroots of g.
 
     All tests are exact int64 arithmetic on D * lambda, with D the
-    common denominator of the basis and rho_K, over slabs of the
-    first coefficient. A box above LATTICE_BOX_CAP points is refused
-    before any work.
+    denominator of rho_K (so one step along an axis adds D), over slabs
+    of the first coordinate. A box above LATTICE_BOX_CAP points is
+    refused before any work.
     """
     g, k = pair.g, pair.k
     n = g.rank
-    ranges = _box_ranges(pair, bound, basis)
+    ranges = _box_ranges(pair, bound)
     size = math.prod(r.stop - r.start for r in ranges)
     if size > LATTICE_BOX_CAP:
         raise DeskScaleError(
             f"enumeration box exceeds the cap of {LATTICE_BOX_CAP} lattice points; lower the bound"
         )
-    flat, den = integer_coords(tuple(c for b in basis for c in b) + tuple(k.rho))
-    lat = np.array(flat[: n * n], dtype=np.int64).reshape(n, n)  # D * basis
-    shift = np.array(flat[n * n :], dtype=np.int64)  # D * rho_K
+    rho_nums, den = integer_coords(k.rho)
+    lat = den * np.eye(n, dtype=np.int64)  # D * the unit steps
+    shift = np.array(rho_nums, dtype=np.int64)  # D * rho_K
     form = g.integral
     # D * mu pairs to D <mu, beta^vee> over the simple roots beta of K:
-    # mu is K-dominant iff all are >= 0, and K-integral iff all are integers.
+    # mu is K-dominant iff all are >= 0.
     k_coroots = k.integral.coroots
 
-    # Every |D lambda_j| and every entry of D * basis is at most reach, so
-    # each int64 value below is at most 4 n^2 reach^2 times the largest
-    # matrix entry.
-    reach = max(
-        abs(flat[n * n + j])
-        + sum(max(abs(r.start), abs(r.stop - 1), 1) * abs(flat[i * n + j]) for i, r in enumerate(ranges))
-        for j in range(n)
-    )
+    # Every |D lambda_j| and every entry of D * the unit steps is at most
+    # reach, so each int64 value below is at most 4 n^2 reach^2 times the
+    # largest matrix entry.
+    reach = max(abs(c) + den * max(abs(r.start), abs(r.stop - 1), 1) for c, r in zip(rho_nums, ranges))
     entry = max(int(np.abs(m).max(initial=0)) for m in (form.gram, form.fr, k_coroots))
     if n * n * reach * reach * entry >= 2**60:
         raise DeskScaleError("enumeration box coordinates are too large for exact int64 arithmetic")
     threshold = min(math.floor(bound * form.scale * den * den), 2**62)
 
-    # D * lambda with the first coefficient at 0, over all the other coefficients
+    # D * lambda with the first coordinate of mu at 0, over all the other coordinates
     rest = shift.reshape(1, n)
     for i in range(1, n):
         steps = np.arange(ranges[i].start, ranges[i].stop, dtype=np.int64)
@@ -251,11 +243,9 @@ def _lattice_box(pair: RealPair, bound: Fraction, basis: tuple[Weight, ...]) -> 
         if not slab.size:
             continue
         lam = rest[row] + c0[slab] * lat[0]
-        mu_pairs = (lam - shift) @ k_coroots
-        dominant = (mu_pairs >= 0).all(axis=1)
-        integral = (mu_pairs % den == 0).all(axis=1)
+        dominant = ((lam - shift) @ k_coroots >= 0).all(axis=1)
         regular = (lam @ form.fr != 0).all(axis=1)
-        kept.extend((lam[dominant & (regular | ~integral)] - shift).tolist())
+        kept.extend((lam[dominant & regular] - shift).tolist())
         if len(kept) > ENUMERATION_OUTPUT_CAP:
             raise DeskScaleError(
                 f"enumeration would exceed the cap of {ENUMERATION_OUTPUT_CAP} parameters; lower the bound"
@@ -264,15 +254,12 @@ def _lattice_box(pair: RealPair, bound: Fraction, basis: tuple[Weight, ...]) -> 
 
 
 def enumerate_discrete_series(
-    pair: RealPair,
-    bound,
-    degree_roots: str = "positive",
-    lattice_basis: Optional[tuple[Weight, ...]] = None,
+    pair: RealPair, bound, degree_roots: str = "positive"
 ) -> list[DiscreteSeriesParameter]:
     """All parameters with (lambda, lambda) <= bound, sorted.
 
-    K-types run over the integer-coordinate weight lattice by default
-    (the double-cover lattice where the catalog K-lattice is coarser),
+    K-types run over the integer-coordinate weight lattice (the
+    double-cover lattice where the catalog K-lattice is coarser),
     restricted to the K-dominant cone. Sorted by (norm, graded-lex);
     lambda values are pairwise distinct by construction and asserted.
     """
@@ -282,14 +269,8 @@ def enumerate_discrete_series(
     if not pair.equal_rank or pair.parity == 1:
         return []
     g = pair.g
-    if lattice_basis is None:
-        basis: tuple[Weight, ...] = tuple(
-            tuple(Fraction(1 if j == i else 0) for j in range(g.rank)) for i in range(g.rank)
-        )
-    else:
-        basis = tuple(tuple(Fraction(c) for c in b) for b in lattice_basis)
     out = []
-    for mu in _lattice_box(pair, bound, basis):
+    for mu in _lattice_box(pair, bound):
         res = dirac_induct(mu, pair, degree_roots)
         if res.ok:
             out.append(res.parameter)

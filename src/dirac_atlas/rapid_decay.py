@@ -27,6 +27,8 @@ from .jsonutil import finite_number
 from .ktheory import resolve_group_table, validate_group_table
 
 BALL_CAP = 1_000_000
+# Trials of the unconditionality probe and samples of the rapid-decay probe.
+PROBE_COUNT_CAP = 10_000
 POWER_TOL = 1e-6
 POWER_MAX_ITER = 200_000
 # Krylov vectors kept by the Lanczos solver, so its memory is this many
@@ -299,21 +301,33 @@ def convolve(f: GroupFunction, g: GroupFunction, group: MarkedGroup) -> GroupFun
 
 
 def l1_norm(f: GroupFunction) -> float:
-    return float(sum(abs(c) for c in f.values()))
+    total = float(sum(abs(c) for c in f.values()))
+    if math.isinf(total):
+        raise ValidationError("the l1 norm overflows a float")
+    return total
 
 
 def hs_norm(f: GroupFunction, s, group: MarkedGroup) -> float:
-    """Weighted l2 norm with weight (1 + length)^s."""
+    """Weighted l2 norm with weight (1 + length)^s.
+
+    The weighted coefficients are scaled by 2^-e, e the exponent of the
+    largest, before they are squared (exactly, as e is an integer), so
+    only a norm past the float range is refused.
+    """
     if s < 0:
         raise ValidationError("s must be nonnegative")
-    total = 0.0
     try:
-        for g, c in f.items():
-            w = (1.0 + group.length(g)) ** s
-            total += (w * abs(c)) ** 2
-    except OverflowError as exc:
-        raise ValidationError(f"the Sobolev norm at s = {s} overflows a float") from exc
-    return math.sqrt(total)
+        weighted = [(1.0 + group.length(g)) ** s * abs(c) for g, c in f.items()]
+        e = math.frexp(max(weighted, default=0.0))[1]
+        total = 0.0
+        for a in weighted:  # a plain loop: sum() rounds floats differently from Python 3.12
+            total += math.ldexp(a, -e) ** 2
+        hs = math.ldexp(math.sqrt(total), e)
+    except OverflowError:
+        hs = math.inf
+    if math.isinf(hs):
+        raise ValidationError(f"the Sobolev norm at s = {s} overflows a float")
+    return hs
 
 
 def support_radius(f: GroupFunction, group: MarkedGroup):
@@ -700,6 +714,8 @@ def unconditionality_probe(
     """
     if trials < 1:
         raise ValidationError("at least one trial required")
+    if trials > PROBE_COUNT_CAP:
+        raise DeskScaleError(f"{trials} trials exceed the desk-scale cap {PROBE_COUNT_CAP}")
     f = normalize_function(f, group)
     base = norm.evaluate(f, group)
     rng = np.random.default_rng(seed)
@@ -763,6 +779,8 @@ def rd_inequality_probe(
         raise ValidationError("the rapid-decay probe runs on free groups and lattices")
     if samples < 1:
         raise ValidationError("at least one sample required")
+    if samples > PROBE_COUNT_CAP:
+        raise DeskScaleError(f"{samples} samples exceed the desk-scale cap {PROBE_COUNT_CAP}")
     group.check_ball(min(samples, max_support_radius) + radius_margin)
     rng = np.random.default_rng(seed)
     ratios = []

@@ -20,9 +20,9 @@ positive roots and the simple coroots as integer arrays. A weight enters
 as integer numerators over one denominator, after the one length check
 (check_dim); inner, coroot_pairing, is_dominant, make_dominant,
 weyl_orbit, regularity, Weyl-group materialization and chamber lookup
-are integer computations. Weyl group and orbit orders are closed-form:
-the Cartan type of a set of simple roots is read off its Dynkin diagram,
-so |W x| = |W| / |W_x| needs neither the group nor the orbit. Fractions
+are integer computations. Weyl group and orbit orders are closed-form
+in the root heights (Macdonald): |W x| for a dominant x is the product
+of (ht a + 1)/ht a over the positive roots a with (x, a) != 0. Fractions
 remain the currency of the public API and the JSON boundary: they are
 made only for returned values.
 
@@ -64,15 +64,6 @@ RANK_CAP = 22
 # requests asks for under 200 distinct orbits; this keeps every one of
 # them and still bounds a long-lived process.
 ORBIT_CACHE_SIZE = 4096
-
-# Weyl group orders of the exceptional simple types.
-_EXCEPTIONAL_WEYL_ORDERS = {
-    ("E", 6): 51840,
-    ("E", 7): 2903040,
-    ("E", 8): 696729600,
-    ("F", 4): 1152,
-    ("G", 2): 12,
-}
 
 
 def weight(coords: Iterable) -> Weight:
@@ -321,31 +312,14 @@ class IntegralForm:
         return tuple(map(tuple, self.gram.tolist()))
 
     @functools.cached_property
-    def cartan(self) -> tuple[tuple[int, ...], ...]:
-        """Cartan matrix C[i][j] = <a_i, a_j^vee> over the simple roots."""
-        return tuple(map(tuple, (self.simple @ self.coroots).tolist()))
-
-    @functools.cached_property
     def heights(self) -> tuple[int, ...]:
-        """Height over the simple roots of each positive root, in roots order.
+        """Height over the simple roots of each positive root a, in roots order.
 
-        Breadth-first upwards from the simple roots: a positive root of
-        height h + 1 is a root of height h plus a simple root.
+        Half the sum of the positive coroots pairs to 1 with every simple
+        root, so ht a = (1/2) sum over the positive roots b of <a, b^vee>.
         """
-        rows = list(map(tuple, self.roots.tolist()))
-        index = {r: j for j, r in enumerate(rows)}
-        height = dict.fromkeys(self.simple_index, 1)
-        level = list(self.simple_index)
-        while level:
-            nxt = []
-            for j in level:
-                for s in self.simple_rows:
-                    k = index.get(tuple(a + b for a, b in zip(rows[j], s)))
-                    if k is not None and k not in height:
-                        height[k] = height[j] + 1
-                        nxt.append(k)
-            level = nxt
-        return tuple(height[j] for j in range(len(rows)))
+        m = self.roots @ self.fr  # L (a, b) over the positive roots a, b
+        return tuple(((2 * m // np.diag(m)).sum(axis=1) // 2).tolist())
 
     def coords(self, x: Weight) -> tuple[tuple[int, ...], int]:
         """integer_coords of x, after the length check."""
@@ -494,7 +468,7 @@ def rescale_form(rs: RootSystem, factor) -> RootSystem:
     return dataclasses.replace(rs, form=tuple(tuple(f * x for x in row) for row in rs.form))
 
 
-def subsystem(ambient: RootSystem, roots: Iterable[Weight], cartan: Optional[CartanType] = None) -> RootSystem:
+def subsystem(ambient: RootSystem, roots: Iterable[Weight]) -> RootSystem:
     """Root system on a closed set of positive roots of the ambient one.
 
     The coordinate space and form are inherited. Simple roots are the
@@ -520,10 +494,8 @@ def subsystem(ambient: RootSystem, roots: Iterable[Weight], cartan: Optional[Car
         if rebuilt != pos_set:
             raise ValidationError("marked set is not a root subsystem (closure mismatch)")
     rho = wscale(Fraction(1, 2), functools.reduce(wadd, pos, wzero(ambient.rank)))
-    if cartan is None:
-        cartan = identify_cartan_type(tuple(simples), ambient, cm)
     return RootSystem(
-        cartan=cartan,
+        cartan=identify_cartan_type(tuple(simples), ambient, cm),
         rank=ambient.rank,
         simple_roots=tuple(simples),
         positive_roots=tuple(pos),
@@ -692,38 +664,27 @@ def weyl_elements(rs: RootSystem) -> tuple[Matrix, ...]:
     return tuple(tuple(map(tuple, m)) for m in _key_rows(np.concatenate(levels), n).tolist())
 
 
-def _simple_weyl_order(fam: str, rank: int) -> int:
-    if fam == "A":
-        return math.factorial(rank + 1)
-    if fam in ("B", "C"):
-        return 2**rank * math.factorial(rank)
-    if fam == "D":
-        return 2 ** (rank - 1) * math.factorial(rank)
-    return _EXCEPTIONAL_WEYL_ORDERS[(fam, rank)]
-
-
-def _weyl_order(cartan: CartanType) -> int:
-    return math.prod(_simple_weyl_order(fam, rank) for fam, rank in cartan.factors)
-
-
 def weyl_group_order(rs: RootSystem) -> int:
-    """|W| in closed form: the product of the standard orders of the factors."""
-    return _weyl_order(rs.cartan)
+    """|W| = |W rho| in closed form: the product of (ht a + 1)/ht a over
+    the positive roots a (Macdonald, Math. Ann. 199, 1972)."""
+    return orbit_size(rs.rho, rs)
 
 
 def orbit_size(x: Weight, rs: RootSystem) -> int:
     """|W x| for a dominant weight x, in closed form: |W| / |W_x|.
 
     The stabilizer of a dominant weight is the parabolic subgroup
-    generated by the simple reflections that fix it, so |W_x| is the
-    Weyl order of the Cartan type of the simple roots pairing to 0 with x.
+    generated by the simple reflections that fix it. Its positive roots
+    are the positive roots orthogonal to x, each with the same height as
+    in rs, so |W x| is the product of (ht a + 1)/ht a over the positive
+    roots a with (x, a) != 0.
     """
-    pairs, _ = rs.integral.coroot_pairings(x)
-    if any(p < 0 for p in pairs):
+    form = rs.integral
+    pairs = _dots(form.coords(x)[0], form.fr_columns)
+    if any(pairs[j] < 0 for j in form.simple_index):
         raise ValidationError(f"orbit_size needs a dominant weight, got {vec_str(x)}")
-    fixed = [i for i, p in enumerate(pairs) if p == 0]
-    cartan = rs.integral.cartan
-    return weyl_group_order(rs) // _weyl_order(_cartan_type([[cartan[i][j] for j in fixed] for i in fixed]))
+    heights = [h for h, p in zip(form.heights, pairs) if p]
+    return math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
 def _arm_length(nbrs: list[list[int]], branch: int, start: int) -> int:

@@ -5,9 +5,10 @@ Fraction form of a RootSystem only: the bilinear form as a Fraction
 double loop, coroot pairings through coroot functionals, the dominant
 representative and the Weyl orbit by Fraction reflections, the Weyl
 group as a breadth-first search over Fraction reflection matrices, the
-chamber id as a linear scan over those matrices, the enumeration box as
-a float bounding box plus float prefilter whose survivors an exact
-Fraction quadratic form decides, the pairwise check of a Z/2 root
+chamber id as a linear scan over those matrices, the enumeration box's
+ranges from the inverse Gram matrix of the coordinate basis, the
+enumeration itself as a float bounding box plus float prefilter whose
+survivors an exact Fraction quadratic form decides, the pairwise check of a Z/2 root
 grading, the Freudenthal recursion over the candidate box between a
 highest weight and its antidominant image, the Cartan type matched
 against the standard matrices under every permutation, and the
@@ -153,6 +154,25 @@ def chamber_scan(lam, rs):
         if apply_matrix(m, dom) == lam:
             return idx
     raise AssertionError("regular weight not reached from its dominant representative")
+
+
+def box_ranges_gram_inverse(pair, bound):
+    """Box ranges around the bound ellipsoid, from the inverse basis Gram matrix.
+
+    In the coordinates of mu the ball (lambda, lambda) <= bound is an
+    ellipsoid centred at -rho_K (solved for in the unit basis); its
+    extent along axis i is sqrt(bound * G^-1_ii) for the Gram matrix G
+    of the basis. Rounded outwards to whole integers, exactly.
+    """
+    g = pair.g
+    basis = tuple(tuple(Fraction(1 if j == i else 0) for j in range(g.rank)) for i in range(g.rank))
+    gram_inv = mat_inv(tuple(tuple(inner(bi, bj, g) for bj in basis) for bi in basis))
+    center = solve_left(basis, tuple(-c for c in pair.k.rho))
+    ranges = []
+    for i, c in enumerate(center):
+        s = math.isqrt(math.floor(Fraction(bound) * gram_inv[i][i]))
+        ranges.append(range(math.floor(c) - s, math.ceil(c) + s + 1))
+    return ranges
 
 
 def lattice_box_float(pair, bound, basis):

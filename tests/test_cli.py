@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -351,6 +352,15 @@ _DELTA = '[{"g": [0], "re": 1.0}]'
          {"bad": '{"version": 1, "pairs": {"p": {"cartan": "A1", "compact": 5}}}'}),
         (["spin", "info", "--pair", "p", "--catalog", "{bad}"],
          {"bad": '{"version": 1, "pairs": {"p": {"cartan": "A1", "compact": [], "k_lattice": [["4"]]}}}'}),
+        # a negative seed, by flag and by config key, on each randomized subcommand
+        (["group", "wedderburn", "--name", "z1", "--seed", "-1"], {}),
+        (["group", "wedderburn", "--name", "z1", "--config", "{cfg}"], {"cfg": '{"seed": -1}'}),
+        (["group", "idempotent", "--name", "s3", "--block", "0", "--seed", "-2"], {}),
+        (["group", "idempotent", "--name", "s3", "--block", "0", "--config", "{cfg}"], {"cfg": '{"seed": -2}'}),
+        (["rd", "probe-unconditional", "--group", "z", "--trials", "2", "--seed", "-3"], {}),
+        (["rd", "probe-unconditional", "--group", "z", "--trials", "2", "--config", "{cfg}"], {"cfg": '{"seed": -3}'}),
+        (["rd", "probe-rd", "--group", "z", "--s", "1", "--samples", "2", "--seed", "-5"], {}),
+        (["rd", "probe-rd", "--group", "z", "--s", "1", "--samples", "2", "--config", "{cfg}"], {"cfg": '{"seed": -5}'}),
     ],
 )
 def test_file_json_and_config_errors_exit_2(capsys, tmp_path, argv, files):
@@ -460,6 +470,36 @@ def test_rd_norms_large_coefficients_do_not_overflow(capsys, tmp_path):
     assert code == EXIT_OK and err == ""
     payload = json.loads(out)
     assert payload["red_lower"] == pytest.approx(1e154, rel=1e-6)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "items,s,hs",
+    [
+        # subnormal coefficients: the squares underflow unless scaled first
+        ([{"g": [0], "re": 1e-310}, {"g": [1], "re": 3e-310}], "1", math.sqrt(37) * 1e-310),
+        # hs is about 1e200 although its square is not a float
+        ([{"g": [0], "re": 1e200}, {"g": [1], "re": 1}], "1", 1e200),
+        # hs = 2e308, and at s = 0 l1 = 2e308, are past the float range
+        ([{"g": [1], "re": 1e308}], "1", "Sobolev norm at s = 1.0 overflows"),
+        ([{"g": [0], "re": 1e308}, {"g": [1], "re": 1e308}], "0", "l1 norm overflows"),
+    ],
+)
+def test_rd_norms_at_the_ends_of_the_float_range(capsys, tmp_path, items, s, hs):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(items))
+    code, out, err = run_cli(capsys, "rd", "norms", "--group", "z", "--s", s, "--radius", "3", "--input", str(f))
+    if isinstance(hs, str):
+        assert code == EXIT_VALIDATION and out == ""
+        assert err.startswith("error: ") and hs in err and err.count("\n") == 1
+        return
+    assert code == EXIT_OK and err == ""
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["hs"] == pytest.approx(hs, rel=1e-12, abs=0)
+    assert payload["red_lower"] <= payload["l1"] * (1 + 1e-12)
 
 
 def test_rd_norms_reports_iterations_and_residual(capsys, tmp_path):

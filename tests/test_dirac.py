@@ -5,6 +5,7 @@ directly in the test; the fully compact degree must reproduce the
 character dimension from the independent Freudenthal path.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from dirac_atlas.dirac import (
     EXCLUSION_ODD_PARITY,
     EXCLUSION_SINGULAR,
     EXCLUSION_UNEQUAL_RANK,
+    _box_ranges,
     chamber_of,
     dirac_induct,
     enumerate_discrete_series,
@@ -22,9 +24,10 @@ from dirac_atlas.dirac import (
     parameter_to_json,
     trace_product,
 )
-from dirac_atlas.errors import ValidationError
+from dirac_atlas.errors import DeskScaleError, ValidationError
 from dirac_atlas.repring import dimension, dominant_multiplicities, irr_character, weyl_dimension
 from dirac_atlas.rootsys import (
+    LATTICE_BOX_CAP,
     apply_matrix,
     build_root_system,
     inner,
@@ -42,7 +45,7 @@ from dirac_atlas.rootsys import (
     wzero,
 )
 from dirac_atlas.spinmod import build_pair, catalog_names, get_pair, rescale_pair
-from fraction_oracles import chamber_scan, enumerate_scan, weyl_elements_bfs
+from fraction_oracles import box_ranges_gram_inverse, chamber_scan, enumerate_scan, weyl_elements_bfs
 
 SL2R = get_pair("sl2r")
 SU21 = get_pair("su21")
@@ -283,6 +286,38 @@ def test_enumeration_matches_fraction_oracle(name, degree_roots):
             for q in enumerate_discrete_series(p, b, degree_roots)
         ]
         assert got == enumerate_scan(p, b, degree_roots)
+
+
+def _box_size(ranges):
+    return math.prod(len(r) for r in ranges)
+
+
+def _last_bound_under_box_cap(pair):
+    """The largest integer bound whose oracle box holds at most LATTICE_BOX_CAP points."""
+    lo, hi = 0, 1
+    while _box_size(box_ranges_gram_inverse(pair, hi)) <= LATTICE_BOX_CAP:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _box_size(box_ranges_gram_inverse(pair, mid)) <= LATTICE_BOX_CAP:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("factor", [1, 3, F(1, 2)])
+@pytest.mark.parametrize("name", catalog_names())
+def test_box_ranges_match_gram_inverse(name, factor):
+    pair = rescale_pair(get_pair(name), factor)
+    inside = _last_bound_under_box_cap(pair)
+    for bound in (0, 1, F(9, 2), 20, F(121, 3), 60, inside, inside + 1):
+        assert _box_ranges(pair, F(bound)) == box_ranges_gram_inverse(pair, bound), bound
+    # the cap refuses exactly the boxes past it, before any work
+    assert _box_size(_box_ranges(pair, F(inside))) <= LATTICE_BOX_CAP < _box_size(_box_ranges(pair, F(inside + 1)))
+    if pair.equal_rank and pair.parity == 0:
+        with pytest.raises(DeskScaleError, match="box exceeds the cap"):
+            enumerate_discrete_series(pair, inside + 1)
 
 
 @pytest.mark.parametrize("name", catalog_names())

@@ -6,6 +6,7 @@ call. Whatever the contents, the call ends in exit 0, 2 or 3; a
 failure writes one stderr line, and no traceback.
 """
 
+import collections
 import contextlib
 import io
 import itertools
@@ -120,3 +121,110 @@ def test_input_files_exit_0_2_or_3_without_traceback(target, tmp_path_factory):
             assert message.count("\n") == 1 and out.getvalue() == "", message
 
     run()
+
+
+# --- argv values -------------------------------------------------------------
+#
+# Each leaf subcommand gets hypothesis-drawn values for its flags, passed as
+# --flag=value so that values starting with "-" reach the program. Every
+# value meets the hostile cases: zero, negative, huge, 1/0, nan, inf, empty.
+# Sizes stay small, or big enough that a desk-scale cap refuses them at once.
+
+HOSTILE = st.sampled_from(["0", "-1", "-7", "1" + "0" * 30, "1e308", "1/0", "nan", "inf", "-inf", "", "x"])
+
+
+def value(*good):
+    return mostly(st.sampled_from(list(good)), HOSTILE)
+
+
+CARTAN = value("A1", "A2", "B2", "C3", "G2", "A1xA1", "A1xG2", "A0", "E9", "Z3", "A23", "A1xx", "x2")
+PAIR = value("sl2r", "su21", "sp4r", "sl2c", "compact_a1", "compact_a2", "compact_b2", "compact_g2", "nope")
+COORDS = st.lists(value("0", "1", "2", "1/2", "-3/2", "3/4", "1" + "0" * 12), max_size=3).map(",".join)
+BOUND = value("0", "1", "9/2", "20", "60", "-1/2", "1e30")
+GROUP = value("z1", "z2", "z6", "s3", "s4", "d4", "q8", "z0", "z-3", "z2000", "z1000000000", "zz")
+BLOCK = value("0", "1", "2", "4", "99")
+RD_GROUP = value("z", "z2", "f2", "f3", "z0", "f0", "z1000000", "f1000000", "s3")
+REAL = value("0", "1", "2", "0.5", "3", "-0.5", "1e-300", "1e300", "100")
+SMALL_COUNT = value("1", "2", "3")
+SEED = value("0", "1", "7", "-1", "-5", "18446744073709551616")
+NORM = value("l1", "hs", "reduced_truncated")
+DEGREE_ROOTS = value("positive", "simple")
+FORMAT = value("json", "table")
+SPEC = {key: value("{%s}" % key, "{missing}", "{dir}") for key in ("k0_class", "k0_index", "table", "z_function")}
+
+
+def flag(name, values, required=False):
+    """[--name=value]; a flag that is not required may also be left out."""
+    given_flag = values.map(lambda v: [f"--{name}={v}"])
+    return given_flag if required else st.one_of(given_flag, st.just([]))
+
+
+def command(head, *flags):
+    return st.tuples(*flags).map(lambda parts: head + [a for part in parts for a in part])
+
+
+ARGV = {
+    "rootsys-info": command(["rootsys", "info"], flag("format", FORMAT), CARTAN.map(lambda t: ["--", t])),
+    "rep-irr": command(["rep", "irr"], flag("type", CARTAN, True), flag("hw", COORDS, True)),
+    "rep-tensor": command(["rep", "tensor"], flag("type", CARTAN, True), flag("hw", COORDS, True),
+                          flag("hw2", COORDS, True)),
+    "spin-info": command(["spin", "info"], flag("pair", PAIR, True), flag("format", FORMAT)),
+    "ds-induct": command(["ds", "induct"], flag("pair", PAIR, True), flag("hw", COORDS, True),
+                         flag("degree-roots", DEGREE_ROOTS)),
+    "ds-enumerate": command(["ds", "enumerate"], flag("pair", PAIR, True), flag("bound", BOUND, True),
+                            flag("degree-roots", DEGREE_ROOTS)),
+    "k0-class": command(["k0", "class"], flag("spec", SPEC["k0_class"], True)),
+    "k0-index": command(["k0", "index"], flag("spec", SPEC["k0_index"], True)),
+    "group-wedderburn": command(["group", "wedderburn"], flag("name", GROUP), flag("table", SPEC["table"]),
+                                flag("seed", SEED, True)),
+    "group-idempotent": command(["group", "idempotent"], flag("name", GROUP, True), flag("block", BLOCK, True),
+                                flag("seed", SEED, True)),
+    "rd-norms": command(["rd", "norms"], flag("group", RD_GROUP, True), flag("s", REAL, True),
+                        flag("radius", REAL, True), flag("input", SPEC["z_function"], True)),
+    "rd-probe-unconditional": command(["rd", "probe-unconditional"], flag("group", RD_GROUP, True), flag("norm", NORM),
+                                      flag("s", REAL), flag("radius", REAL), flag("trials", SMALL_COUNT, True),
+                                      flag("seed", SEED, True)),
+    "rd-probe-rd": command(["rd", "probe-rd"], flag("group", RD_GROUP, True), flag("s", REAL, True),
+                           flag("samples", SMALL_COUNT, True), flag("seed", SEED, True)),
+}
+FILES = {
+    "k0_class": {"blocks": [1, 2], "matrices": [[[1]], [[1, 0], [0, 0]]]},
+    "k0_index": {"blocks": [1], "e0": [1], "e1": [1], "u": [[[1]]]},
+    "table": [[0, 1], [1, 0]],
+    "z_function": [{"g": [0], "re": 1.0}, {"g": [1], "re": -0.5, "im": 2}],
+}
+
+
+def run_argv(argv):
+    """(exit code, stdout, stderr) of one in-process call; argparse exits by SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("leaf", sorted(ARGV))
+def test_argv_values_exit_0_2_or_3_without_traceback(leaf, tmp_path):
+    paths = {"missing": str(tmp_path / "does-not-exist.json"), "dir": str(tmp_path)}
+    for name, data in FILES.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    reached = collections.Counter()
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=ARGV[leaf])
+    def run(argv):
+        code, out, err = run_argv([a.format(**paths) if "{" in a else a for a in argv])
+        # past the parser: a result, or a refusal by the program itself
+        reached[code == 0 or not err.startswith("dirac-atlas")] += 1
+        assert code in (0, 2, 3), (code, err)
+        assert "Traceback" not in err
+        if code:
+            assert err.count("\n") == 1 and out == "", err
+
+    run()
+    # draws reach the program, not only its argument parser
+    assert reached[True] >= 5, reached

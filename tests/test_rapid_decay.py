@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import rapid_decay_reference as reference
 from dirac_atlas.errors import ConvergenceError, DeskScaleError, ValidationError
 from dirac_atlas.rapid_decay import (
+    PROBE_COUNT_CAP,
     _ball_index,
     _Compression,
     MarkedGroup,
@@ -381,6 +382,16 @@ def test_rd_probe_refuses_its_largest_ball_before_sampling():
     t0 = time.perf_counter()
     with pytest.raises(DeskScaleError, match="radius 10"):
         rd_inequality_probe(MarkedGroup.free_group(3), 1.0, 50, seed=1)
+    assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("count", [PROBE_COUNT_CAP + 1, 10**30])
+def test_probe_counts_refused_past_the_cap_before_work(count):
+    t0 = time.perf_counter()
+    with pytest.raises(DeskScaleError, match="trials exceed"):
+        unconditionality_probe(NormSpec(name="l1"), {(0,): 1.0}, Z, count, seed=1)
+    with pytest.raises(DeskScaleError, match="samples exceed"):
+        rd_inequality_probe(Z, 1.0, count, seed=1)
     assert time.perf_counter() - t0 < 0.5
 
 

@@ -5,6 +5,8 @@ Expected root sets come from an independent reflection-closure oracle
 algorithm under test.
 """
 
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -253,10 +255,18 @@ SYMPY_TYPES = (
 )
 
 
-@pytest.mark.parametrize("name", SYMPY_TYPES)
+@pytest.mark.parametrize("name", SYMPY_TYPES + ["A1xA1", "B3xG2", "E6xA2xC3"])
 def test_weyl_group_order_matches_sympy(name):
     rs = build_root_system(parse_cartan(name))
-    assert weyl_group_order(rs) == WeylGroup(name).group_order()
+    # sympy knows simple types only; the order of a product is the product of the orders
+    assert weyl_group_order(rs) == math.prod(WeylGroup(f).group_order() for f in name.split("x"))
+
+
+@pytest.mark.parametrize("name", SYMPY_TYPES + ["B3xG2"] + [f"catalog:{n}" for n in ("su21", "sp4r", "compact_b3")])
+def test_heights_are_simple_root_coordinate_sums(name):
+    rs = get_pair(name[8:]).k if name.startswith("catalog:") else build_root_system(parse_cartan(name))
+    expected = tuple(int(sum(fw_to_simple_coords(a, rs))) for a in rs.positive_roots)
+    assert rs.integral.heights == expected
 
 
 @pytest.mark.parametrize("name", SYMPY_TYPES)
@@ -415,12 +425,33 @@ def test_catalog_k_types_match_permutation_oracle():
         assert k.cartan.factors == oracle.cartan_type_by_permutation(pairing), name
 
 
+SIMPLE_UP_TO_RANK_4 = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4", "F4", "G2"]
+# every simple type and every product of them with total rank at most 4
+UP_TO_RANK_4 = [
+    "x".join(factors)
+    for m in range(1, 5)
+    for factors in itertools.combinations_with_replacement(SIMPLE_UP_TO_RANK_4, m)
+    if sum(int(f[1:]) for f in factors) <= 4
+]
+
+
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "A1xA2", "B4", "D4", "F4"])
+@pytest.mark.parametrize("name", UP_TO_RANK_4)
 def test_orbit_size_matches_orbit_count(name, data):
     rs = build_root_system(parse_cartan(name))
     mu = weight(data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank)))
+    assert orbit_size(mu, rs) == len(weyl_orbit(mu, rs))
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 2, 0, 0), (2, 0, 0, 0, 0, 1),
+     (0, 2, 1, 0, 0, 0), (1, 0, 0, 0, 1, 2), (1, 1, 1, 1, 1, 1)],
+)
+def test_orbit_size_matches_orbit_count_on_e6(coords):
+    rs = build_root_system(parse_cartan("E6"))
+    mu = weight(coords)
     assert orbit_size(mu, rs) == len(weyl_orbit(mu, rs))
 
 
