@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -756,8 +755,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.catalog:
             cfg.catalog = args.catalog
-        elif cfg.catalog is None:
-            cfg.catalog = os.environ.get(spinmod.CATALOG_ENV_VAR)
         payload = args.handler(args, cfg)
         _emit(payload, args.format or cfg.format)
         return EXIT_OK

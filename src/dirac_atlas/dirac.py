@@ -15,8 +15,9 @@ Regularity, formal degrees and chamber ids come from the integer root
 pairings of the g system (rootsys.IntegralForm). Enumeration walks the
 integral weights mu in an int64 box whose half-widths come from the
 simple root lengths: weights are scaled by the denominator of rho_K, and
-the ball, K-dominance and regularity tests are integer comparisons.
-Fractions appear only where parameters are built and rendered.
+the ball, K-dominance and regularity tests and the sort are integer
+operations. Fractions appear only where parameters are built and
+rendered, by the one constructor dirac_induct also uses.
 """
 
 from __future__ import annotations
@@ -43,11 +44,10 @@ from .rootsys import (
     RootSystem,
     Weight,
     check_dominant_integral,
-    grlex_key,
-    inner,
     integer_coords,
     is_regular,
     wadd,
+    wsub,
 )
 from .spinmod import RealPair, spin_characters
 
@@ -140,6 +140,19 @@ def chamber_of(lam: Weight, rs: RootSystem) -> int:
     return rs.chambers[bytes(x > 0 for x in p)]
 
 
+def _parameter(lam: Weight, pair: RealPair, degree_roots: str) -> DiscreteSeriesParameter:
+    """The parameter at a regular lambda whose minimal K-type is lambda - rho_K."""
+    signed = trace_product(lam, pair, degree_roots)
+    return DiscreteSeriesParameter(
+        lam=lam,
+        min_k_type=IrrLabel(wsub(lam, pair.k.rho)),
+        formal_degree=abs(signed),
+        signed_trace=signed,
+        pair=pair,
+        chamber_id=chamber_of(lam, pair.g),
+    )
+
+
 def dirac_induct(v, pair: RealPair, degree_roots: str = "positive") -> InductionResult:
     """Map a K-type to its discrete-series parameter or an exclusion.
 
@@ -156,17 +169,7 @@ def dirac_induct(v, pair: RealPair, degree_roots: str = "positive") -> Induction
     lam = wadd(hw, pair.k.rho)
     if not is_regular(lam, pair.g):
         return InductionResult(exclusion=EXCLUSION_SINGULAR)
-    signed = trace_product(lam, pair, degree_roots)
-    return InductionResult(
-        parameter=DiscreteSeriesParameter(
-            lam=lam,
-            min_k_type=IrrLabel(hw),
-            formal_degree=abs(signed),
-            signed_trace=signed,
-            pair=pair,
-            chamber_id=chamber_of(lam, pair.g),
-        )
-    )
+    return InductionResult(parameter=_parameter(lam, pair, degree_roots))
 
 
 def _box_ranges(pair: RealPair, bound: Fraction) -> list[range]:
@@ -187,17 +190,15 @@ def _box_ranges(pair: RealPair, bound: Fraction) -> list[range]:
     return ranges
 
 
-def _lattice_box(pair: RealPair, bound: Fraction) -> list[Weight]:
-    """Integral weights mu worth inducing, for a nonnegative bound.
+def _lattice_box(pair: RealPair, bound: Fraction) -> tuple[np.ndarray, int]:
+    """The parameters lambda in the ball, as distinct integer rows D * lambda, and D.
 
-    These are the mu with lambda = mu + rho_K inside the ball
-    (lambda, lambda) <= bound, mu K-dominant, and lambda regular for g.
-    Every such mu is K-integral too: the coroots of K are coroots of g.
-
-    All tests are exact int64 arithmetic on D * lambda, with D the
-    denominator of rho_K (so one step along an axis adds D), over slabs
-    of the first coordinate. A box above LATTICE_BOX_CAP points is
-    refused before any work.
+    These are the lambda = mu + rho_K with (lambda, lambda) <= bound, for
+    a nonnegative bound, mu integral and K-dominant (so K-integral: the
+    coroots of K are coroots of g), and lambda regular for g. D is the
+    denominator of rho_K, so one step along an axis adds D; every test
+    is exact int64 arithmetic, over slabs of the first coordinate. A box
+    above LATTICE_BOX_CAP points is refused before any work.
     """
     g, k = pair.g, pair.k
     n = g.rank
@@ -235,7 +236,7 @@ def _lattice_box(pair: RealPair, bound: Fraction) -> list[Weight]:
     first_norm = lat[0] @ form.gram @ lat[0]
     first = np.arange(ranges[0].start, ranges[0].stop, dtype=np.int64)
     per_slab = max(1, _SLAB_POINTS // len(rest))
-    kept = []
+    kept = [np.zeros((0, n), dtype=np.int64)]
     for start in range(0, len(first), per_slab):
         c0 = first[start : start + per_slab, None]
         # the norm test comes first, so only points in the ball are paired
@@ -245,12 +246,12 @@ def _lattice_box(pair: RealPair, bound: Fraction) -> list[Weight]:
         lam = rest[row] + c0[slab] * lat[0]
         dominant = ((lam - shift) @ k_coroots >= 0).all(axis=1)
         regular = (lam @ form.fr != 0).all(axis=1)
-        kept.extend((lam[dominant & regular] - shift).tolist())
-        if len(kept) > ENUMERATION_OUTPUT_CAP:
+        kept.append(lam[dominant & regular])
+        if sum(map(len, kept)) > ENUMERATION_OUTPUT_CAP:
             raise DeskScaleError(
                 f"enumeration would exceed the cap of {ENUMERATION_OUTPUT_CAP} parameters; lower the bound"
             )
-    return [tuple(Fraction(c, den) for c in row) for row in kept]
+    return np.concatenate(kept), den
 
 
 def enumerate_discrete_series(
@@ -260,25 +261,21 @@ def enumerate_discrete_series(
 
     K-types run over the integer-coordinate weight lattice (the
     double-cover lattice where the catalog K-lattice is coarser),
-    restricted to the K-dominant cone. Sorted by (norm, graded-lex);
-    lambda values are pairwise distinct by construction and asserted.
+    restricted to the K-dominant cone. Sorted by (norm, graded-lex) on
+    the integer rows D * lambda, then built like dirac_induct's.
     """
     bound = Fraction(bound)
     if bound < 0:
         raise ValidationError("bound must be nonnegative")
     if not pair.equal_rank or pair.parity == 1:
         return []
-    g = pair.g
-    out = []
-    for mu in _lattice_box(pair, bound):
-        res = dirac_induct(mu, pair, degree_roots)
-        if res.ok:
-            out.append(res.parameter)
-    out.sort(key=lambda p: (inner(p.lam, p.lam, g), grlex_key(p.lam)))
-    lams = {p.lam for p in out}
-    if len(lams) != len(out):
-        raise AssertionError("duplicate parameter in enumeration output")
-    return out
+    rows, den = _lattice_box(pair, bound)
+    norm = np.einsum("ij,jk,ik->i", rows, pair.g.integral.gram, rows)
+    order = np.lexsort((*rows.T[::-1], rows.sum(axis=1), norm))
+    return [
+        _parameter(tuple(Fraction(c, den) for c in row), pair, degree_roots)
+        for row in rows[order].tolist()
+    ]
 
 
 def pairing_compact_oracle(h_label, v, pair: RealPair) -> int:

@@ -315,29 +315,24 @@ def homotopic(p: AlgebraElement, q: AlgebraElement, algebra: FDAlgebra) -> bool:
 class FredholmModule:
     """Graded pair of f.g. projective modules with an odd operator.
 
-    e0, e1 are multiplicity vectors over the blocks; u and v are the
-    two corners of the odd operator, one complex matrix per block with
-    u[i] of shape (e1[i], e0[i]). In finite dimension every morphism
-    is compact, so no parametrix condition constrains v.
+    e0, e1 are multiplicity vectors over the blocks; u is the odd
+    operator, one complex matrix per block with u[i] of shape
+    (e1[i], e0[i]). In finite dimension every morphism is compact, so
+    the other corner of the operator plays no part in the index.
     """
 
     e0: tuple[int, ...]
     e1: tuple[int, ...]
     u: tuple[np.ndarray, ...]
-    v: tuple[np.ndarray, ...]
 
     @classmethod
-    def build(cls, e0: Sequence[int], e1: Sequence[int], u: Sequence, v: Optional[Sequence] = None) -> "FredholmModule":
+    def build(cls, e0: Sequence[int], e1: Sequence[int], u: Sequence) -> "FredholmModule":
         e0t = tuple(int(x) for x in e0)
         e1t = tuple(int(x) for x in e1)
         if any(x < 0 for x in e0t + e1t):
             raise ValidationError("module multiplicities must be nonnegative")
         ut = tuple(np.asarray(np.array(m, dtype=complex)).reshape(m1, m0) for m, m1, m0 in zip(u, e1t, e0t))
-        if v is None:
-            vt = tuple(m.conj().T for m in ut)
-        else:
-            vt = tuple(np.asarray(np.array(m, dtype=complex)).reshape(m0, m1) for m, m1, m0 in zip(v, e1t, e0t))
-        return cls(e0=e0t, e1=e1t, u=ut, v=vt)
+        return cls(e0=e0t, e1=e1t, u=ut)
 
 
 def index_by_kernel_cokernel(m: FredholmModule, algebra: FDAlgebra, gap: float = RANK_GAP) -> K0Class:
@@ -541,8 +536,13 @@ def resolve_group_table(name_or_table) -> np.ndarray:
     return table_from_rows(name_or_table)
 
 
-def _validate_table(table: np.ndarray) -> tuple[int, np.ndarray]:
-    """Check the table is a group; returns (identity index, inverses)."""
+def validate_group_table(table) -> tuple[int, np.ndarray]:
+    """The one group-table check; returns (identity index, inverses).
+
+    Whole-array tests for shape, entries, Latin square and identity,
+    then associativity row by row (O(n^3)).
+    """
+    table = np.asarray(table, dtype=int)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise ValidationError("multiplication table must be square")
     n = table.shape[0]
@@ -550,24 +550,17 @@ def _validate_table(table: np.ndarray) -> tuple[int, np.ndarray]:
     if table.min() < 0 or table.max() >= n:
         raise ValidationError("table entries must be element indices")
     ident = np.arange(n)
-    for g in range(n):
-        if not (np.array_equal(np.sort(table[g]), ident) and np.array_equal(np.sort(table[:, g]), ident)):
-            raise ValidationError("table is not invertible (rows/columns are not permutations)")
-    e = next((g for g in range(n) if np.array_equal(table[g], ident) and np.array_equal(table[:, g], ident)), None)
-    if e is None:
+    if not ((np.sort(table, axis=1) == ident).all() and (np.sort(table, axis=0) == ident[:, None]).all()):
+        raise ValidationError("table is not invertible (rows/columns are not permutations)")
+    units = np.flatnonzero((table == ident).all(axis=1) & (table == ident[:, None]).all(axis=0))
+    if not units.size:
         raise ValidationError("table has no identity element")
+    e = int(units[0])
     for a in range(n):
         if not np.array_equal(table[table[a], :], table[a, table]):
             raise ValidationError("table is not associative")
-    inv = np.zeros(n, dtype=int)
-    for g in range(n):
-        inv[g] = int(np.where(table[g] == e)[0][0])
-    return e, inv
-
-
-def validate_group_table(table: np.ndarray) -> tuple[int, np.ndarray]:
-    """Public wrapper: checks group axioms, returns (identity, inverses)."""
-    return _validate_table(np.asarray(table, dtype=int))
+    # each row of a Latin square holds e exactly once, at g^-1
+    return e, np.argmax(table == e, axis=1)
 
 
 def _conjugacy_classes(table: np.ndarray, inv: np.ndarray) -> list[list[int]]:
@@ -625,7 +618,7 @@ def wedderburn(group: Union[str, np.ndarray, Sequence], seed: int = 0) -> Finite
     B[shift[g]]. No |G|^3 array is formed.
     """
     table = resolve_group_table(group)
-    e, inv = _validate_table(table)
+    e, inv = validate_group_table(table)
     n = table.shape[0]
     classes = _conjugacy_classes(table, inv)
     shift = table[inv]
@@ -689,10 +682,9 @@ def wedderburn(group: Union[str, np.ndarray, Sequence], seed: int = 0) -> Finite
     )
 
 
-def _group_eigenvalues(evals: np.ndarray, tol: Optional[float] = None) -> list[list[int]]:
+def _group_eigenvalues(evals: np.ndarray) -> list[list[int]]:
     scale = max(1.0, float(np.max(np.abs(evals))) if evals.size else 1.0)
-    if tol is None:
-        tol = 1e-7 * scale
+    tol = 1e-7 * scale
     groups: list[list[int]] = [[0]]
     for i in range(1, len(evals)):
         if evals[i] - evals[groups[-1][-1]] <= tol:

@@ -195,27 +195,10 @@ class MarkedGroup:
             )
 
     def ball(self, radius) -> list[Element]:
-        """Elements of length <= radius: lattice points in lexicographic
-        order, reduced words by length. Refused past BALL_CAP first."""
-        self.check_ball(radius)
-        if self.kind == "finite":
-            return list(range(self.rank))
-        r = math.floor(radius)
-        if self.kind == "lattice":
-            return _l1_ball(self.rank, r)
-        out: list[Element] = [()]
-        frontier: list[FreeWord] = [()]
-        for _ in range(r):
-            nxt = []
-            for w in frontier:
-                for letter in range(1, self.rank + 1):
-                    for signed in (letter, -letter):
-                        if w and w[-1] == -signed:
-                            continue
-                        nxt.append(w + (signed,))
-            out.extend(nxt)
-            frontier = nxt
-        return out
+        """Elements of length <= radius, numbered as in _BallIndex: lattice
+        points in lexicographic order, reduced words by length, table
+        indices. Refused past BALL_CAP first."""
+        return _ball_index(self, radius).elements()
 
     def sphere(self, radius: int) -> list[Element]:
         return [g for g in self.ball(radius) if self.length(g) == radius]
@@ -336,12 +319,13 @@ def support_radius(f: GroupFunction, group: MarkedGroup):
 
 def _letter_code(letter: int) -> int:
     """Letters 1, -1, 2, -2, ... as codes 0, 1, 2, 3, ...: the order in
-    which MarkedGroup.ball appends them. code ^ 1 is the inverse letter."""
+    which a word's children are numbered. code ^ 1 is the inverse letter."""
     return 2 * (abs(letter) - 1) + (letter < 0)
 
 
 class _FreeBall:
-    """The ball B_r(F_k) in the order of MarkedGroup.ball, as arrays.
+    """The ball B_r(F_k) as arrays: reduced words by length, each the
+    word at parent[i] followed by the letter of code last[i].
 
     The children w.a of a word w are contiguous, in code order without
     the inverse of w's last letter, so the right action w -> w.a is
@@ -370,6 +354,14 @@ class _FreeBall:
             self.parent[hi:end] = lo + up
             self.last[hi:end] = rank + (rank >= (self.last[lo:hi] ^ 1)[up])
         self.rows: dict[int, np.ndarray] = {}
+
+    def words(self) -> list[FreeWord]:
+        """The reduced words in index order, decoding the codes of _letter_code."""
+        letters = [(c // 2 + 1) * (-1) ** c for c in range(self.q + 1)]
+        out: list[FreeWord] = [()]
+        for p, c in zip(self.parent[1:].tolist(), self.last[1:].tolist()):
+            out.append(out[p] + (letters[c],))
+        return out
 
     def right(self, j: np.ndarray, a: np.ndarray) -> np.ndarray:
         """Index of w_j.a for letter codes a, or -1 outside the ball."""
@@ -401,7 +393,7 @@ def _lattice_keys(points: np.ndarray, r: int) -> np.ndarray:
 
 
 class _BallIndex:
-    """The ball of radius r, numbered once in the order of MarkedGroup.ball.
+    """The ball of radius r, numbered once; elements() is MarkedGroup.ball.
 
     translate(g) is the left action of g as an index array: entry j is
     the index of g.w_j, or -1 when the product leaves the ball.
@@ -413,12 +405,17 @@ class _BallIndex:
             self.free = _FreeBall(group.rank, r)
             self.size = self.free.size
         elif group.kind == "lattice":
-            self.points = np.array(group.ball(r), dtype=np.int64).reshape(-1, group.rank)
+            self.points = np.array(_l1_ball(group.rank, r), dtype=np.int64).reshape(-1, group.rank)
             self.keys = _lattice_keys(self.points, r)
             self.size = len(self.points)
         else:
             self.table = group.table
             self.size = group.rank
+
+    def elements(self) -> list[Element]:
+        if self.kind == "lattice":
+            return list(map(tuple, self.points.tolist()))
+        return self.free.words() if self.kind == "free" else list(range(self.size))
 
     def translate(self, g: Element) -> np.ndarray:
         if self.kind == "finite":
@@ -787,6 +784,8 @@ def rd_inequality_probe(
     for i in range(samples):
         r = 1 + (i % max_support_radius)
         pool = group.sphere(r) if sphere_supported else group.ball(r)
+        if not pool:
+            raise ValidationError(f"the sphere of radius {r} is empty under this length; no sample to draw")
         size = min(len(pool), int(rng.integers(1, max(2, min(len(pool), 100)))))
         chosen = [pool[j] for j in rng.choice(len(pool), size=size, replace=False)]
         f = {
@@ -890,7 +889,7 @@ def compute_norm_report(
         s=float(s),
         hs=hs,
         radius=float(radius),
-        red_lower=red_lower,
+        red_lower=min(red_lower, l1),  # ||f||_red <= ||f||_1 clamps the rounding of ||Mx||
         red_upper=l1,
         iterations=iterations,
         residual=residual,

@@ -29,6 +29,7 @@ import numpy as np
 
 from dirac_atlas import repring
 from dirac_atlas._linalg import mat_inv, solve_left
+from dirac_atlas.dirac import _lattice_box, dirac_induct
 from dirac_atlas.errors import ValidationError
 from dirac_atlas.rootsys import (
     _cartan_matrix_simple,
@@ -229,6 +230,22 @@ def enumerate_scan(pair, bound, degree_roots="positive"):
             signed *= inner(lam, a, g) / inner(g.rho, a, g)
         out.append((lam, mu, signed, chamber_scan(lam, g)))
     out.sort(key=lambda t: (inner(t[0], t[0], g), sum(t[0]), t[0]))
+    return out
+
+
+def enumerate_by_induction(pair, bound, degree_roots="positive"):
+    """Parameters by dirac_induct on each lattice-box survivor, sorted by
+    (Fraction norm, grlex_key): the enumeration before the survivors were
+    sorted and built on integers."""
+    if not pair.equal_rank or pair.parity == 1:
+        return []
+    rows, den = _lattice_box(pair, Fraction(bound))
+    out = []
+    for row in rows.tolist():
+        res = dirac_induct(wsub(tuple(Fraction(c, den) for c in row), pair.k.rho), pair, degree_roots)
+        if res.ok:
+            out.append(res.parameter)
+    out.sort(key=lambda p: (inner(p.lam, p.lam, pair.g), grlex_key(p.lam)))
     return out
 
 

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -470,6 +471,20 @@ def test_rd_norms_large_coefficients_do_not_overflow(capsys, tmp_path):
     assert code == EXIT_OK and err == ""
     payload = json.loads(out)
     assert payload["red_lower"] == pytest.approx(1e154, rel=1e-6)
+
+
+def test_rd_norms_bracket_is_never_inverted(capsys, tmp_path):
+    rng = random.Random(23)
+    cases = [("z", [0], 1.7e308), ("z", [0], 1.79e308)]
+    for _ in range(20):
+        group = rng.choice(["z", "f2"])
+        g = [rng.randint(-3, 3)] if group == "z" else [rng.choice([1, 2]) for _ in range(rng.randint(0, 3))]
+        cases.append((group, g, rng.gauss(0, 1) * 10.0 ** rng.randint(-300, 300)))
+    f = tmp_path / "f.json"
+    for group, g, c in cases:
+        f.write_text(json.dumps([{"g": g, "re": c}]))
+        payload = run_json(capsys, "rd", "norms", "--group", group, "--s", "1", "--radius", "3", "--input", str(f))
+        assert payload["red_lower"] <= payload["red_upper"], (group, g, c)
 
 
 def _reject_constant(name):

@@ -45,7 +45,13 @@ from dirac_atlas.rootsys import (
     wzero,
 )
 from dirac_atlas.spinmod import build_pair, catalog_names, get_pair, rescale_pair
-from fraction_oracles import box_ranges_gram_inverse, chamber_scan, enumerate_scan, weyl_elements_bfs
+from fraction_oracles import (
+    box_ranges_gram_inverse,
+    chamber_scan,
+    enumerate_by_induction,
+    enumerate_scan,
+    weyl_elements_bfs,
+)
 
 SL2R = get_pair("sl2r")
 SU21 = get_pair("su21")
@@ -286,6 +292,17 @@ def test_enumeration_matches_fraction_oracle(name, degree_roots):
             for q in enumerate_discrete_series(p, b, degree_roots)
         ]
         assert got == enumerate_scan(p, b, degree_roots)
+
+
+@pytest.mark.parametrize("degree_roots", DEGREE_ROOT_CHOICES)
+@pytest.mark.parametrize("name", catalog_names())
+def test_enumeration_matches_induction_of_each_box_point(name, degree_roots):
+    pair = get_pair(name)
+    for p in (pair, rescale_pair(pair, 3)):
+        for bound in (0, 1, F(9, 2), 20, 30):
+            got = enumerate_discrete_series(p, bound, degree_roots)
+            assert got == enumerate_by_induction(p, bound, degree_roots), (name, bound)
+            assert len({q.lam for q in got}) == len(got)
 
 
 def _box_size(ranges):

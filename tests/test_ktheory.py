@@ -35,6 +35,7 @@ from dirac_atlas.ktheory import (
     symmetric_table,
     table_from_rows,
     trace_pairing,
+    validate_group_table,
     wedderburn,
     wedderburn_image,
 )
@@ -299,6 +300,52 @@ def test_invalid_tables_rejected():
         wedderburn("nonsense")
     with pytest.raises(ValidationError):
         wedderburn(cyclic_table(3)[:2])  # not square
+
+
+NON_GROUP_TABLES = [
+    [[0, 1], [0, 1]],  # columns not permutations
+    [[0, 1, 2], [1, 1, 0], [2, 0, 1]],  # a row not a permutation
+    [[0, 1, 2], [1, 2, 0], [1, 0, 2]],  # rows permutations, a column not
+    [[0, 2, 1], [2, 1, 0], [1, 0, 2]],  # Latin, no identity: x y = -x - y mod 3
+    [[(x - y) % 4 for y in range(4)] for x in range(4)],  # Latin, a right identity only
+    [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],  # a loop
+    [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],  # a loop
+    [[0, 1], [1, 2]],  # entry out of range
+    [[0, -1], [1, 0]],
+    [[0, 1, 2], [1, 2, 0]],  # not square
+    [0, 1, 2],
+]
+
+
+def _outcome(check, table):
+    try:
+        e, inv = check(table)
+    except ValidationError as exc:
+        return str(exc)
+    return e, inv.tolist()
+
+
+@pytest.mark.parametrize("table", NON_GROUP_TABLES)
+def test_validate_group_table_refuses_like_the_loop_oracle(table):
+    want = _outcome(wedderburn_reference.validate_table_loops, table)
+    assert isinstance(want, str)
+    assert _outcome(validate_group_table, table) == want
+
+
+def test_validate_group_table_matches_the_loop_oracle_on_groups():
+    rng = np.random.default_rng(5)
+    tables = [symmetric_table(3), symmetric_table(4), dihedral_table(4), dihedral_table(7), quaternion_table()]
+    tables += [cyclic_table(n) for n in (1, 2, 9, 16)]
+    for t in list(tables):
+        # relabel the elements, so the identity and the inverses move
+        perm = rng.permutation(len(t))
+        relabeled = np.empty_like(t)
+        relabeled[np.ix_(perm, perm)] = perm[t]
+        tables.append(relabeled)
+    for t in tables:
+        e, inv = validate_group_table(t)
+        assert (e, inv.tolist()) == _outcome(wedderburn_reference.validate_table_loops, t)
+        assert (t[np.arange(len(t)), inv] == e).all()
 
 
 def test_group_order_cap():

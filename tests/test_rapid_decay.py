@@ -533,3 +533,29 @@ def test_free_ball_builds_left_rows_only_for_the_letters_used():
     group = MarkedGroup.free_group(200_000)
     assert reduced_norm_truncated({(1,): 1, (-2,): 0.5}, group, 1) == pytest.approx(math.sqrt(1.25), rel=1e-9)
     assert sorted(_ball_index(group, 1).free.rows) == [0, 3]
+
+
+@pytest.mark.parametrize("c", [1.7e308, 1.79e308])
+def test_norm_report_bracket_holds_at_the_float_range(c):
+    # ||Mx|| for the unit Ritz vector rounded one ulp above l1 here
+    rep = compute_norm_report({(0,): c}, Z, 1, 3)
+    assert rep.red_lower <= rep.red_upper == c
+
+
+def test_norm_report_bracket_holds_on_random_deltas():
+    rng = np.random.default_rng(17)
+    for group in (Z, F2):
+        pool = group.ball(3)
+        for _ in range(300):
+            g = pool[int(rng.integers(len(pool)))]
+            c = complex(*rng.normal(size=2)) * 10.0 ** int(rng.integers(-300, 300))
+            rep = compute_norm_report({g: c}, group, 1, 3)
+            assert rep.red_lower <= rep.red_upper, (g, c)
+
+
+def test_rd_probe_refuses_an_empty_sphere():
+    # under this length no element has length 1, so the first sphere is empty
+    group = parse_group("z").with_length(lambda g: 2 * sum(map(abs, g)))
+    with pytest.raises(ValidationError, match="radius 1 ") as exc:
+        rd_inequality_probe(group, 1, 3, 0, sphere_supported=True)
+    assert "\n" not in str(exc.value)

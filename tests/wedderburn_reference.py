@@ -4,8 +4,8 @@ This is the original algorithm, written on explicit matrices: the left
 regular representation as an n x n x n stack of permutation matrices,
 the central element as a sum of class-sum matrices, the commutant as a
 sum of n dense right-translation matrices, conjugacy classes by a
-Python double loop, and the irreducible blocks as a three-operand
-einsum over the stack. It draws the same random numbers in the same
+Python double loop, the group axioms by per-element loops, and the
+irreducible blocks as a three-operand einsum over the stack. It draws the same random numbers in the same
 order as `dirac_atlas.ktheory.wedderburn`, which computes the same
 blocks by index arithmetic on the table; tests compare the two.
 """
@@ -14,14 +14,41 @@ from __future__ import annotations
 
 import numpy as np
 
-from dirac_atlas.errors import NumericalAmbiguityError
+from dirac_atlas.errors import NumericalAmbiguityError, ValidationError
 from dirac_atlas.ktheory import (
+    GROUP_ORDER_CAP,
     FDAlgebra,
     FiniteGroupAlgebra,
     _group_eigenvalues,
-    _validate_table,
     resolve_group_table,
 )
+
+
+def validate_table_loops(table: np.ndarray) -> tuple[int, np.ndarray]:
+    """The group axioms element by element: (identity index, inverses),
+    or the first failure with the message of ktheory.validate_group_table."""
+    table = np.asarray(table, dtype=int)
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise ValidationError("multiplication table must be square")
+    n = table.shape[0]
+    if n > GROUP_ORDER_CAP:
+        raise ValidationError(f"group order {n} exceeds the desk-scale cap {GROUP_ORDER_CAP}")
+    if table.min() < 0 or table.max() >= n:
+        raise ValidationError("table entries must be element indices")
+    ident = np.arange(n)
+    for g in range(n):
+        if not (np.array_equal(np.sort(table[g]), ident) and np.array_equal(np.sort(table[:, g]), ident)):
+            raise ValidationError("table is not invertible (rows/columns are not permutations)")
+    e = next((g for g in range(n) if np.array_equal(table[g], ident) and np.array_equal(table[:, g], ident)), None)
+    if e is None:
+        raise ValidationError("table has no identity element")
+    for a in range(n):
+        if not np.array_equal(table[table[a], :], table[a, table]):
+            raise ValidationError("table is not associative")
+    inv = np.zeros(n, dtype=int)
+    for g in range(n):
+        inv[g] = int(np.where(table[g] == e)[0][0])
+    return e, inv
 
 
 def conjugacy_classes(table: np.ndarray, inv: np.ndarray) -> list[list[int]]:
@@ -49,7 +76,7 @@ def left_regular(table: np.ndarray) -> np.ndarray:
 
 def wedderburn(group, seed: int = 0) -> FiniteGroupAlgebra:
     table = resolve_group_table(group)
-    e, inv = _validate_table(table)
+    e, inv = validate_table_loops(table)
     n = table.shape[0]
     classes = conjugacy_classes(table, inv)
     L = left_regular(table)
