@@ -4,14 +4,19 @@ Deterministic by contract: identical invocations produce byte-identical
 output, rationals travel as "p/q" strings, and every randomized
 subcommand demands an explicit --seed. Exit codes: 0 success, 2
 validation error, 3 numerical-ambiguity error.
+
+main may be called repeatedly in one process: it builds its parser on
+the first call and reuses it, and each call gets a fresh namespace and
+config. Flags override the config file, in load_config alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -25,9 +30,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_CONFIG_KEYS = {"catalog", "format", "degree_roots", "tol", "rank_gap", "power_tol", "seed"}
-
-
 @dataclass
 class Config:
     catalog: Optional[str] = None
@@ -39,13 +41,16 @@ class Config:
     seed: Optional[int] = None
 
 
-def load_config(path: Optional[str]) -> Config:
+def load_config(path: Optional[str], args=None) -> Config:
+    """The config file's settings, checked, then the catalog, format,
+    degree_roots and seed flags of args laid over them; a flag counts as
+    given unless it is None or ""."""
     cfg = Config()
     if path:
         data = load_json_file(path, "config file")
         if not isinstance(data, dict):
             raise ValidationError("config file must hold a JSON object")
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data) - {f.name for f in fields(Config)}
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         for key, val in data.items():
@@ -62,6 +67,11 @@ def load_config(path: Optional[str]) -> Config:
         val = getattr(cfg, key)
         if isinstance(val, bool) or not isinstance(val, (int, float)) or not val > 0:
             raise ValidationError(f"{key} must be a positive number, got {val!r}")
+        finite_number(val, key)
+    for key in ("catalog", "format", "degree_roots", "seed"):
+        val = getattr(args, key, None)
+        if val is not None and val != "":
+            setattr(cfg, key, val)
     return cfg
 
 
@@ -297,13 +307,6 @@ SCHEMAS = {
 }
 
 
-def _maybe_schema(args, key: str) -> bool:
-    if getattr(args, "schema", False):
-        print(json.dumps(SCHEMAS[key], indent=2, sort_keys=True))
-        return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
@@ -386,7 +389,7 @@ def _cmd_spin_info(args, cfg: Config) -> dict:
 def _cmd_ds_induct(args, cfg: Config) -> dict:
     pair = spinmod.get_pair(args.pair, cfg.catalog)
     hw = _parse_weight_arg(args.hw)
-    res = dirac.dirac_induct(hw, pair, args.degree_roots or cfg.degree_roots)
+    res = dirac.dirac_induct(hw, pair, cfg.degree_roots)
     return {
         "pair": args.pair,
         "mu": vec_str(hw),
@@ -399,13 +402,11 @@ def _cmd_ds_induct(args, cfg: Config) -> dict:
 def _cmd_ds_enumerate(args, cfg: Config) -> dict:
     pair = spinmod.get_pair(args.pair, cfg.catalog)
     bound = parse_fr(args.bound)
-    params = dirac.enumerate_discrete_series(
-        pair, bound, args.degree_roots or cfg.degree_roots
-    )
+    params = dirac.enumerate_discrete_series(pair, bound, cfg.degree_roots)
     return {
         "pair": args.pair,
         "bound": fr_str(bound),
-        "degree_roots": args.degree_roots or cfg.degree_roots,
+        "degree_roots": cfg.degree_roots,
         "count": len(params),
         "parameters": [dirac.parameter_to_json(p) for p in params],
     }
@@ -494,17 +495,16 @@ def _cmd_k0_index(args, cfg: Config) -> dict:
     }
 
 
-def _require_seed(args, cfg: Config) -> int:
-    seed = args.seed if args.seed is not None else cfg.seed
-    if seed is None:
+def _require_seed(cfg: Config) -> int:
+    if cfg.seed is None:
         raise ValidationError("this subcommand is randomized: --seed is required")
-    if seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
-    return int(seed)
+    if cfg.seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {cfg.seed}")
+    return int(cfg.seed)
 
 
 def _cmd_group_wedderburn(args, cfg: Config) -> dict:
-    seed = _require_seed(args, cfg)
+    seed = _require_seed(cfg)
     if args.table:
         table = load_json_file(args.table, "table file")
         G = ktheory.wedderburn(ktheory.table_from_rows(table), seed=seed)
@@ -524,7 +524,7 @@ def _cmd_group_wedderburn(args, cfg: Config) -> dict:
 
 
 def _cmd_group_idempotent(args, cfg: Config) -> dict:
-    seed = _require_seed(args, cfg)
+    seed = _require_seed(cfg)
     G = ktheory.wedderburn(args.name, seed=seed)
     p = ktheory.ds_idempotent(G, args.block)
     err = float(np.max(np.abs(ktheory.convolve(p, p, G) - p)))
@@ -552,27 +552,14 @@ def _rd_group(args):
 
 
 def _load_group_function(args, group):
-    if args.input:
-        items = load_json_file(args.input, "input file")
-        return rapid_decay.function_from_json(items, group)
-    raise ValidationError("--input FILE with the group function is required")
+    return rapid_decay.function_from_json(load_json_file(args.input, "input file"), group)
 
 
 def _cmd_rd_norms(args, cfg: Config) -> dict:
     group = _rd_group(args)
     f = _load_group_function(args, group)
     report = rapid_decay.compute_norm_report(f, group, args.s, args.radius, tol=cfg.power_tol)
-    return {
-        "group": args.group,
-        "s": report.s,
-        "radius": report.radius,
-        "l1": report.l1,
-        "hs": report.hs,
-        "red_lower": report.red_lower,
-        "red_upper": report.red_upper,
-        "iterations": report.iterations,
-        "residual": report.residual,
-    }
+    return {"group": args.group, **asdict(report)}
 
 
 def _default_probe_function(group) -> dict:
@@ -581,7 +568,7 @@ def _default_probe_function(group) -> dict:
 
 
 def _cmd_rd_probe_unconditional(args, cfg: Config) -> dict:
-    seed = _require_seed(args, cfg)
+    seed = _require_seed(cfg)
     group = _rd_group(args)
     f = _load_group_function(args, group) if args.input else _default_probe_function(group)
     radius = args.radius
@@ -601,7 +588,7 @@ def _cmd_rd_probe_unconditional(args, cfg: Config) -> dict:
 
 
 def _cmd_rd_probe_rd(args, cfg: Config) -> dict:
-    seed = _require_seed(args, cfg)
+    seed = _require_seed(cfg)
     group = _rd_group(args)
     rep = rapid_decay.rd_inequality_probe(
         group,
@@ -639,6 +626,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="dirac-atlas",
@@ -651,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = ssub.add_parser("info", help="roots, form, rho, Weyl order")
     q.add_argument("type", help="Cartan type, e.g. A2 or A1xA1")
     _add_common(q)
-    q.set_defaults(handler=_cmd_rootsys_info, schema_key="rootsys.info")
+    q.set_defaults(handler=_cmd_rootsys_info)
 
     p = sub.add_parser("rep", help="representation ring")
     ssub = p.add_subparsers(dest="subcommand", required=True)
@@ -659,20 +647,20 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--type", required=True)
     q.add_argument("--hw", required=True, help="highest weight coords, e.g. 1,0")
     _add_common(q)
-    q.set_defaults(handler=_cmd_rep_irr, schema_key="rep.irr")
+    q.set_defaults(handler=_cmd_rep_irr)
     q = ssub.add_parser("tensor", help="decompose a tensor product")
     q.add_argument("--type", required=True)
     q.add_argument("--hw", required=True)
     q.add_argument("--hw2", required=True)
     _add_common(q)
-    q.set_defaults(handler=_cmd_rep_tensor, schema_key="rep.tensor")
+    q.set_defaults(handler=_cmd_rep_tensor)
 
     p = sub.add_parser("spin", help="spin modules of catalog pairs")
     ssub = p.add_subparsers(dest="subcommand", required=True)
     q = ssub.add_parser("info", help="grading, spin dims, liftability")
     q.add_argument("--pair", required=True)
     _add_common(q)
-    q.set_defaults(handler=_cmd_spin_info, schema_key="spin.info")
+    q.set_defaults(handler=_cmd_spin_info)
 
     p = sub.add_parser("ds", help="discrete series classification")
     ssub = p.add_subparsers(dest="subcommand", required=True)
@@ -681,24 +669,24 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--hw", required=True, help="K-type coords, e.g. 3/2")
     q.add_argument("--degree-roots", choices=dirac.DEGREE_ROOT_CHOICES, default=None)
     _add_common(q)
-    q.set_defaults(handler=_cmd_ds_induct, schema_key="ds.induct")
+    q.set_defaults(handler=_cmd_ds_induct)
     q = ssub.add_parser("enumerate", help="all parameters within a norm bound")
     q.add_argument("--pair", required=True)
     q.add_argument("--bound", required=True, help="bound on (lambda,lambda), e.g. 60 or 9/2")
     q.add_argument("--degree-roots", choices=dirac.DEGREE_ROOT_CHOICES, default=None)
     _add_common(q)
-    q.set_defaults(handler=_cmd_ds_enumerate, schema_key="ds.enumerate")
+    q.set_defaults(handler=_cmd_ds_enumerate)
 
     p = sub.add_parser("k0", help="K0 classes and Fredholm indices")
     ssub = p.add_subparsers(dest="subcommand", required=True)
     q = ssub.add_parser("class", help="K0 class of an idempotent (JSON spec)")
     q.add_argument("--spec", required=True, help="JSON: {blocks, matrices}")
     _add_common(q)
-    q.set_defaults(handler=_cmd_k0_class, schema_key="k0.class")
+    q.set_defaults(handler=_cmd_k0_class)
     q = ssub.add_parser("index", help="stabilized Fredholm index (JSON spec)")
     q.add_argument("--spec", required=True, help="JSON: {blocks, e0, e1, u}")
     _add_common(q)
-    q.set_defaults(handler=_cmd_k0_index, schema_key="k0.index")
+    q.set_defaults(handler=_cmd_k0_index)
 
     p = sub.add_parser("group", help="finite group convolution algebras")
     ssub = p.add_subparsers(dest="subcommand", required=True)
@@ -707,13 +695,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--table", default=None, help="JSON file with a multiplication table")
     q.add_argument("--seed", type=int, default=None, required=False)
     _add_common(q)
-    q.set_defaults(handler=_cmd_group_wedderburn, schema_key="group.wedderburn")
+    q.set_defaults(handler=_cmd_group_wedderburn)
     q = ssub.add_parser("idempotent", help="matrix-coefficient idempotent of one block")
     q.add_argument("--name", required=True)
     q.add_argument("--block", type=int, required=True)
     q.add_argument("--seed", type=int, default=None)
     _add_common(q)
-    q.set_defaults(handler=_cmd_group_idempotent, schema_key="group.idempotent")
+    q.set_defaults(handler=_cmd_group_idempotent)
 
     p = sub.add_parser("rd", help="norms on discrete group algebras")
     ssub = p.add_subparsers(dest="subcommand", required=True)
@@ -723,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--input", required=True, help="JSON group function")
     q.add_argument("--radius", type=float, required=True)
     _add_common(q)
-    q.set_defaults(handler=_cmd_rd_norms, schema_key="rd.norms")
+    q.set_defaults(handler=_cmd_rd_norms)
     q = ssub.add_parser("probe-unconditional", help="phase-flip deviation of a norm")
     q.add_argument("--group", required=True)
     q.add_argument("--norm", choices=("l1", "hs", "reduced_truncated"), default="reduced_truncated")
@@ -733,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--trials", type=int, default=100)
     q.add_argument("--seed", type=int, default=None)
     _add_common(q)
-    q.set_defaults(handler=_cmd_rd_probe_unconditional, schema_key="rd.probe-unconditional")
+    q.set_defaults(handler=_cmd_rd_probe_unconditional)
     q = ssub.add_parser("probe-rd", help="empirical rapid-decay ratio probe")
     q.add_argument("--group", required=True)
     q.add_argument("--s", type=float, required=True)
@@ -741,22 +729,19 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, default=None)
     q.add_argument("--spheres", action="store_true", help="sphere-supported samples")
     _add_common(q)
-    q.set_defaults(handler=_cmd_rd_probe_rd, schema_key="rd.probe-rd")
+    q.set_defaults(handler=_cmd_rd_probe_rd)
 
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.schema:
+        print(json.dumps(SCHEMAS[f"{args.command}.{args.subcommand}"], indent=2, sort_keys=True))
+        return EXIT_OK
     try:
-        if _maybe_schema(args, args.schema_key):
-            return EXIT_OK
-        cfg = load_config(args.config)
-        if args.catalog:
-            cfg.catalog = args.catalog
-        payload = args.handler(args, cfg)
-        _emit(payload, args.format or cfg.format)
+        cfg = load_config(args.config, args)
+        _emit(args.handler(args, cfg), cfg.format)
         return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -289,7 +289,13 @@ def _check_idempotent(p: AlgebraElement, tol: float = TAU) -> None:
 
 
 def k0_class(p: AlgebraElement, algebra: FDAlgebra, *, tol: float = TAU, gap: float = RANK_GAP) -> K0Class:
-    """Class of an idempotent: the vector of per-block ranks."""
+    """Class of an idempotent: the vector of per-block ranks.
+
+    The eigenvalue bands |x| <= gap and |x - 1| <= gap of the float rank
+    overlap once gap >= 1/2, so such a gap is refused.
+    """
+    if not gap < 0.5:
+        raise ValidationError(f"rank gap must be below 1/2, got {gap}")
     if p.algebra != algebra:
         raise ValidationError("element does not belong to the algebra")
     _check_idempotent(p, tol)

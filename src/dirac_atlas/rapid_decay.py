@@ -569,6 +569,7 @@ def _lanczos_top(gram, forward, n: int, tol: float, max_iter: int) -> tuple[floa
 
 def _reduced_norm(f: GroupFunction, group: MarkedGroup, radius, tol: float, max_iter: int) -> tuple[float, int, float]:
     """reduced_norm_truncated with the solver's applications and relative residual."""
+    group.check_ball(radius)
     f = normalize_function(f, group)
     if not f:
         return 0.0, 0, 0.0

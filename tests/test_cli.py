@@ -1,5 +1,6 @@
 """CLI contract tests: examples, determinism, exit codes, schemas."""
 
+import argparse
 import importlib.util
 import json
 import math
@@ -306,6 +307,64 @@ def test_degree_roots_flag(capsys):
     assert payload["parameter"]["formal_degree"] == "3"
 
 
+def _write_catalog(path, pair):
+    path.write_text(json.dumps({"version": 1, "pairs": {pair: {"cartan": "A1", "compact": "all"}}}))
+    return str(path)
+
+
+def test_flags_override_the_config(capsys, tmp_path):
+    cat_a = _write_catalog(tmp_path / "a.json", "pair_a")
+    cat_b = _write_catalog(tmp_path / "b.json", "pair_b")
+    cat_cfg = tmp_path / "catalog.json"
+    cat_cfg.write_text(json.dumps({"catalog": cat_a}))
+    with_cat = ("--config", str(cat_cfg))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "table", "degree_roots": "simple", "seed": 3}))
+    with_cfg = ("--config", str(cfg))
+
+    # catalog: the config's without a flag, the flag's with one; an empty flag is not given
+    assert run_json(capsys, "spin", "info", "--pair", "pair_a", *with_cat)["pair"] == "pair_a"
+    code, _, err = run_cli(capsys, "spin", "info", "--pair", "pair_a", "--catalog", cat_b, *with_cat)
+    assert code == EXIT_VALIDATION and "unknown pair" in err
+    assert run_json(capsys, "spin", "info", "--pair", "pair_b", "--catalog", cat_b, *with_cat)["pair"] == "pair_b"
+    assert run_json(capsys, "spin", "info", "--pair", "pair_a", "--catalog", "", *with_cat)["pair"] == "pair_a"
+
+    # format: table from the config, json from the flag
+    code, out, _ = run_cli(capsys, "rootsys", "info", "A1", *with_cfg)
+    assert code == EXIT_OK and out.startswith("cartan: A1\n")
+    assert run_json(capsys, "rootsys", "info", "A1", "--format", "json", *with_cfg)["cartan"] == "A1"
+
+    # degree_roots: simple from the config, positive from the flag
+    induct = ("ds", "induct", "--pair", "compact_a2", "--hw", "1,0", "--format", "json")
+    assert run_json(capsys, *induct, *with_cfg)["parameter"]["formal_degree"] == "2"
+    payload = run_json(capsys, *induct, "--degree-roots", "positive", *with_cfg)
+    assert payload["parameter"]["formal_degree"] == "3"
+    enumerate_ = ("ds", "enumerate", "--pair", "compact_a2", "--bound", "20", "--format", "json")
+    assert run_json(capsys, *enumerate_, *with_cfg)["degree_roots"] == "simple"
+    assert run_json(capsys, *enumerate_, "--degree-roots", "positive", *with_cfg)["degree_roots"] == "positive"
+
+    # seed: 3 from the config; a flag of 0 is given, not ignored as falsy
+    wedderburn = ("group", "wedderburn", "--name", "s3", "--format", "json")
+    assert run_json(capsys, *wedderburn, *with_cfg)["seed"] == 3
+    assert run_json(capsys, *wedderburn, "--seed", "0", *with_cfg)["seed"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rd", "norms", "--group", "z", "--s", "1", "--radius", "-5"],
+        ["rd", "probe-unconditional", "--group", "z", "--norm", "reduced_truncated", "--radius", "-3", "--seed", "1"],
+    ],
+)
+@pytest.mark.parametrize("items", [[], [{"g": [1], "re": 1.0}]])
+def test_rd_negative_radius_refused(capsys, tmp_path, argv, items):
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps(items))
+    code, out, err = run_cli(capsys, *argv, "--input", str(f))
+    assert code == EXIT_VALIDATION and out == ""
+    assert err.startswith("error: radius must be a nonnegative finite number") and err.count("\n") == 1
+
+
 _MALFORMED = '{"blocks": [1], "matrices": '
 _DELTA = '[{"g": [0], "re": 1.0}]'
 
@@ -362,6 +421,18 @@ _DELTA = '[{"g": [0], "re": 1.0}]'
         (["rd", "probe-unconditional", "--group", "z", "--trials", "2", "--config", "{cfg}"], {"cfg": '{"seed": -3}'}),
         (["rd", "probe-rd", "--group", "z", "--s", "1", "--samples", "2", "--seed", "-5"], {}),
         (["rd", "probe-rd", "--group", "z", "--s", "1", "--samples", "2", "--config", "{cfg}"], {"cfg": '{"seed": -5}'}),
+        # a rank gap of 1/2 or more makes the bands near 0 and 1 overlap; non-finite tolerances
+        (["k0", "class", "--spec", "{spec}", "--config", "{cfg}"],
+         {"spec": '{"blocks": [2], "matrices": [[[1.0, 0.0], [0.0, 0.0]]]}', "cfg": '{"rank_gap": 1.0}'}),
+        (["k0", "class", "--spec", "{spec}", "--config", "{cfg}"],
+         {"spec": '{"blocks": [2], "matrices": [[["1", "0"], ["0", "0"]]]}', "cfg": '{"rank_gap": 0.5}'}),
+        (["k0", "class", "--spec", "{spec}", "--config", "{cfg}"],
+         {"spec": '{"blocks": [1], "matrices": [[[0.0]]]}', "cfg": '{"rank_gap": Infinity}'}),
+        (["rootsys", "info", "A1", "--config", "{cfg}"], {"cfg": '{"tol": Infinity}'}),
+        (["rootsys", "info", "A1", "--config", "{cfg}"], {"cfg": '{"power_tol": Infinity}'}),
+        (["rootsys", "info", "A1", "--config", "{cfg}"], {"cfg": '{"rank_gap": 1e400}'}),
+        # the config is checked before the flags are laid over it
+        (["rootsys", "info", "A1", "--format", "json", "--config", "{cfg}"], {"cfg": '{"format": "xml"}'}),
     ],
 )
 def test_file_json_and_config_errors_exit_2(capsys, tmp_path, argv, files):
@@ -545,6 +616,90 @@ def test_labs_rd_requests_are_byte_identical(capsys, tmp_path):
         first = run_cli(capsys, *argv)
         assert first[0] == EXIT_OK, (argv, first[2])
         assert run_cli(capsys, *argv) == first, argv
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, "rootsys", "info", "A1")[0] == EXIT_OK
+    first = len(built)
+    assert run_cli(capsys, "rootsys", "info", "A2")[0] == EXIT_OK
+    assert len(built) == first
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process call, argparse exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_calls_share_no_state(capsys, tmp_path, monkeypatch):
+    # argparse wraps --help to the terminal width; fix it for both passes
+    monkeypatch.setenv("COLUMNS", "80")
+    spec = tmp_path / "class.json"
+    spec.write_text(json.dumps({"blocks": [2], "matrices": [[["1/2", "1/2"], ["1/2", "1/2"]]]}))
+    index = tmp_path / "index.json"
+    index.write_text(json.dumps({"blocks": [1], "e0": [3], "e1": [2], "u": [[[0, 0, 0], [0, 0, 0]]]}))
+    fn = tmp_path / "f.json"
+    fn.write_text(json.dumps([{"g": [1], "re": 1.0}, {"g": [], "re": 0.5}]))
+    cat = _write_catalog(tmp_path / "cat.json", "only")
+    configs = {}
+    for name, data in [("seed", {"seed": 3}), ("table", {"format": "table"}), ("simple", {"degree_roots": "simple"}),
+                       ("catalog", {"catalog": cat}), ("bad", {"format": "xml"})]:
+        configs[name] = str(tmp_path / f"{name}.json")
+        Path(configs[name]).write_text(json.dumps(data))
+    leaves = [
+        ["rootsys", "info", "A2"],
+        ["rep", "irr", "--type", "A2", "--hw", "1,0"],
+        ["rep", "tensor", "--type", "A1", "--hw", "1", "--hw2", "1"],
+        ["spin", "info", "--pair", "su21"],
+        ["ds", "induct", "--pair", "su21", "--hw", "1,1"],
+        ["ds", "enumerate", "--pair", "sl2r", "--bound", "10"],
+        ["k0", "class", "--spec", str(spec)],
+        ["k0", "index", "--spec", str(index)],
+        ["group", "wedderburn", "--name", "s3", "--seed", "1"],
+        ["group", "idempotent", "--name", "s3", "--block", "2", "--seed", "1"],
+        ["rd", "norms", "--group", "f2", "--s", "1", "--radius", "3", "--input", str(fn)],
+        ["rd", "probe-unconditional", "--group", "z", "--trials", "2", "--seed", "1"],
+        ["rd", "probe-rd", "--group", "z", "--s", "1", "--samples", "2", "--seed", "1"],
+    ]
+    assert {f"{argv[0]}.{argv[1]}" for argv in leaves} == set(SCHEMAS)
+    argvs = leaves + [argv + ["--schema"] for argv in leaves] + [
+        ["rootsys", "info", "A2", "--format", "table"],
+        ["rd", "norms", "--group", "f2", "--s", "1", "--radius", "3", "--input", str(fn), "--format", "table"],
+        ["group", "wedderburn", "--name", "s3", "--config", configs["seed"]],
+        ["group", "wedderburn", "--name", "s3"],
+        ["rootsys", "info", "A1", "--config", configs["table"]],
+        ["rootsys", "info", "A1", "--config", configs["table"], "--format", "json"],
+        ["ds", "induct", "--pair", "compact_a2", "--hw", "1,0", "--config", configs["simple"]],
+        ["ds", "induct", "--pair", "compact_a2", "--hw", "1,0"],
+        ["spin", "info", "--pair", "only", "--config", configs["catalog"]],
+        ["spin", "info", "--pair", "only", "--catalog", cat],
+        ["spin", "info", "--pair", "only"],
+        ["rootsys", "info", "A1", "--config", configs["bad"], "--format", "json"],
+        [],
+        ["rootsys"],
+        ["rootsys", "info", "A2", "--format", "xml"],
+        ["group", "wedderburn", "--name", "s3", "--seed", "x"],
+        ["rootsys", "info", "A2", "--bogus"],
+        ["--help"],
+        ["rd", "norms", "--help"],
+    ]
+    forward = [_outcome(capsys, argv) for argv in argvs]
+    assert [code for code, _, _ in forward].count(EXIT_OK) >= 30
+    backward = [_outcome(capsys, argv) for argv in reversed(argvs)][::-1]
+    for argv, one, other in zip(argvs, forward, backward):
+        assert one == other, argv
 
 
 _ONE_OF_EACH = """

@@ -90,6 +90,22 @@ def test_k0_rejects_non_idempotent():
         k0_class(bad_exact, alg)
 
 
+def test_k0_class_refuses_overlapping_rank_bands():
+    # at gap >= 1/2 the eigenvalue 0 also lies within gap of 1: diag(1, 0)
+    # read rank 1 exactly and rank 2 in floats, and a zero 1x1 block rank 1
+    alg = FDAlgebra((2,))
+    float_p = AlgebraElement.from_blocks(alg, [np.diag([1.0, 0.0])])
+    exact_p = AlgebraElement.from_blocks(alg, [[[F(1), F(0)], [F(0), F(0)]]])
+    for p in (float_p, exact_p):
+        assert k0_class(p, alg, gap=0.49).ranks == (1,)
+        for gap in (0.5, 1.0, float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match="below 1/2"):
+                k0_class(p, alg, gap=gap)
+    zero = FDAlgebra((1,))
+    with pytest.raises(ValidationError):
+        k0_class(AlgebraElement.from_blocks(zero, [np.zeros((1, 1))]), zero, gap=float("inf"))
+
+
 def test_rank_helpers_raise_on_ambiguity():
     with pytest.raises(NumericalAmbiguityError):
         _idempotent_eigen_rank(np.diag([1.0, 0.5]), gap=1e-6)

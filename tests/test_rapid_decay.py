@@ -117,6 +117,14 @@ def test_reduced_norm_requires_covering_radius():
     assert support_radius(normalize_function(F_TRIPLE, Z), Z) == 2
 
 
+def test_reduced_norm_checks_the_radius_before_the_function():
+    # the empty function has no support to cover, yet a negative radius is still refused
+    assert reduced_norm_truncated({}, Z, 0) == 0.0
+    for f in ({}, F_TRIPLE):
+        with pytest.raises(ValidationError, match="nonnegative finite"):
+            reduced_norm_truncated(f, Z, -1)
+
+
 def test_reduced_norm_monotone_and_below_l1():
     rng = np.random.default_rng(0)
     for _ in range(10):
