@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import dirac, ktheory, rapid_decay, repring, rootsys, spinmod
-from .errors import NumericalAmbiguityError, ValidationError
+from .errors import DeskScaleError, NumericalAmbiguityError, ValidationError
 from .jsonutil import finite_number, fr_str, load_json_file, parse_coords, parse_fr, vec_str
 
 EXIT_OK = 0
@@ -444,7 +444,11 @@ def _parse_matrix_entries(mat):
 
 
 def _load_spec(path: str, what: str, int_keys: tuple[str, ...], matrix_key: str) -> dict:
-    """A spec file of lists, one entry per block: int_keys (blocks first) hold integers."""
+    """A spec file of lists, one entry per block: int_keys (blocks first) hold integers.
+
+    The matrices are refused past K0_ENTRY_CAP entries in all, counted
+    from their list shapes before any entry is converted.
+    """
     spec = load_json_file(path, "spec file")
     if not isinstance(spec, dict):
         raise ValidationError(f"{what} spec must hold a JSON object")
@@ -454,6 +458,9 @@ def _load_spec(path: str, what: str, int_keys: tuple[str, ...], matrix_key: str)
             raise ValidationError(f"{what} spec needs '{key}' as a list" + (" of integers" if key in int_keys else ""))
         if len(val) != len(spec["blocks"]):
             raise ValidationError(f"{what} spec needs one '{key}' entry per block")
+    entries = sum(len(row) if isinstance(row, list) else 1 for m in spec[matrix_key] if isinstance(m, list) for row in m)
+    if entries > ktheory.K0_ENTRY_CAP:
+        raise DeskScaleError(f"{what} spec has {entries} matrix entries, over the desk-scale cap {ktheory.K0_ENTRY_CAP}")
     return spec
 
 
@@ -543,11 +550,12 @@ def _cmd_group_idempotent(args, cfg: Config) -> dict:
 
 def _rd_group(args):
     """The marked group of an rd subcommand, after checking that --s and
-    --radius, where given, are finite."""
+    --radius, where given, are finite and nonnegative: a norm that
+    does not read one of them still echoes it."""
     for name in ("s", "radius"):
         val = getattr(args, name, None)
-        if val is not None:
-            finite_number(val, f"--{name}")
+        if val is not None and finite_number(val, f"--{name}") < 0:
+            raise ValidationError(f"{name} must be a nonnegative finite number, got {val}")
     return rapid_decay.parse_group(args.group)
 
 

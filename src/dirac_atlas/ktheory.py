@@ -21,12 +21,15 @@ stack of |G| dense permutation matrices.
 Scalars are floating complex with tolerance TAU = 1e-9 for idempotency
 and equality; rank decisions use an explicit eigenvalue/singular-value
 gap and raise instead of guessing. Inputs with Fraction entries (or
-(re, im) Fraction pairs) take an exact Gaussian-rational path.
+(re, im) Fraction pairs) are exact: a block is stored as Gaussian-integer
+numerators N over one denominator d, it is idempotent iff the integer
+product N N equals d N, and then its rank is its trace.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +46,9 @@ RANK_GAP = 1e-6
 AMBIGUITY_FACTOR = 1000.0
 
 GROUP_ORDER_CAP = 1000
+# Matrix entries of one k0 spec, summed over its blocks; an exact square
+# block just under the cap is decided in a few seconds.
+K0_ENTRY_CAP = 40_000
 
 
 class FormalDifferenceWarning(UserWarning):
@@ -53,88 +59,51 @@ class FormalDifferenceWarning(UserWarning):
 # Exact Gaussian-rational matrices
 
 
-GaussianRational = tuple[Fraction, Fraction]
-
-
-def _gq(x) -> GaussianRational:
-    if isinstance(x, tuple) and len(x) == 2:
-        return (Fraction(x[0]), Fraction(x[1]))
-    if isinstance(x, (int, Fraction)):
-        return (Fraction(x), Fraction(0))
-    raise ValidationError(f"entry {x!r} is not a Gaussian rational")
-
-
-def _gq_mul(a: GaussianRational, b: GaussianRational) -> GaussianRational:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactMatrix:
-    """Square matrix over the Gaussian rationals."""
+    """Square matrix over the Gaussian rationals, (re + i im) / den.
 
-    rows: tuple[tuple[GaussianRational, ...], ...]
+    re and im are object arrays of Python integers and den is one
+    positive integer, the least common denominator of the entries, so
+    all arithmetic is exact integer arithmetic at any size.
+    """
+
+    re: np.ndarray
+    im: np.ndarray
+    den: int
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "ExactMatrix":
-        mat = tuple(tuple(_gq(x) for x in row) for row in rows)
-        if any(len(r) != len(mat) for r in mat):
+        """Entries are ints, Fractions or (re, im) pairs of them."""
+        pairs = [[x if isinstance(x, tuple) and len(x) == 2 else (x, 0) for x in row] for row in rows]
+        n = len(pairs)
+        if any(len(r) != n for r in pairs):
             raise ValidationError("exact matrices must be square")
-        return cls(mat)
+        flat = [q for row in pairs for pair in row for q in pair]
+        if not all(isinstance(q, (int, Fraction)) for q in flat):
+            raise ValidationError("exact entries must be integers, Fractions or (re, im) pairs of them")
+        den = math.lcm(*(q.denominator for q in flat))
+        nums = np.array([q.numerator * (den // q.denominator) for q in flat], dtype=object).reshape(n, n, 2)
+        return cls(re=nums[..., 0], im=nums[..., 1], den=den)
 
     @property
     def size(self) -> int:
-        return len(self.rows)
-
-    def mul(self, other: "ExactMatrix") -> "ExactMatrix":
-        n = self.size
-        z = (Fraction(0), Fraction(0))
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = z
-                for k in range(n):
-                    p = _gq_mul(self.rows[i][k], other.rows[k][j])
-                    acc = (acc[0] + p[0], acc[1] + p[1])
-                row.append(acc)
-            out.append(tuple(row))
-        return ExactMatrix(tuple(out))
+        return self.re.shape[0]
 
     def is_idempotent(self) -> bool:
-        return self.mul(self).rows == self.rows
+        """P^2 = P, as N N = den N for the numerators N = A + iB."""
+        a, b, d = self.re, self.im, self.den
+        return np.array_equal(a @ a - b @ b, d * a) and np.array_equal(a @ b + b @ a, d * b)
 
-    def rank(self) -> int:
-        """Exact rank by Gaussian elimination over Q(i)."""
-        rows = [list(r) for r in self.rows]
-        n = self.size
-        rank = 0
-        for col in range(n):
-            piv = next(
-                (r for r in range(rank, n) if rows[r][col] != (0, 0)),
-                None,
-            )
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            a, b = rows[rank][col]
-            den = a * a + b * b
-            inv = (a / den, -b / den)
-            rows[rank] = [_gq_mul(inv, x) for x in rows[rank]]
-            for r in range(n):
-                if r != rank and rows[r][col] != (0, 0):
-                    f = rows[r][col]
-                    rows[r] = [
-                        (x[0] - (y := _gq_mul(f, rows[rank][c]))[0], x[1] - y[1])
-                        for c, x in enumerate(rows[r])
-                    ]
-            rank += 1
-        return rank
+    def idempotent_rank(self) -> int:
+        """Rank of an idempotent: its trace, as its eigenvalues are 0 and 1.
 
-    def to_complex(self) -> np.ndarray:
-        return np.array(
-            [[float(a) + 1j * float(b) for a, b in row] for row in self.rows],
-            dtype=complex,
-        )
+        A matrix that is not idempotent is refused, so a trace is never
+        read as a rank.
+        """
+        if not self.is_idempotent():
+            raise ValidationError("element is not idempotent (exact check)")
+        return int(np.trace(self.re)) // self.den
 
 
 # ---------------------------------------------------------------------------
@@ -171,17 +140,8 @@ class AlgebraElement:
     def from_blocks(cls, algebra: FDAlgebra, blocks: Sequence) -> "AlgebraElement":
         if len(blocks) != algebra.k:
             raise ValidationError("one matrix per block required")
-
-        def exactable(b) -> bool:
-            if isinstance(b, (np.ndarray, ExactMatrix)):
-                return isinstance(b, ExactMatrix)
-            return all(
-                isinstance(x, (int, Fraction)) or (isinstance(x, tuple) and len(x) == 2)
-                for row in b
-                for x in row
-            )
-
-        exact = all(exactable(b) for b in blocks)
+        # one float array makes every block float
+        exact = not any(isinstance(b, np.ndarray) for b in blocks)
         converted: list[BlockMatrix] = []
         for b in blocks:
             if isinstance(b, ExactMatrix):
@@ -275,19 +235,6 @@ def singular_value_rank(mat: np.ndarray, gap: float = RANK_GAP) -> int:
     return int((svals >= hi).sum())
 
 
-def _check_idempotent(p: AlgebraElement, tol: float = TAU) -> None:
-    for mat in p.blocks:
-        if isinstance(mat, ExactMatrix):
-            if not mat.is_idempotent():
-                raise ValidationError("element is not idempotent (exact check)")
-        else:
-            err = float(np.max(np.abs(mat @ mat - mat))) if mat.size else 0.0
-            if err > tol:
-                raise ValidationError(
-                    f"element is not idempotent: max |p^2 - p| = {err:.3e} > {tol}"
-                )
-
-
 def k0_class(p: AlgebraElement, algebra: FDAlgebra, *, tol: float = TAU, gap: float = RANK_GAP) -> K0Class:
     """Class of an idempotent: the vector of per-block ranks.
 
@@ -298,14 +245,17 @@ def k0_class(p: AlgebraElement, algebra: FDAlgebra, *, tol: float = TAU, gap: fl
         raise ValidationError(f"rank gap must be below 1/2, got {gap}")
     if p.algebra != algebra:
         raise ValidationError("element does not belong to the algebra")
-    _check_idempotent(p, tol)
-    ranks = []
     for mat in p.blocks:
-        if isinstance(mat, ExactMatrix):
-            ranks.append(mat.rank())
-        else:
-            ranks.append(_idempotent_eigen_rank(mat, gap))
-    return K0Class(tuple(ranks))
+        if not isinstance(mat, ExactMatrix):
+            err = float(np.max(np.abs(mat @ mat - mat))) if mat.size else 0.0
+            if err > tol:
+                raise ValidationError(
+                    f"element is not idempotent: max |p^2 - p| = {err:.3e} > {tol}"
+                )
+    return K0Class(tuple(
+        mat.idempotent_rank() if isinstance(mat, ExactMatrix) else _idempotent_eigen_rank(mat, gap)
+        for mat in p.blocks
+    ))
 
 
 def homotopic(p: AlgebraElement, q: AlgebraElement, algebra: FDAlgebra) -> bool:
@@ -376,8 +326,7 @@ def fredholm_index(m: FredholmModule, algebra: FDAlgebra, gap: float = RANK_GAP)
         else:
             w = np.zeros((e1, cols), dtype=complex)
             if defect > 0:
-                basis = _cokernel_basis(u, defect, gap)
-                w[:, :defect] = basis
+                w[:, :defect] = _cokernel_basis(u, e1 - defect)
             stacked = np.hstack([u, w]) if cols else u
             r_full = singular_value_rank(stacked, gap)
             if r_full != e1:
@@ -389,18 +338,11 @@ def fredholm_index(m: FredholmModule, algebra: FDAlgebra, gap: float = RANK_GAP)
     return K0Class(tuple(ranks))
 
 
-def _cokernel_basis(u: np.ndarray, dim: int, gap: float) -> np.ndarray:
-    """Orthonormal basis of the left null space (cokernel) of u."""
-    e1 = u.shape[0]
+def _cokernel_basis(u: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal basis of the left null space (cokernel) of u, given its rank."""
     if u.size == 0:
-        full = np.eye(e1, dtype=complex)
-        return full[:, :dim]
-    uu, svals, _ = np.linalg.svd(u)
-    r = singular_value_rank(u, gap)
-    basis = uu[:, r:]
-    if basis.shape[1] < dim:
-        raise NumericalAmbiguityError("cokernel basis smaller than the rank defect")
-    return basis[:, :dim]
+        return np.eye(u.shape[0], dtype=complex)
+    return np.linalg.svd(u)[0][:, rank:]
 
 
 def pushforward(theta: Sequence[Sequence[int]], x: K0Class, src: FDAlgebra, dst: FDAlgebra) -> K0Class:

@@ -11,11 +11,13 @@ enumeration itself as a float bounding box plus float prefilter whose
 survivors an exact Fraction quadratic form decides, the pairwise check of a Z/2 root
 grading, the Freudenthal recursion over the candidate box between a
 highest weight and its antidominant image, the Cartan type matched
-against the standard matrices under every permutation, and the
-decomposition of a character by peeling off full irreducible characters.
+against the standard matrices under every permutation, the
+decomposition of a character by peeling off full irreducible characters,
+and the product and rank by Gaussian elimination of matrices over the
+Gaussian rationals Q(i), entries as (re, im) Fraction pairs.
 The package computes the same results on integers (or, for the
-decomposition, on dominant tables only); tests compare the two element
-by element.
+decomposition, on dominant tables only; for a rank, as the trace of an
+idempotent); tests compare the two element by element.
 """
 
 from __future__ import annotations
@@ -363,3 +365,51 @@ def decompose_peel(chi):
         out.append((repring.IrrLabel(mu), c))
     out.sort(key=lambda t: grlex_key(t[0].highest_weight))
     return out
+
+
+def gq_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def gq_matmul(x, y):
+    """Product of square matrices of (re, im) Fraction pairs."""
+    n = len(x)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            re = im = Fraction(0)
+            for k in range(n):
+                p = gq_mul(x[i][k], y[k][j])
+                re += p[0]
+                im += p[1]
+            row.append((re, im))
+        out.append(row)
+    return out
+
+
+def gq_rank(rows):
+    """Rank by Gauss-Jordan elimination over Q(i); entries are ints,
+    Fractions or (re, im) pairs of them."""
+    rows = [[(Fraction(x[0]), Fraction(x[1])) if isinstance(x, tuple) else (Fraction(x), Fraction(0)) for x in r]
+            for r in rows]
+    n = len(rows)
+    rank = 0
+    for col in range(n):
+        piv = next((r for r in range(rank, n) if rows[r][col] != (0, 0)), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        a, b = rows[rank][col]
+        den = a * a + b * b
+        inv = (a / den, -b / den)
+        rows[rank] = [gq_mul(inv, x) for x in rows[rank]]
+        for r in range(n):
+            if r != rank and rows[r][col] != (0, 0):
+                f = rows[r][col]
+                rows[r] = [
+                    (x[0] - (y := gq_mul(f, rows[rank][c]))[0], x[1] - y[1])
+                    for c, x in enumerate(rows[r])
+                ]
+        rank += 1
+    return rank

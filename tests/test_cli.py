@@ -16,6 +16,7 @@ import jsonschema
 import pytest
 
 from dirac_atlas.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, SCHEMAS, main
+from dirac_atlas.ktheory import K0_ENTRY_CAP
 
 
 def run_cli(capsys, *argv):
@@ -354,6 +355,9 @@ def test_flags_override_the_config(capsys, tmp_path):
     [
         ["rd", "norms", "--group", "z", "--s", "1", "--radius", "-5"],
         ["rd", "probe-unconditional", "--group", "z", "--norm", "reduced_truncated", "--radius", "-3", "--seed", "1"],
+        # l1 reads neither --radius nor --s, yet echoes both
+        ["rd", "probe-unconditional", "--group", "z", "--norm", "l1", "--radius", "-3", "--trials", "2", "--seed", "1"],
+        ["rd", "probe-unconditional", "--group", "z", "--norm", "l1", "--s", "-4", "--trials", "2", "--seed", "1"],
     ],
 )
 @pytest.mark.parametrize("items", [[], [{"g": [1], "re": 1.0}]])
@@ -361,11 +365,15 @@ def test_rd_negative_radius_refused(capsys, tmp_path, argv, items):
     f = tmp_path / "f.json"
     f.write_text(json.dumps(items))
     code, out, err = run_cli(capsys, *argv, "--input", str(f))
+    negative = next(i for i, a in enumerate(argv) if a[:1] == "-" and a[1:].isdigit())
+    name = argv[negative - 1].lstrip("-")
     assert code == EXIT_VALIDATION and out == ""
-    assert err.startswith("error: radius must be a nonnegative finite number") and err.count("\n") == 1
+    assert err.startswith(f"error: {name} must be a nonnegative finite number") and err.count("\n") == 1
 
 
 _MALFORMED = '{"blocks": [1], "matrices": '
+_CAP_SIDE = math.isqrt(K0_ENTRY_CAP)
+assert _CAP_SIDE**2 == K0_ENTRY_CAP
 _DELTA = '[{"g": [0], "re": 1.0}]'
 
 
@@ -433,6 +441,12 @@ _DELTA = '[{"g": [0], "re": 1.0}]'
         (["rootsys", "info", "A1", "--config", "{cfg}"], {"cfg": '{"rank_gap": 1e400}'}),
         # the config is checked before the flags are laid over it
         (["rootsys", "info", "A1", "--format", "json", "--config", "{cfg}"], {"cfg": '{"format": "xml"}'}),
+        # valid zero specs with one matrix entry over the cap (a square block
+        # at the cap and a 1x1 block)
+        (["k0", "class", "--spec", "{spec}"], {"spec": json.dumps(
+            {"blocks": [_CAP_SIDE, 1], "matrices": [[[0] * _CAP_SIDE] * _CAP_SIDE, [[0]]]})}),
+        (["k0", "index", "--spec", "{spec}"], {"spec": json.dumps(
+            {"blocks": [1, 1], "e0": [_CAP_SIDE, 1], "e1": [_CAP_SIDE, 1], "u": [[[0] * _CAP_SIDE] * _CAP_SIDE, [[0]]]})}),
     ],
 )
 def test_file_json_and_config_errors_exit_2(capsys, tmp_path, argv, files):
