@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import dirac, ktheory, rapid_decay, repring, rootsys, spinmod
 from .errors import DeskScaleError, NumericalAmbiguityError, ValidationError
-from .jsonutil import finite_number, fr_str, load_json_file, parse_coords, parse_fr, vec_str
+from .jsonutil import finite_number, fr_str, load_json_file, parse_coords, parse_fr, render_json, vec_str
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -92,7 +91,7 @@ def _parse_weight_arg(text: str):
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(render_json(payload))
         return
     for key in sorted(payload):
         val = payload[key]
@@ -745,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.schema:
-        print(json.dumps(SCHEMAS[f"{args.command}.{args.subcommand}"], indent=2, sort_keys=True))
+        print(render_json(SCHEMAS[f"{args.command}.{args.subcommand}"]))
         return EXIT_OK
     try:
         cfg = load_config(args.config, args)

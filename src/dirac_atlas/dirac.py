@@ -16,8 +16,10 @@ pairings of the g system (rootsys.IntegralForm). Enumeration walks the
 integral weights mu in an int64 box whose half-widths come from the
 simple root lengths: weights are scaled by the denominator of rho_K, and
 the ball, K-dominance and regularity tests and the sort are integer
-operations. Fractions appear only where parameters are built and
-rendered, by the one constructor dirac_induct also uses.
+operations. The pairings of the regularity test give the signed traces
+and chamber ids of the whole batch, through the same kernels that
+trace_product and chamber_of run on one weight. Fractions appear only
+where parameters are built and rendered.
 """
 
 from __future__ import annotations
@@ -104,22 +106,48 @@ def _degree_root_index(pair: RealPair, degree_roots: str) -> tuple[int, ...]:
     return pair.g.integral.simple_index
 
 
+def _trace_products(pairings: np.ndarray, den: int, pair: RealPair, degree_roots: str) -> list[Fraction]:
+    """Signed traces of the regular weights whose (lambda, a) are the rows of pairings / den.
+
+    pairings is an integer array (int64 or object) with one column per
+    positive root of g. Each trace is the exact Python-int product over
+    the degree-root columns, against rho's pairings computed once.
+    """
+    idx = list(_degree_root_index(pair, degree_roots))
+    rho_p, rho_d = pair.g.integral.pairings(pair.g.rho)
+    num_scale = rho_d ** len(idx)
+    den_all = math.prod(rho_p[j] for j in idx) * den ** len(idx)
+    return [Fraction(math.prod(row) * num_scale, den_all) for row in pairings[:, idx].tolist()]
+
+
+def _chamber_ids(pairings: np.ndarray, rs: RootSystem) -> list[int]:
+    """Chamber ids of regular weights from their pairings with rs's positive roots.
+
+    The sign pattern of each row, one byte per root, is looked up in
+    RootSystem.chambers.
+    """
+    signs = np.asarray(pairings > 0, dtype=bool)
+    keys, m = signs.tobytes(), signs.shape[1]
+    chambers = rs.chambers
+    return [chambers[keys[i * m : (i + 1) * m]] for i in range(len(signs))]
+
+
+def _regular_pairings(lam: Weight, rs: RootSystem, what: str) -> tuple[np.ndarray, int]:
+    """lam's pairings with rs's positive roots as a one-row object array, and their denominator."""
+    p, den = rs.integral.pairings(lam)
+    if 0 in p:
+        raise ValidationError(what)
+    return np.array([p], dtype=object), den
+
+
 def trace_product(lam: Weight, pair: RealPair, degree_roots: str = "positive") -> Fraction:
     """Signed product of (lambda, a)/(rho, a) over the configured roots.
 
     Requires lambda regular for g; the absolute value is the formal
     degree. Exact rational, invariant under rescaling the form.
     """
-    g = pair.g
-    lam_p, lam_d = g.integral.pairings(lam)
-    if 0 in lam_p:
-        raise ValidationError("parameter is singular for g")
-    rho_p, rho_d = g.integral.pairings(g.rho)
-    num = den = 1
-    for j in _degree_root_index(pair, degree_roots):
-        num *= lam_p[j] * rho_d
-        den *= rho_p[j] * lam_d
-    return Fraction(num, den)
+    p, den = _regular_pairings(lam, pair.g, "parameter is singular for g")
+    return _trace_products(p, den, pair, degree_roots)[0]
 
 
 def formal_degree(lam: Weight, pair: RealPair, degree_roots: str = "positive") -> Fraction:
@@ -134,22 +162,19 @@ def chamber_of(lam: Weight, rs: RootSystem) -> int:
     the longest element. Looked up by the sign pattern of lam against
     the positive roots (see RootSystem.chambers).
     """
-    p, _ = rs.integral.pairings(lam)
-    if 0 in p:
-        raise ValidationError("singular weight lies on a chamber wall")
-    return rs.chambers[bytes(x > 0 for x in p)]
+    p, _ = _regular_pairings(lam, rs, "singular weight lies on a chamber wall")
+    return _chamber_ids(p, rs)[0]
 
 
-def _parameter(lam: Weight, pair: RealPair, degree_roots: str) -> DiscreteSeriesParameter:
-    """The parameter at a regular lambda whose minimal K-type is lambda - rho_K."""
-    signed = trace_product(lam, pair, degree_roots)
+def _parameter(lam: Weight, mu: Weight, signed: Fraction, chamber_id: int, pair: RealPair) -> DiscreteSeriesParameter:
+    """The parameter at lambda with minimal K-type mu; its formal degree is |signed|."""
     return DiscreteSeriesParameter(
         lam=lam,
-        min_k_type=IrrLabel(wsub(lam, pair.k.rho)),
+        min_k_type=IrrLabel(mu),
         formal_degree=abs(signed),
         signed_trace=signed,
         pair=pair,
-        chamber_id=chamber_of(lam, pair.g),
+        chamber_id=chamber_id,
     )
 
 
@@ -169,7 +194,8 @@ def dirac_induct(v, pair: RealPair, degree_roots: str = "positive") -> Induction
     lam = wadd(hw, pair.k.rho)
     if not is_regular(lam, pair.g):
         return InductionResult(exclusion=EXCLUSION_SINGULAR)
-    return InductionResult(parameter=_parameter(lam, pair, degree_roots))
+    signed = trace_product(lam, pair, degree_roots)
+    return InductionResult(parameter=_parameter(lam, wsub(lam, pair.k.rho), signed, chamber_of(lam, pair.g), pair))
 
 
 def _box_ranges(pair: RealPair, bound: Fraction) -> list[range]:
@@ -190,15 +216,17 @@ def _box_ranges(pair: RealPair, bound: Fraction) -> list[range]:
     return ranges
 
 
-def _lattice_box(pair: RealPair, bound: Fraction) -> tuple[np.ndarray, int]:
-    """The parameters lambda in the ball, as distinct integer rows D * lambda, and D.
+def _lattice_box(pair: RealPair, bound: Fraction) -> tuple[np.ndarray, np.ndarray, int]:
+    """The parameters lambda in the ball: distinct integer rows D * lambda, their pairings, and D.
 
     These are the lambda = mu + rho_K with (lambda, lambda) <= bound, for
     a nonnegative bound, mu integral and K-dominant (so K-integral: the
     coroots of K are coroots of g), and lambda regular for g. D is the
     denominator of rho_K, so one step along an axis adds D; every test
-    is exact int64 arithmetic, over slabs of the first coordinate. A box
-    above LATTICE_BOX_CAP points is refused before any work.
+    is exact int64 arithmetic, over slabs of the first coordinate. The
+    pairings D L (lambda, a) with the positive roots a of g, computed for
+    the regularity test, are kept row by row. A box above LATTICE_BOX_CAP
+    points is refused before any work.
     """
     g, k = pair.g, pair.k
     n = g.rank
@@ -237,6 +265,7 @@ def _lattice_box(pair: RealPair, bound: Fraction) -> tuple[np.ndarray, int]:
     first = np.arange(ranges[0].start, ranges[0].stop, dtype=np.int64)
     per_slab = max(1, _SLAB_POINTS // len(rest))
     kept = [np.zeros((0, n), dtype=np.int64)]
+    kept_pairings = [np.zeros((0, form.fr.shape[1]), dtype=np.int64)]
     for start in range(0, len(first), per_slab):
         c0 = first[start : start + per_slab, None]
         # the norm test comes first, so only points in the ball are paired
@@ -244,14 +273,15 @@ def _lattice_box(pair: RealPair, bound: Fraction) -> tuple[np.ndarray, int]:
         if not slab.size:
             continue
         lam = rest[row] + c0[slab] * lat[0]
-        dominant = ((lam - shift) @ k_coroots >= 0).all(axis=1)
-        regular = (lam @ form.fr != 0).all(axis=1)
-        kept.append(lam[dominant & regular])
+        pairings = lam @ form.fr
+        keep = ((lam - shift) @ k_coroots >= 0).all(axis=1) & (pairings != 0).all(axis=1)
+        kept.append(lam[keep])
+        kept_pairings.append(pairings[keep])
         if sum(map(len, kept)) > ENUMERATION_OUTPUT_CAP:
             raise DeskScaleError(
                 f"enumeration would exceed the cap of {ENUMERATION_OUTPUT_CAP} parameters; lower the bound"
             )
-    return np.concatenate(kept), den
+    return np.concatenate(kept), np.concatenate(kept_pairings), den
 
 
 def enumerate_discrete_series(
@@ -262,19 +292,27 @@ def enumerate_discrete_series(
     K-types run over the integer-coordinate weight lattice (the
     double-cover lattice where the catalog K-lattice is coarser),
     restricted to the K-dominant cone. Sorted by (norm, graded-lex) on
-    the integer rows D * lambda, then built like dirac_induct's.
+    the integer rows D * lambda. Signed traces and chamber ids come from
+    the box's pairings by the kernels of trace_product and chamber_of,
+    and each distinct coordinate numerator becomes one Fraction.
     """
     bound = Fraction(bound)
     if bound < 0:
         raise ValidationError("bound must be nonnegative")
     if not pair.equal_rank or pair.parity == 1:
         return []
-    rows, den = _lattice_box(pair, bound)
-    norm = np.einsum("ij,jk,ik->i", rows, pair.g.integral.gram, rows)
+    rows, pairings, den = _lattice_box(pair, bound)
+    form = pair.g.integral
+    norm = np.einsum("ij,jk,ik->i", rows, form.gram, rows)
     order = np.lexsort((*rows.T[::-1], rows.sum(axis=1), norm))
+    rows, pairings = rows[order], pairings[order]
+    mus = rows - np.array(integer_coords(pair.k.rho)[0], dtype=np.int64)
+    coord = {c: Fraction(c, den) for c in set(np.concatenate((rows, mus), axis=None).tolist())}
+    signed = _trace_products(pairings, den * form.scale, pair, degree_roots)
+    chambers = _chamber_ids(pairings, pair.g)
     return [
-        _parameter(tuple(Fraction(c, den) for c in row), pair, degree_roots)
-        for row in rows[order].tolist()
+        _parameter(tuple(map(coord.__getitem__, lam)), tuple(map(coord.__getitem__, mu)), s, c, pair)
+        for lam, mu, s, c in zip(rows.tolist(), mus.tolist(), signed, chambers)
     ]
 
 

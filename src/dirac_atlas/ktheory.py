@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import NumericalAmbiguityError, ValidationError
+from .errors import DeskScaleError, NumericalAmbiguityError, ValidationError
 
 TAU = 1e-9
 RANK_GAP = 1e-6
@@ -49,6 +49,12 @@ GROUP_ORDER_CAP = 1000
 # Matrix entries of one k0 spec, summed over its blocks; an exact square
 # block just under the cap is decided in a few seconds.
 K0_ENTRY_CAP = 40_000
+# Complex entries fredholm_index may build for one module, counted from
+# the shapes before any work: per block with e1 > 0, the e1 x e1 SVD
+# factor of u (or identity, when u is empty), its e0 x e0 factor, and the
+# e1 x (e0 + cols) completed operator. An empty u with e1 = 1000, at the
+# cap, is decided in about 1.2 s cold on a shared 2-vCPU VM.
+K0_INDEX_WORK_CAP = 2_000_000
 
 
 class FormalDifferenceWarning(UserWarning):
@@ -206,9 +212,10 @@ def _idempotent_eigen_rank(mat: np.ndarray, gap: float) -> int:
     """
     if mat.size == 0:
         return 0
-    evals = np.linalg.eigvals(mat)
-    near0 = np.abs(evals) <= gap
-    near1 = np.abs(evals - 1) <= gap
+    with np.errstate(all="ignore"):
+        evals = np.linalg.eigvals(mat)
+        near0 = np.abs(evals) <= gap
+        near1 = np.abs(evals - 1) <= gap
     if not np.all(near0 | near1):
         stray = evals[~(near0 | near1)]
         raise NumericalAmbiguityError(
@@ -247,8 +254,9 @@ def k0_class(p: AlgebraElement, algebra: FDAlgebra, *, tol: float = TAU, gap: fl
         raise ValidationError("element does not belong to the algebra")
     for mat in p.blocks:
         if not isinstance(mat, ExactMatrix):
-            err = float(np.max(np.abs(mat @ mat - mat))) if mat.size else 0.0
-            if err > tol:
+            with np.errstate(all="ignore"):  # an overflow shows as an inf or nan error, refused below
+                err = float(np.max(np.abs(mat @ mat - mat))) if mat.size else 0.0
+            if not err <= tol:
                 raise ValidationError(
                     f"element is not idempotent: max |p^2 - p| = {err:.3e} > {tol}"
                 )
@@ -309,9 +317,17 @@ def fredholm_index(m: FredholmModule, algebra: FDAlgebra, gap: float = RANK_GAP)
     complete u to a surjection onto E1 (columns chosen from the left
     null space of u), then return [ker(u, w)] - [A^n]. Always defined
     in finite dimension and must agree with the kernel/cokernel count.
+    Refused past K0_INDEX_WORK_CAP, counted from the shapes, before any SVD.
     """
     if len(m.e0) != algebra.k:
         raise ValidationError("module shape does not match the algebra")
+    # at most n_free = max ceil(e1 / n) free copies, when every u has rank 0
+    n_free = max((-(-e1 // n) for e1, n in zip(m.e1, algebra.blocks)), default=0)
+    work = sum(e0 * e0 + e1 * e1 + e1 * (e0 + n_free * n) for e0, e1, n in zip(m.e0, m.e1, algebra.blocks) if e1)
+    if work > K0_INDEX_WORK_CAP:
+        raise DeskScaleError(
+            f"k0 index would build {work} matrix entries, over the desk-scale cap {K0_INDEX_WORK_CAP}"
+        )
     defects = []
     for e1, u, n in zip(m.e1, m.u, algebra.blocks):
         r = singular_value_rank(u, gap)

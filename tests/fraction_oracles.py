@@ -241,7 +241,7 @@ def enumerate_by_induction(pair, bound, degree_roots="positive"):
     sorted and built on integers."""
     if not pair.equal_rank or pair.parity == 1:
         return []
-    rows, den = _lattice_box(pair, Fraction(bound))
+    rows, _, den = _lattice_box(pair, Fraction(bound))
     out = []
     for row in rows.tolist():
         res = dirac_induct(wsub(tuple(Fraction(c, den) for c in row), pair.k.rho), pair, degree_roots)

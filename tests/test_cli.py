@@ -1,6 +1,7 @@
 """CLI contract tests: examples, determinism, exit codes, schemas."""
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import math
@@ -16,7 +17,8 @@ import jsonschema
 import pytest
 
 from dirac_atlas.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, SCHEMAS, main
-from dirac_atlas.ktheory import K0_ENTRY_CAP
+from dirac_atlas.ktheory import K0_ENTRY_CAP, K0_INDEX_WORK_CAP
+from dirac_atlas.spinmod import catalog_names, get_pair
 
 
 def run_cli(capsys, *argv):
@@ -374,6 +376,9 @@ def test_rd_negative_radius_refused(capsys, tmp_path, argv, items):
 _MALFORMED = '{"blocks": [1], "matrices": '
 _CAP_SIDE = math.isqrt(K0_ENTRY_CAP)
 assert _CAP_SIDE**2 == K0_ENTRY_CAP
+# e1 of an empty u whose identity and completed operator (2 e1^2 entries) fill the work cap
+_WORK_SIDE = math.isqrt(K0_INDEX_WORK_CAP // 2)
+assert 2 * _WORK_SIDE**2 == K0_INDEX_WORK_CAP
 _DELTA = '[{"g": [0], "re": 1.0}]'
 
 
@@ -447,6 +452,11 @@ _DELTA = '[{"g": [0], "re": 1.0}]'
             {"blocks": [_CAP_SIDE, 1], "matrices": [[[0] * _CAP_SIDE] * _CAP_SIDE, [[0]]]})}),
         (["k0", "index", "--spec", "{spec}"], {"spec": json.dumps(
             {"blocks": [1, 1], "e0": [_CAP_SIDE, 1], "e1": [_CAP_SIDE, 1], "u": [[[0] * _CAP_SIDE] * _CAP_SIDE, [[0]]]})}),
+        # k0 index specs of no entries whose SVDs and completed operator pass the work cap:
+        # just over it, and the e1 = 2000 spec that took 6.6 s and 219 MB without the cap
+        (["k0", "index", "--spec", "{spec}"], {"spec": json.dumps(
+            {"blocks": [1], "e0": [0], "e1": [_WORK_SIDE + 1], "u": [[]]})}),
+        (["k0", "index", "--spec", "{spec}"], {"spec": '{"blocks": [1], "e0": [0], "e1": [2000], "u": [[]]}'}),
     ],
 )
 def test_file_json_and_config_errors_exit_2(capsys, tmp_path, argv, files):
@@ -754,3 +764,52 @@ def test_cold_run_imports_neither_scipy_nor_numpy_ma(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+# sha256 of the stdout of `ds enumerate --pair P --bound B --degree-roots R`,
+# recorded before the enumeration was built as one batched integer pass:
+# every equal-rank catalog pair at bound 30 under both degree-root choices,
+# and compact_d4 at bound 150 (610 parameters).
+ENUMERATE_DIGESTS = {
+    ("compact_a1", "30", "positive"): "e05a8e91926a8a6a08e7e64e1ada00521b5778672cc919853304a41e19f3ca26",
+    ("compact_a1", "30", "simple"): "68c4830c2c9a16919d9a62aac59e9c52ef16f7ca0f43733cdb8023db7b49bd35",
+    ("compact_a2", "30", "positive"): "1ae5b94d8bf6dc1bb7e99d7454964e72417ccc08eedc12e40cb2deb2aea55dd6",
+    ("compact_a2", "30", "simple"): "a6df110018e9307a13aa35ecb29d3b0dfb4e9ae4e5097d35da75a0938287d775",
+    ("compact_a3", "30", "positive"): "07e0c79611aeed605f10359c3b2966fbc3c5541517025dcd504d80c663afa91b",
+    ("compact_a3", "30", "simple"): "0cfe83c460583ce22f02a11a875dc5e92fbf01090e21e7aff6f2cd5b08db13f2",
+    ("compact_a4", "30", "positive"): "f1ebc76846a659dcfdc8c163d69d0194309db83edf4a0c776218476cabd97c13",
+    ("compact_a4", "30", "simple"): "8423ec7fcc6235f3b77ec16fedb956decbe2e1799b7275f250a2b81d1a47c828",
+    ("compact_b2", "30", "positive"): "5c7d9179f42379b0a7f9c983e766f4650d4b8ed42b21923c8843d330dd285201",
+    ("compact_b2", "30", "simple"): "dbe720d90f824d078520818c2dd4dd7bb839a5e8796b466ee2e3d374dbd452ea",
+    ("compact_b3", "30", "positive"): "35b9a19640fa779d911167a4fc828c83630da45a3db137e3da0e821b7937d783",
+    ("compact_b3", "30", "simple"): "59880c09ccd76268ad58741933356383e36150404db4814b4872725deefa98e4",
+    ("compact_b4", "30", "positive"): "37bfe9a37188f646183d547a640dd0d216b8c348b28a35bb9046a802aaf5e4ae",
+    ("compact_b4", "30", "simple"): "a58abd33214ee645834081a49548e02476605d3b5d785e42d1ac49a90a5fc421",
+    ("compact_c2", "30", "positive"): "f77e814a05d531e6a3810f1eec21c9f78716ab70630fec2ec362d2bbe941fa41",
+    ("compact_c2", "30", "simple"): "27d0e3ce5840b674d8565294f67cf9810a1e6d58f149394f36e0f401ed207a38",
+    ("compact_c3", "30", "positive"): "6dc5754413c4ed25712b5b5a54e6663aa5b19feb11e07a7e1d97d6fa34d7ea72",
+    ("compact_c3", "30", "simple"): "0881adaffd4b34ffc5f2f38433094cb93bfea9291b7129475c5eae17adb1ce98",
+    ("compact_c4", "30", "positive"): "169517d641f70f10e83ca70f9cbbe083a496d71b7ac3624c58504e740f04f5fe",
+    ("compact_c4", "30", "simple"): "b9193f3bd1073418ffcc914bfadac7b0252c75d0b260cdd64545dd7793bbd2af",
+    ("compact_d4", "30", "positive"): "e038ef1f4a878a4e3346448246fc7681683572f55b076da7cd2f7833329cbeb0",
+    ("compact_d4", "30", "simple"): "dce293beb2a70ddfac684effd228ff5f52d4e618c86dcb12c80f141663538224",
+    ("compact_f4", "30", "positive"): "382b9676b04fb946f3884f6dd091f566b1f63d8d1d7ee547fe86c291e3ef36f8",
+    ("compact_f4", "30", "simple"): "d6b75f71e8351ab7ad8ad9da58fce4800648e6834f66495bbb25603203ae09e6",
+    ("compact_g2", "30", "positive"): "c53345174a6c1c01f2bffd3f9e3768ac17326225d09cc888a14e6db5afc047f3",
+    ("compact_g2", "30", "simple"): "26e15b12fff5f82799bb76677329dbaa1f4aee29b8e6110b1523d78806eaa1f4",
+    ("sl2r", "30", "positive"): "3e7091fdc5dfbd4a19e9cfe9e090ad72ac90bc4bfce62714ab1d960720f0e138",
+    ("sl2r", "30", "simple"): "9369434a2a879272dfa6b38c3a3c2181382b31ec54c9772f06bec8531b01278d",
+    ("sp4r", "30", "positive"): "c4b571bf54ec876cb369e11e22500269eb82cd0d6ac471c946265fd912075da6",
+    ("sp4r", "30", "simple"): "60bb52f140974c4f4ad5fa7ae65f9348f4e02901bd001a793576ef818570873e",
+    ("su21", "30", "positive"): "44e459d4616e7f6b42dc3218c160987473e12c912b665bbaf1d781754a9fcbcf",
+    ("su21", "30", "simple"): "d589a373115382a4fa90d4d0cdacda12d9af563d1e796aa96d0d5f140f4129b0",
+    ("compact_d4", "150", "positive"): "ce3e0882c011ad5915ebbd4ea325c0bf61b5e8adeab4c9802b304dc330c27039",
+}
+
+
+def test_enumerate_output_is_byte_identical_to_the_recorded_digests(capsys):
+    equal_rank = {name for name in catalog_names() if get_pair(name).equal_rank}
+    assert {pair for pair, _, _ in ENUMERATE_DIGESTS} == equal_rank
+    for (pair, bound, roots), digest in ENUMERATE_DIGESTS.items():
+        out = run_cli(capsys, "ds", "enumerate", "--pair", pair, "--bound", bound, "--degree-roots", roots)[1]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (pair, bound, roots)

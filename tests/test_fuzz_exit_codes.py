@@ -11,6 +11,10 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -121,6 +125,29 @@ def test_input_files_exit_0_2_or_3_without_traceback(target, tmp_path_factory):
             assert message.count("\n") == 1 and out.getvalue() == "", message
 
     run()
+
+
+# Float k0 class specs whose p @ p overflows; the first was drawn by the
+# test above, the second makes the error nan. In a plain interpreter
+# numpy would print a RuntimeWarning, with its source line, for each
+# overflow; pytest records warnings instead, so these run as a process.
+OVERFLOWING_SPECS = [
+    {"blocks": [2], "matrices": [[[-134372.63867525104, 1.0], ["1/2", 1e300]]]},
+    {"blocks": [2], "matrices": [[[1e300, 1e300], [1e300, [0, 1e300]]]]},
+]
+
+
+@pytest.mark.parametrize("spec", OVERFLOWING_SPECS)
+def test_overflowing_float_spec_exits_2_with_one_stderr_line(spec, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "dirac_atlas.cli", "k0", "class", "--spec", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: element is not idempotent"), proc.stderr
 
 
 # --- argv values -------------------------------------------------------------

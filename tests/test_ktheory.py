@@ -1,5 +1,6 @@
 """K0, Fredholm index, Wedderburn, and group-algebra idempotent tests."""
 
+import math
 import time
 import warnings
 from fractions import Fraction as F
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 import fraction_oracles as oracle
 import wedderburn_reference
-from dirac_atlas.errors import NumericalAmbiguityError, ValidationError
+from dirac_atlas.errors import DeskScaleError, NumericalAmbiguityError, ValidationError
 from dirac_atlas.ktheory import (
+    K0_INDEX_WORK_CAP,
     TAU,
     AlgebraElement,
     ExactMatrix,
@@ -247,6 +249,23 @@ def test_index_empty_modules():
     assert fredholm_index(m, alg).ranks == (-3,)
     m2 = FredholmModule.build([3], [0], [np.zeros((0, 3))])
     assert fredholm_index(m2, alg).ranks == (3,)
+
+
+def test_index_work_cap_counts_the_built_matrices():
+    # an empty u: the e1 x e1 identity and the e1 x e1 completed operator
+    side = math.isqrt(K0_INDEX_WORK_CAP // 2)
+    assert 2 * side * side == K0_INDEX_WORK_CAP
+    alg = FDAlgebra((1,))
+    assert fredholm_index(FredholmModule.build([0], [side], [np.zeros((side, 0))]), alg).ranks == (-side,)
+    with pytest.raises(DeskScaleError, match="over the desk-scale cap"):
+        fredholm_index(FredholmModule.build([0], [side + 1], [np.zeros((side + 1, 0))]), alg)
+    # one row of u: its e0 x e0 right SVD factor
+    wide = side * side
+    with pytest.raises(DeskScaleError, match="over the desk-scale cap"):
+        fredholm_index(FredholmModule.build([wide], [1], [np.zeros((1, wide))]), alg)
+    # one free copy of a huge block: its columns in the completed operator
+    with pytest.raises(DeskScaleError, match="over the desk-scale cap"):
+        fredholm_index(FredholmModule.build([0], [1], [np.zeros((1, 0))]), FDAlgebra((10**9,)))
 
 
 def random_module(rng):
