@@ -55,6 +55,16 @@ K0_ENTRY_CAP = 40_000
 # e1 x (e0 + cols) completed operator. An empty u with e1 = 1000, at the
 # cap, is decided in about 1.2 s cold on a shared 2-vCPU VM.
 K0_INDEX_WORK_CAP = 2_000_000
+# Cost of the exact idempotency check in limb products, summed over the
+# blocks of one spec (see exact_work). It admits an integer 200x200 block
+# of entries below 2^31, the largest block under K0_ENTRY_CAP. Near the
+# cap, from that block to a 4x4 block of 190 000-bit numerators, the four
+# products take 2.4-4.0 s in process on a shared 2-vCPU VM.
+K0_EXACT_WORK_CAP = 64_000_000
+# Interpreter overhead of one object multiply-add, in limb products; with
+# it, blocks of one-limb and of long entries near the cap take about the
+# same time.
+_PRODUCT_OVERHEAD = 7
 
 
 class FormalDifferenceWarning(UserWarning):
@@ -112,6 +122,24 @@ class ExactMatrix:
         return int(np.trace(self.re)) // self.den
 
 
+def exact_work(rows: Sequence[Sequence]) -> float:
+    """Cost of deciding one exact n x n block, counted before any lcm.
+
+    The numerators N = d P are at most b bits long, with b the bits of
+    the distinct denominators (which bound the bits of their lcm d)
+    plus those of the largest numerator. The check N N = d N makes n^3
+    products of such integers, each about l^log2(3) products of 32-bit
+    limbs for l = ceil(b / 32) limbs (Karatsuba), plus the interpreter's
+    overhead. Entries other than integers and Fractions are left to
+    ExactMatrix.from_rows to refuse.
+    """
+    parts = [q for row in rows for x in row for q in (x if isinstance(x, tuple) else (x,))]
+    parts = [q for q in parts if isinstance(q, (int, Fraction))]
+    bits = sum(d.bit_length() for d in {q.denominator for q in parts})
+    bits += max((abs(q.numerator).bit_length() for q in parts), default=0)
+    return len(rows) ** 3 * (math.ceil(bits / 32) ** math.log2(3) + _PRODUCT_OVERHEAD)
+
+
 # ---------------------------------------------------------------------------
 # Algebras, elements, K0
 
@@ -148,6 +176,12 @@ class AlgebraElement:
             raise ValidationError("one matrix per block required")
         # one float array makes every block float
         exact = not any(isinstance(b, np.ndarray) for b in blocks)
+        if exact:
+            work = sum(exact_work(b) for b in blocks if not isinstance(b, ExactMatrix))
+            if work > K0_EXACT_WORK_CAP:
+                raise DeskScaleError(
+                    f"exact spec needs about {math.ceil(work)} limb products, over the desk-scale cap {K0_EXACT_WORK_CAP}"
+                )
         converted: list[BlockMatrix] = []
         for b in blocks:
             if isinstance(b, ExactMatrix):

@@ -2,8 +2,12 @@
 
 A virtual character is a finite weight -> integer multiplicity map over
 a fixed ambient root system (the system of K, possibly a subsystem of a
-larger one sharing its coordinates). Irreducible characters come from
-highest weights via the Freudenthal multiplicity recursion, run on
+larger one sharing its coordinates). It keys its weights by integer
+numerator tuples over one denominator (1 on standalone types, 2 for the
+half-integral weights of spin modules), so sums, products, duals, the
+Weyl-invariance check and the decomposition run on integers; Fraction
+weights are made only where a caller reads them. Irreducible characters
+come from highest weights via the Freudenthal multiplicity recursion, run on
 integer numerators over one denominator: the dominant weights are found
 by descent from the highest weight, each multiplicity is computed once
 per dominant weight, and the Weyl orbits are expanded only at the end,
@@ -20,29 +24,31 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DeskScaleError, ValidationError
 from .jsonutil import vec_str
 from .rootsys import (
     RootSystem,
     Weight,
+    _bilinear,
     _dots,
+    _orbit_numerators,
     check_dim,
     check_dominant_integral,
     grlex_key,
     inner,
     integer_coords,
-    is_dominant,
     make_dominant,
     orbit_size,
     rootsys_to_json,
     wadd,
     weight,
     weyl_orbit,
-    wneg,
     wzero,
 )
 
@@ -64,30 +70,49 @@ class IrrLabel(NamedTuple):
 class VirtualCharacter:
     """Finite-support weight -> multiplicity map; element of R(K).
 
-    terms never stores zero multiplicities. Instances are treated as
-    immutable; ambient systems compare by identity.
+    A weight w is stored as the integer numerators of w over one
+    positive denominator den, the LCD of the whole support (1 for the
+    empty character), so equal characters have equal fields. nums never
+    stores zero multiplicities. terms is the same map keyed by Fraction
+    weights, built on first access. Instances are treated as immutable;
+    ambient systems compare by identity.
     """
 
     ambient: RootSystem
-    terms: dict
+    nums: dict
+    den: int
 
     def __post_init__(self):
-        if any(m == 0 for m in self.terms.values()):
+        if 0 in self.nums.values():
             raise AssertionError("zero multiplicities must be dropped on construction")
+
+    @functools.cached_property
+    def terms(self) -> Mapping[Weight, int]:
+        """Read-only weight -> multiplicity map with Fraction weights."""
+        fr = {c: Fraction(c, self.den) for c in {c for w in self.nums for c in w}}
+        return MappingProxyType({tuple(map(fr.__getitem__, w)): m for w, m in self.nums.items()})
+
+    def _rescaled(self, den: int) -> dict:
+        """nums over den, a multiple of self.den."""
+        f = den // self.den
+        if f == 1:
+            return self.nums
+        return {tuple(f * c for c in w): m for w, m in self.nums.items()}
 
     def __add__(self, other: "VirtualCharacter") -> "VirtualCharacter":
         _same_ambient(self, other)
-        out = dict(self.terms)
-        for w, m in other.terms.items():
+        den = math.lcm(self.den, other.den)
+        out = dict(self._rescaled(den))
+        for w, m in other._rescaled(den).items():
             nm = out.get(w, 0) + m
             if nm == 0:
                 out.pop(w, None)
             else:
                 out[w] = nm
-        return VirtualCharacter(self.ambient, out)
+        return _character(self.ambient, out, den)
 
     def __neg__(self) -> "VirtualCharacter":
-        return VirtualCharacter(self.ambient, {w: -m for w, m in self.terms.items()})
+        return VirtualCharacter(self.ambient, {w: -m for w, m in self.nums.items()}, self.den)
 
     def __sub__(self, other: "VirtualCharacter") -> "VirtualCharacter":
         return self + (-other)
@@ -98,12 +123,28 @@ class VirtualCharacter:
     def scaled(self, c: int) -> "VirtualCharacter":
         if c == 0:
             return zero_character(self.ambient)
-        return VirtualCharacter(self.ambient, {w: c * m for w, m in self.terms.items()})
+        return VirtualCharacter(self.ambient, {w: c * m for w, m in self.nums.items()}, self.den)
+
+
+def _character(ambient: RootSystem, nums: dict, den: int) -> VirtualCharacter:
+    """The character nums / den, with den reduced to the LCD of the support."""
+    g = den
+    for w in nums:
+        if g == 1:
+            break
+        g = math.gcd(g, *w)
+    if g > 1:
+        nums = {tuple(c // g for c in w): m for w, m in nums.items()}
+    return VirtualCharacter(ambient, nums, den // g)
 
 
 def _same_ambient(a: VirtualCharacter, b: VirtualCharacter) -> None:
     if a.ambient is not b.ambient:
         raise ValidationError("characters live over different ambient systems")
+
+
+def _fractions(nums: tuple[int, ...], den: int) -> Weight:
+    return tuple(Fraction(c, den) for c in nums)
 
 
 def char_from_terms(ambient: RootSystem, terms) -> VirtualCharacter:
@@ -113,15 +154,16 @@ def char_from_terms(ambient: RootSystem, terms) -> VirtualCharacter:
             raise ValidationError("weight dimension does not match the ambient system")
         if m != 0:
             clean[tuple(Fraction(c) for c in w)] = int(m)
-    return VirtualCharacter(ambient, clean)
+    den = math.lcm(*(c.denominator for w in clean for c in w))
+    return VirtualCharacter(ambient, {_numerators(w, den): m for w, m in clean.items()}, den)
 
 
 def zero_character(rs: RootSystem) -> VirtualCharacter:
-    return VirtualCharacter(rs, {})
+    return VirtualCharacter(rs, {}, 1)
 
 
 def trivial_character(rs: RootSystem) -> VirtualCharacter:
-    return VirtualCharacter(rs, {wzero(rs.rank): 1})
+    return VirtualCharacter(rs, {(0,) * rs.rank: 1}, 1)
 
 
 def label_weight(v, rs: RootSystem) -> Weight:
@@ -137,13 +179,19 @@ def _numerators(x: Weight, den: int) -> tuple[int, ...]:
     return tuple(c.numerator * (den // c.denominator) for c in x)
 
 
+def _shifted_norm(x: tuple[int, ...], rho: tuple[int, ...], gram_rows) -> int:
+    """(x + rho) G (x + rho) for numerators x, rho over one denominator."""
+    y = tuple(map(operator.add, x, rho))
+    return _bilinear(y, y, gram_rows)
+
+
 def _check_support(size: int, what: str) -> None:
     if size > SUPPORT_CAP:
         raise DeskScaleError(f"{what} has {size} weights, over the character support cap {SUPPORT_CAP}")
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _dominant_multiplicities(mu: Weight, rs: RootSystem) -> dict:
+def _dominant_multiplicities(mu: Weight, rs: RootSystem) -> tuple[int, dict]:
     """Freudenthal recursion over the dominant weights below mu, on integers.
 
     The dominant weights of V(mu) are found by descent: every one of
@@ -159,12 +207,15 @@ def _dominant_multiplicities(mu: Weight, rs: RootSystem) -> dict:
     adds D L (a, a). The dominant representative of each lambda + t a
     comes from make_dominant, once per distinct weight. The final
     division of the recursion is checked to be exact and positive.
-    Fractions are made only for the returned table.
+    Returns (d, table): d is the LCD of mu, and table maps the
+    numerators over d of each dominant weight to its multiplicity
+    (every weight differs from mu by integral roots, so d divides it).
     """
+    mu_den = integer_coords(mu)[1]
     if not rs.simple_roots:
-        return {mu: 1}
+        return mu_den, {_numerators(mu, mu_den): 1}
     form = rs.integral
-    den = math.lcm(integer_coords(mu)[1], integer_coords(rs.rho)[1])
+    den = math.lcm(mu_den, integer_coords(rs.rho)[1])
     top = _numerators(mu, den)
     rho = _numerators(rs.rho, den)
     steps = [tuple(den * c for c in r) for r in form.roots.tolist()]
@@ -187,8 +238,7 @@ def _dominant_multiplicities(mu: Weight, rs: RootSystem) -> dict:
     order = sorted(level, key=lambda x: (level[x], grlex_key(x)))
 
     def norm(x):  # L D^2 (x + rho, x + rho)
-        y = tuple(a + b for a, b in zip(x, rho))
-        return sum(a * sum(g * b for g, b in zip(row, y)) for a, row in zip(y, form.gram_rows) if a)
+        return _shifted_norm(x, rho, form.gram_rows)
 
     # D L (a, a) for each positive root a
     string_steps = [sum(a * b for a, b in zip(step, col)) for step, col in zip(steps, form.fr_columns)]
@@ -213,7 +263,8 @@ def _dominant_multiplicities(mu: Weight, rs: RootSystem) -> dict:
         if gap <= 0 or num <= 0 or num % gap:
             raise AssertionError(f"Freudenthal recursion broke at {vec_str(tuple(Fraction(c, den) for c in lam))}")
         mult[lam] = num // gap
-    return {tuple(Fraction(c, den) for c in lam): m for lam, m in mult.items()}
+    f = den // mu_den
+    return mu_den, {tuple(c // f for c in lam): m for lam, m in mult.items()}
 
 
 def dominant_multiplicities(mu, rs: RootSystem) -> dict:
@@ -221,7 +272,8 @@ def dominant_multiplicities(mu, rs: RootSystem) -> dict:
     with highest weight mu."""
     hw = label_weight(mu, rs)
     check_dominant_integral(hw, rs, "highest weight")
-    return dict(_dominant_multiplicities(hw, rs))
+    den, table = _dominant_multiplicities(hw, rs)
+    return {_fractions(lam, den): m for lam, m in table.items()}
 
 
 def irr_character(mu, kk: RootSystem) -> VirtualCharacter:
@@ -236,18 +288,20 @@ def irr_character(mu, kk: RootSystem) -> VirtualCharacter:
     hw = label_weight(mu, kk)
     check_dominant_integral(hw, kk, "highest weight")
     _check_support(orbit_size(hw, kk), f"the Weyl orbit of {vec_str(hw)}")
-    table = _dominant_multiplicities(hw, kk)
-    _check_support(sum(orbit_size(lam, kk) for lam in table), f"the character of {vec_str(hw)}")
-    terms: dict[Weight, int] = {}
-    for lam, m in table.items():
+    den, table = _dominant_multiplicities(hw, kk)
+    dominant = [(_fractions(lam, den), m) for lam, m in table.items()]
+    _check_support(sum(orbit_size(lam, kk) for lam, _ in dominant), f"the character of {vec_str(hw)}")
+    # den is the LCD of hw, which lies in the support
+    nums = {}
+    for lam, m in dominant:
         for w in weyl_orbit(lam, kk):
-            terms[w] = m
-    return VirtualCharacter(kk, terms)
+            nums[_numerators(w, den)] = m
+    return VirtualCharacter(kk, nums, den)
 
 
 def dimension(chi: VirtualCharacter) -> int:
     """Sum of multiplicities; negative for genuinely virtual classes."""
-    return sum(chi.terms.values())
+    return sum(chi.nums.values())
 
 
 def weyl_dimension(mu, rs: RootSystem) -> Fraction:
@@ -264,37 +318,42 @@ def weyl_dimension(mu, rs: RootSystem) -> Fraction:
 
 
 def product(a: VirtualCharacter, b: VirtualCharacter) -> VirtualCharacter:
-    """Tensor product at character level: convolution of supports."""
+    """Tensor product at character level: convolution of the supports,
+    as numerators over the lcm of the two denominators."""
     _same_ambient(a, b)
-    out: dict[Weight, int] = {}
-    for w1, m1 in a.terms.items():
-        for w2, m2 in b.terms.items():
-            w = wadd(w1, w2)
+    den = math.lcm(a.den, b.den)
+    right = list(b._rescaled(den).items())
+    out: dict[tuple[int, ...], int] = {}
+    for w1, m1 in a._rescaled(den).items():
+        for w2, m2 in right:
+            w = tuple(map(operator.add, w1, w2))
             nm = out.get(w, 0) + m1 * m2
             if nm == 0:
-                out.pop(w, None)
+                del out[w]
             else:
                 out[w] = nm
         if len(out) > SUPPORT_CAP:
             raise DeskScaleError(f"character support exceeds the cap {SUPPORT_CAP}")
-    return VirtualCharacter(a.ambient, out)
+    return _character(a.ambient, out, den)
 
 
 def dual(chi: VirtualCharacter) -> VirtualCharacter:
     """Contragredient: negate every weight in the support."""
-    return VirtualCharacter(chi.ambient, {wneg(w): m for w, m in chi.terms.items()})
+    return VirtualCharacter(chi.ambient, {tuple(-c for c in w): m for w, m in chi.nums.items()}, chi.den)
 
 
 def is_weyl_invariant(chi: VirtualCharacter) -> bool:
-    rs = chi.ambient
-    seen: set[Weight] = set()
-    for w, m in chi.terms.items():
+    """True iff every Weyl orbit meets the support with one multiplicity."""
+    form = chi.ambient.integral
+    nums = chi.nums
+    seen: set[tuple[int, ...]] = set()
+    for w, m in nums.items():
         if w in seen:
             continue
-        orbit = weyl_orbit(w, rs)
-        if any(chi.terms.get(o, 0) != m for o in orbit):
+        orbit = _orbit_numerators(w, form)
+        if any(nums.get(o) != m for o in orbit):
             return False
-        seen.update(orbit)
+        seen |= orbit
     return True
 
 
@@ -306,34 +365,47 @@ def decompose(chi: VirtualCharacter) -> list[tuple[IrrLabel, int]]:
     22.5). So only the dominant part is kept: the maximal dominant
     weight mu (by the norm of mu + rho, then graded-lex) is a highest
     weight, and c times the dominant table of V(mu) is subtracted. No
-    orbit is expanded. Output is sorted by graded-lex highest weight.
-    Raises on non-Weyl-invariant input and on a non-integral maximal
-    weight.
+    orbit is expanded. Weights stay numerators over chi's denominator D;
+    the norm is taken over the lcm E of D and rho's denominator, a
+    positive rescaling that keeps the order. Output is sorted by
+    graded-lex highest weight. Raises on non-Weyl-invariant input and on
+    a non-integral maximal weight.
     """
     rs = chi.ambient
     if not is_weyl_invariant(chi):
         raise ValidationError("character is not Weyl-invariant")
-    rho = rs.rho
+    form = rs.integral
+    den = chi.den
+    rho_nums, rho_den = integer_coords(rs.rho)
+    wide = math.lcm(den, rho_den)
+    f = wide // den
+    rho = tuple(c * (wide // rho_den) for c in rho_nums)
 
     @functools.cache
     def key(w):
-        return (inner(wadd(w, rho), wadd(w, rho), rs), grlex_key(w))
+        return (_shifted_norm(tuple(f * c for c in w), rho, form.gram_rows), grlex_key(w))
 
-    rest = {w: m for w, m in chi.terms.items() if is_dominant(w, rs)}
-    out: list[tuple[IrrLabel, int]] = []
+    cols = form.coroot_columns
+    rest = {w: m for w, m in chi.nums.items() if all(sum(map(operator.mul, w, col)) >= 0 for col in cols)}
+    found = []
     while rest:
         mu = max(rest, key=key)
-        check_dominant_integral(mu, rs, "highest weight")
+        label = _fractions(mu, den)
+        check_dominant_integral(label, rs, "highest weight")
         c = rest[mu]
-        for w, m in _dominant_multiplicities(mu, rs).items():
+        table_den, table = _dominant_multiplicities(label, rs)
+        g = den // table_den
+        for w, m in table.items():
+            if g != 1:
+                w = tuple(g * x for x in w)
             nm = rest.get(w, 0) - c * m
             if nm:
                 rest[w] = nm
             else:
                 del rest[w]
-        out.append((IrrLabel(mu), c))
-    out.sort(key=lambda t: grlex_key(t[0].highest_weight))
-    return out
+        found.append((mu, IrrLabel(label), c))
+    found.sort(key=lambda t: grlex_key(t[0]))
+    return [(label, c) for _, label, c in found]
 
 
 def resum(rs: RootSystem, parts: Iterable[tuple[IrrLabel, int]]) -> VirtualCharacter:
@@ -358,7 +430,7 @@ def char_to_json(chi: VirtualCharacter) -> dict:
     return {
         "ambient": rootsys_to_json(chi.ambient),
         "terms": [
-            {"weight": vec_str(w), "mult": m}
-            for w, m in sorted(chi.terms.items(), key=lambda t: grlex_key(t[0]))
+            {"weight": vec_str(_fractions(w, chi.den)), "mult": m}
+            for w, m in sorted(chi.nums.items(), key=lambda t: grlex_key(t[0]))
         ],
     }

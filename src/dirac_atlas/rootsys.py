@@ -270,6 +270,11 @@ def _dots(nums: tuple[int, ...], columns: tuple[tuple[int, ...], ...]) -> tuple[
     return tuple(sum(a * b for a, b in zip(nums, col)) for col in columns)
 
 
+def _bilinear(x: tuple[int, ...], y: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> int:
+    """x G y for integer vectors x, y and the rows of an integer matrix G."""
+    return sum(a * sum(g * b for g, b in zip(row, y)) for a, row in zip(x, rows) if a)
+
+
 @dataclass(frozen=True, eq=False)
 class IntegralForm:
     """Integer-scaled form, positive roots and simple coroots of one RootSystem.
@@ -509,8 +514,7 @@ def inner(a: Weight, b: Weight, rs: RootSystem) -> Fraction:
     form = rs.integral
     a_nums, a_den = form.coords(a)
     b_nums, b_den = form.coords(b)
-    total = sum(x * sum(g * y for g, y in zip(row, b_nums)) for x, row in zip(a_nums, form.gram_rows) if x)
-    return Fraction(total, a_den * b_den * form.scale)
+    return Fraction(_bilinear(a_nums, b_nums, form.gram_rows), a_den * b_den * form.scale)
 
 
 def is_regular(x: Weight, rs: RootSystem) -> bool:
@@ -555,15 +559,9 @@ def make_dominant(x: Weight, rs: RootSystem) -> Weight:
         nums = tuple(a - pairs[i] * r for a, r in zip(nums, form.simple_rows[i]))
 
 
-@functools.lru_cache(maxsize=ORBIT_CACHE_SIZE)
-def weyl_orbit(x: Weight, rs: RootSystem) -> tuple[Weight, ...]:
-    """Orbit of x under the simple reflections, sorted graded-lex.
-
-    Streams by breadth-first search on the numerators of x; never
-    materializes the group.
-    """
-    form = rs.integral
-    nums, den = form.coords(x)
+def _orbit_numerators(nums: tuple[int, ...], form: IntegralForm) -> set[tuple[int, ...]]:
+    """Weyl orbit of the weight with numerators nums (over any positive
+    denominator), by breadth-first search under the simple reflections."""
     seen = {nums}
     frontier = [nums]
     while frontier:
@@ -578,8 +576,21 @@ def weyl_orbit(x: Weight, rs: RootSystem) -> tuple[Weight, ...]:
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
+    return seen
+
+
+@functools.lru_cache(maxsize=ORBIT_CACHE_SIZE)
+def weyl_orbit(x: Weight, rs: RootSystem) -> tuple[Weight, ...]:
+    """Orbit of x under the simple reflections, sorted graded-lex.
+
+    Streams by breadth-first search on the numerators of x; never
+    materializes the group.
+    """
+    form = rs.integral
+    nums, den = form.coords(x)
     # over one positive denominator, numerators sort like the weights
-    return tuple(tuple(Fraction(c, den) for c in w) for w in sorted(seen, key=grlex_key))
+    orbit = sorted(_orbit_numerators(nums, form), key=grlex_key)
+    return tuple(tuple(Fraction(c, den) for c in w) for w in orbit)
 
 
 def apply_matrix(m: Matrix, x: Weight) -> Weight:

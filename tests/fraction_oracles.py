@@ -13,8 +13,10 @@ grading, the Freudenthal recursion over the candidate box between a
 highest weight and its antidominant image, the Cartan type matched
 against the standard matrices under every permutation, the
 decomposition of a character by peeling off full irreducible characters,
-and the product and rank by Gaussian elimination of matrices over the
-Gaussian rationals Q(i), entries as (re, im) Fraction pairs.
+the tensor product of characters as a convolution of Fraction-keyed
+supports, the Weyl-invariance check by Fraction orbits, and the product
+and rank by Gaussian elimination of matrices over the Gaussian
+rationals Q(i), entries as (re, im) Fraction pairs.
 The package computes the same results on integers (or, for the
 decomposition, on dominant tables only; for a rank, as the trace of an
 idempotent); tests compare the two element by element.
@@ -331,12 +333,36 @@ def cartan_type_by_permutation(pairing):
     return tuple(sorted(factors))
 
 
+def product_convolve(a, b):
+    """Weight -> multiplicity map of the product of two characters: the
+    convolution of their Fraction-keyed supports, zeros dropped."""
+    out = {}
+    for w1, m1 in a.terms.items():
+        for w2, m2 in b.terms.items():
+            w = wadd(w1, w2)
+            out[w] = out.get(w, 0) + m1 * m2
+    return {w: m for w, m in out.items() if m}
+
+
+def is_weyl_invariant_orbits(chi):
+    """Every Fraction Weyl orbit meets the support with one multiplicity."""
+    seen = set()
+    for w, m in chi.terms.items():
+        if w in seen:
+            continue
+        orbit = weyl_orbit(w, chi.ambient)
+        if any(chi.terms.get(o, 0) != m for o in orbit):
+            return False
+        seen.update(orbit)
+    return True
+
+
 def decompose_peel(chi):
     """Decomposition by peeling: subtract the full character of the
     irreducible at the maximal dominant weight of what is left, keeping
     the dominant weights of the remainder in a second dict."""
     rs = chi.ambient
-    if not repring.is_weyl_invariant(chi):
+    if not is_weyl_invariant_orbits(chi):
         raise ValidationError("character is not Weyl-invariant")
     rho = rs.rho
 

@@ -457,6 +457,10 @@ _DELTA = '[{"g": [0], "re": 1.0}]'
         (["k0", "index", "--spec", "{spec}"], {"spec": json.dumps(
             {"blocks": [1], "e0": [0], "e1": [_WORK_SIDE + 1], "u": [[]]})}),
         (["k0", "index", "--spec", "{spec}"], {"spec": '{"blocks": [1], "e0": [0], "e1": [2000], "u": [[]]}'}),
+        # an exact rank-one idempotent just over the exact work cap: its one
+        # 33-bit entry makes each of the 186^3 products two limbs long
+        (["k0", "class", "--spec", "{spec}"], {"spec": json.dumps(
+            {"blocks": [186], "matrices": [[[1, 2**32 + 1] + [0] * 184] + [[0] * 186] * 185]})}),
     ],
 )
 def test_file_json_and_config_errors_exit_2(capsys, tmp_path, argv, files):
@@ -813,3 +817,68 @@ def test_enumerate_output_is_byte_identical_to_the_recorded_digests(capsys):
     for (pair, bound, roots), digest in ENUMERATE_DIGESTS.items():
         out = run_cli(capsys, "ds", "enumerate", "--pair", pair, "--bound", bound, "--degree-roots", roots)[1]
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (pair, bound, roots)
+
+
+# sha256 of stdout, recorded before characters moved to integer keys: `rep
+# tensor` on every ordered pair of fundamental weights of A3, B3 and C3 and
+# on B3 (1,1,1)x(1,1,1), `rep irr` on the E6 and F4 labels of the
+# benchmark, and `spin info` on every catalog pair.
+CHARACTER_DIGESTS = {
+    ('rep', 'tensor', '--type', 'A3', '--hw', '1,0,0', '--hw2', '1,0,0'): "4a1a02d34856c6a83073549d63a57f6fae70a64ce0cd09548b1a59255e3b1031",
+    ('rep', 'tensor', '--type', 'A3', '--hw', '1,0,0', '--hw2', '0,1,0'): "6a522829de048ccc972857c4ca124dd6182b3e72e4ab27d34a5f26401c5f46aa",
+    ('rep', 'tensor', '--type', 'A3', '--hw', '1,0,0', '--hw2', '0,0,1'): "bbd529d297d69ce657a5433744812d33a539fa48aacf4ec8140ae3a3c99983d9",
+    ('rep', 'tensor', '--type', 'A3', '--hw', '0,1,0', '--hw2', '1,0,0'): "3d6ca03e48b155a33c52079ee641c4a24c1ff48eac6e7aa0d325ef73186619c7",
+    ('rep', 'tensor', '--type', 'A3', '--hw', '0,1,0', '--hw2', '0,1,0'): "18ec7cba1a2dc7e1523358654585d594f59b2547c5f90457c7253b044554139f",
+    ('rep', 'tensor', '--type', 'A3', '--hw', '0,1,0', '--hw2', '0,0,1'): "e637efc0f25a762060ef78bfc8c88dba815fcdc22bee0f92f1bd6aebb2e6b4d1",
+    ('rep', 'tensor', '--type', 'A3', '--hw', '0,0,1', '--hw2', '1,0,0'): "67af24fad16cfefc6e3f734d7447e1c104a0d2863680031ade63255629929371",
+    ('rep', 'tensor', '--type', 'A3', '--hw', '0,0,1', '--hw2', '0,1,0'): "a38279bc3989d7b814e808e1fb6ce34737f00cbf83e2cd55680ebb4f821c520c",
+    ('rep', 'tensor', '--type', 'A3', '--hw', '0,0,1', '--hw2', '0,0,1'): "59749c8037117d7fd49e3feb91b5344032917b56575bc55a38d74fc6315e87ca",
+    ('rep', 'tensor', '--type', 'B3', '--hw', '1,0,0', '--hw2', '1,0,0'): "009bff9e93f296e03e87bf6dd33cdc5a0dd76d7298fc1af92af8b2432f037eb3",
+    ('rep', 'tensor', '--type', 'B3', '--hw', '1,0,0', '--hw2', '0,1,0'): "5f2430531739726c10884bd2a1413baf89eae1538d0c02f412215f4d9860e8a4",
+    ('rep', 'tensor', '--type', 'B3', '--hw', '1,0,0', '--hw2', '0,0,1'): "6784ace079c298af29db9f4abf908c9b6bb05a8ed4039a95a6f5434ceabcdf99",
+    ('rep', 'tensor', '--type', 'B3', '--hw', '0,1,0', '--hw2', '1,0,0'): "d0ea54b35ee9d42616a67f95f62e5b78e8a3fe9d9dcadffa7da80ce5fc426972",
+    ('rep', 'tensor', '--type', 'B3', '--hw', '0,1,0', '--hw2', '0,1,0'): "c9ad01292895ce58c2c009006c42ce7931b833a65656038fe75088f916e3837e",
+    ('rep', 'tensor', '--type', 'B3', '--hw', '0,1,0', '--hw2', '0,0,1'): "f7a0f1c7923136147a017d64951d03dd6147af59fef8e5b1dd8298acbd58aac9",
+    ('rep', 'tensor', '--type', 'B3', '--hw', '0,0,1', '--hw2', '1,0,0'): "b81b4a8adcd778b9328374f74cabb835e8cb126114d7d05fd9ec1257d62dce6c",
+    ('rep', 'tensor', '--type', 'B3', '--hw', '0,0,1', '--hw2', '0,1,0'): "1466a6b17ca5d43bc502fab52dea2b02fe67bab67a8ccaa6d5b0a73e0b00993b",
+    ('rep', 'tensor', '--type', 'B3', '--hw', '0,0,1', '--hw2', '0,0,1'): "cdd74162961bf3802bd66f9b723f1cb8c35515c4353e10eb2892e99ba915b69d",
+    ('rep', 'tensor', '--type', 'C3', '--hw', '1,0,0', '--hw2', '1,0,0'): "c967f6f052d5e71ed83951b23738d5383fc63b25c02a3f638cb323f11169b498",
+    ('rep', 'tensor', '--type', 'C3', '--hw', '1,0,0', '--hw2', '0,1,0'): "def30bbc95e921302897ac28ca5ad7780aa8627a6ce2ecd23d59eb303c146055",
+    ('rep', 'tensor', '--type', 'C3', '--hw', '1,0,0', '--hw2', '0,0,1'): "f21b4dad8a7e4ac523e40033636baecc00d74001932e099d278141230d4bc367",
+    ('rep', 'tensor', '--type', 'C3', '--hw', '0,1,0', '--hw2', '1,0,0'): "236879c9624ba062b4a90d8742bfec800b2b68406bd5b12c3697b553bfaf822a",
+    ('rep', 'tensor', '--type', 'C3', '--hw', '0,1,0', '--hw2', '0,1,0'): "1f9bd0608d330b6dfa9ba7f90a5bbce11c04ab87bf1df25a3e8663bb9932c4f7",
+    ('rep', 'tensor', '--type', 'C3', '--hw', '0,1,0', '--hw2', '0,0,1'): "9d43aeaa737e7fe7dd09bd723217dfb74ae2e821a44680cf4e35595835f29ace",
+    ('rep', 'tensor', '--type', 'C3', '--hw', '0,0,1', '--hw2', '1,0,0'): "5e7e50690a1f15f31681446ec7b925a3531f14191329575727d87047d8277b41",
+    ('rep', 'tensor', '--type', 'C3', '--hw', '0,0,1', '--hw2', '0,1,0'): "d5e575b93f605ebbc02539ffa34041f806424227123c6d4de562fd0efae1e38b",
+    ('rep', 'tensor', '--type', 'C3', '--hw', '0,0,1', '--hw2', '0,0,1'): "b08f1cfde873fec50cff545002bb9a8205f4d1e9b83bdb14605690208d8ed765",
+    ('rep', 'tensor', '--type', 'B3', '--hw', '1,1,1', '--hw2', '1,1,1'): "e5a6b31a951155116359a5553ec26552cc20df748d0b2b433c0bc935069fb6f0",
+    ('rep', 'irr', '--type', 'E6', '--hw', '0,1,0,0,0,0'): "56690a941af93e7bfcfc840000810454ea297451b71ced899e18f137dc77e449",
+    ('rep', 'irr', '--type', 'E6', '--hw', '1,0,0,0,0,0'): "f1f86b856c1c47973ceaa2e4802f2e95de1cc6a32438a0f53007ae33780a688f",
+    ('rep', 'irr', '--type', 'F4', '--hw', '1,0,0,0'): "dd1123f5c4e00ac5e4a778edb9c799add73c47a56455978965e34538780882c9",
+    ('rep', 'irr', '--type', 'F4', '--hw', '0,0,0,1'): "259f70ff0a509b89d99c4568b029ea3d958fcf527e6a2910beb403311636469c",
+    ('spin', 'info', '--pair', 'compact_a1'): "234fe4d08e9dd3b5dbeb1bed90dbe974428376926304d7725fc6b2798d9be9d0",
+    ('spin', 'info', '--pair', 'compact_a2'): "d0bc8605700bf35ab5186f1d49194561868257fe61ebb8d44a58e5e354c7a1c0",
+    ('spin', 'info', '--pair', 'compact_a3'): "32f7cf73c05312f02462688ccdb6cc0975d67d3e8f05e9f760cfa9970f0fedc3",
+    ('spin', 'info', '--pair', 'compact_a4'): "5c51f5ea38213676977dd63df4f5cecc3d5ffefc28c8965635171ab4e7ea302f",
+    ('spin', 'info', '--pair', 'compact_b2'): "bc3f8ef742d484cbf1c691e32fbf516d6d02b16189d7c5853663183948e9f4b4",
+    ('spin', 'info', '--pair', 'compact_b3'): "fee86a22f9db231768889ac0b72cf950f209e5f4eba25089c0b6349a230d1218",
+    ('spin', 'info', '--pair', 'compact_b4'): "68c20e74d99e14dcc3669f22e7ab27bf120758fda9272e275750fac59ff01475",
+    ('spin', 'info', '--pair', 'compact_c2'): "3e726a8e57bd5e16789798c4a43906f5a5fc498cf2dfdb5c1956663721229429",
+    ('spin', 'info', '--pair', 'compact_c3'): "5e57f18f68cfa32fbd76adc969a4d7a6fc50100ae0df3d3971356050295706de",
+    ('spin', 'info', '--pair', 'compact_c4'): "aa98f23d4b65ecf8669fe1d31287bb8fab308c2aac22874ad38957241dfb65a3",
+    ('spin', 'info', '--pair', 'compact_d4'): "4163eef3b7d8e8a3b5e519c69404f4c6c3a311b4c1148ab319cb8e2414e1fdd4",
+    ('spin', 'info', '--pair', 'compact_f4'): "17da4af189ed97b0e0c2bfa2f3772919b09bed16fb8111035d5c4015a7bcfa5e",
+    ('spin', 'info', '--pair', 'compact_g2'): "cd30702e232328a8809cbb1602ca38022f8136a7c2bcd6da3d8bc26e1329a061",
+    ('spin', 'info', '--pair', 'sl2c'): "e5daa0af0d71914828d7580696a61db59d551c60ec947aeddc243ae057127619",
+    ('spin', 'info', '--pair', 'sl2r'): "b6d149e87f73184ab214202ada8c1abcbf6838df4ed4f6a1b877d64746b5e58e",
+    ('spin', 'info', '--pair', 'sp4r'): "7228b0c8d7238c6772dc453f3d86a3599861dfbc5731b0335d7319d5779cd52b",
+    ('spin', 'info', '--pair', 'su21'): "7cdd66b2100c06b69d581e71f6cf90e3b67bf37b463c2a2c0c9cc42d2bbfcda3",
+}
+
+
+def test_character_outputs_are_byte_identical_to_the_recorded_digests(capsys):
+    assert {argv[3] for argv in CHARACTER_DIGESTS if argv[0] == "spin"} == set(catalog_names())
+    for argv, digest in CHARACTER_DIGESTS.items():
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv

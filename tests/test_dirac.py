@@ -305,6 +305,25 @@ def test_enumeration_matches_induction_of_each_box_point(name, degree_roots):
             assert len({q.lam for q in got}) == len(got)
 
 
+def _check_parameter(q, pair):
+    assert q.pair is pair
+    assert wadd(q.min_k_type.highest_weight, pair.k.rho) == q.lam
+    assert q.formal_degree == abs(q.signed_trace) > 0
+
+
+@pytest.mark.parametrize("degree_roots", DEGREE_ROOT_CHOICES)
+@pytest.mark.parametrize("name", [n for n in catalog_names() if get_pair(n).equal_rank])
+def test_every_parameter_is_its_minimal_k_type_plus_rho_k(name, degree_roots):
+    # the invariants DiscreteSeriesParameter documents, on every
+    # parameter of `ds enumerate --bound 30` and on ds induct of its K-types
+    pair = get_pair(name)
+    for q in enumerate_discrete_series(pair, 30, degree_roots):
+        _check_parameter(q, pair)
+        res = dirac_induct(q.min_k_type, pair, degree_roots)
+        assert res.parameter == q
+        _check_parameter(res.parameter, pair)
+
+
 def _box_size(ranges):
     return math.prod(len(r) for r in ranges)
 

@@ -14,6 +14,7 @@ import fraction_oracles as oracle
 import wedderburn_reference
 from dirac_atlas.errors import DeskScaleError, NumericalAmbiguityError, ValidationError
 from dirac_atlas.ktheory import (
+    K0_EXACT_WORK_CAP,
     K0_INDEX_WORK_CAP,
     TAU,
     AlgebraElement,
@@ -27,6 +28,7 @@ from dirac_atlas.ktheory import (
     cyclic_table,
     dihedral_table,
     ds_idempotent,
+    exact_work,
     fredholm_index,
     group_function_class,
     homotopic,
@@ -266,6 +268,31 @@ def test_index_work_cap_counts_the_built_matrices():
     # one free copy of a huge block: its columns in the completed operator
     with pytest.raises(DeskScaleError, match="over the desk-scale cap"):
         fredholm_index(FredholmModule.build([0], [1], [np.zeros((1, 0))]), FDAlgebra((10**9,)))
+
+
+def _rank_one_idempotent(n, corner):
+    """The n x n exact idempotent e_0 (1, corner, 0, ..., 0)."""
+    rows = [[F(0)] * n for _ in range(n)]
+    rows[0][0], rows[0][1] = F(1), F(corner)
+    return rows
+
+
+def test_exact_work_cap_counts_digits_before_the_lcm():
+    # a 33-bit entry makes every product two limbs: 185^3 of them fit, 186^3 do not
+    big = 2**32 + 1
+    assert exact_work(_rank_one_idempotent(185, big)) <= K0_EXACT_WORK_CAP < exact_work(_rank_one_idempotent(186, big))
+    alg = FDAlgebra((185,))
+    assert k0_class(AlgebraElement.from_blocks(alg, [_rank_one_idempotent(185, big)]), alg).ranks == (1,)
+    with pytest.raises(DeskScaleError, match="limb products"):
+        AlgebraElement.from_blocks(FDAlgebra((186,)), [_rank_one_idempotent(186, big)])
+    # 32 distinct 6 300-bit denominators: a 4x4 block whose lcm alone has about 200 000 bits
+    rng = np.random.default_rng(3)
+    dens = [int.from_bytes(rng.bytes(788), "big") | 1 << 6299 | 1 for _ in range(32)]
+    rows = [[(F(1, dens[8 * i + 2 * j]), F(1, dens[8 * i + 2 * j + 1])) for j in range(4)] for i in range(4)]
+    t0 = time.perf_counter()
+    with pytest.raises(DeskScaleError, match="limb products"):
+        AlgebraElement.from_blocks(FDAlgebra((4,)), [rows])
+    assert time.perf_counter() - t0 < 0.5
 
 
 def random_module(rng):

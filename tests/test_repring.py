@@ -5,6 +5,7 @@ independent oracles for the Freudenthal path; the Weyl dimension
 formula cross-checks every dimension.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -40,7 +41,7 @@ from dirac_atlas.rootsys import (
     wneg,
     wzero,
 )
-from dirac_atlas.spinmod import get_pair
+from dirac_atlas.spinmod import get_pair, spin_characters
 
 A1 = build_root_system(parse_cartan("A1"))
 A2 = build_root_system(parse_cartan("A2"))
@@ -453,3 +454,61 @@ def test_decompose_errors_match_peel_oracle(name, data):
     chi = char_from_terms(rs, {w: 1 for w in weyl_orbit(odd, rs)})
     chi = chi + irr_character(wzero(rs.rank), rs).scaled(data.draw(st.integers(-2, 2)))
     assert _error_text(decompose, chi) == _error_text(oracle.decompose_peel, chi)
+
+
+def _draw_character(data, rs, half):
+    """Up to five weights with multiplicities in {-2, -1, 1, 2}; on K
+    systems the coordinates are half-integral."""
+    coord = st.integers(-4, 4).map(lambda k: F(k, 2)) if half else st.integers(-2, 2).map(F)
+    weights = data.draw(st.lists(st.tuples(*[coord] * rs.rank), max_size=5))
+    return char_from_terms(rs, {w: data.draw(st.sampled_from([-2, -1, 1, 2])) for w in weights})
+
+
+def _fraction_sum(a, b, sign=1):
+    out = dict(a.terms)
+    for w, m in b.terms.items():
+        out[w] = out.get(w, 0) + sign * m
+    return {w: m for w, m in out.items() if m}
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", sorted(FREUDENTHAL_SYSTEMS))
+def test_integer_characters_match_fraction_oracles(name, data):
+    # every type of rank <= 3, and the K systems of su21 and sp4r, whose
+    # spin modules have half-integral weights (denominator 2)
+    rs = FREUDENTHAL_SYSTEMS[name]
+    half = name.endswith(".k")
+    a, b = _draw_character(data, rs, half), _draw_character(data, rs, half)
+    prod = product(a, b)
+    assert prod.terms == oracle.product_convolve(a, b)
+    assert dual(a).terms == {wneg(w): m for w, m in a.terms.items()}
+    assert (a + b).terms == _fraction_sum(a, b)
+    assert (a - b).terms == _fraction_sum(a, b, -1)
+    # one canonical form: equal characters compare equal, over the LCD of the support
+    assert (a + b) - b == a
+    for chi in (a, prod, a + b):
+        assert chi.den == math.lcm(*(c.denominator for w in chi.terms for c in w))
+        assert is_weyl_invariant(chi) == oracle.is_weyl_invariant_orbits(chi)
+    # an invariant character, then the same with one weight of one orbit bumped
+    top = 2 if rs.rank <= 2 else 1
+    labels = [mu for mu in (_draw_label(data, rs, top) for _ in range(2)) if _integral(mu, rs)]
+    assume(labels)
+    inv = irr_character(labels[0], rs)
+    for mu in labels[1:]:
+        inv = product(inv, dual(irr_character(mu, rs)))
+    if half:
+        inv = product(inv, spin_characters(get_pair(name[:-2])).s_plus)
+    assert is_weyl_invariant(inv) and oracle.is_weyl_invariant_orbits(inv)
+    assert decompose(inv) == oracle.decompose_peel(inv)
+    bumped = inv + char_from_terms(rs, {data.draw(st.sampled_from(sorted(inv.terms))): 1})
+    assert is_weyl_invariant(bumped) == oracle.is_weyl_invariant_orbits(bumped)
+
+
+def test_e8_adjoint_square_decomposes_into_five_irreducibles():
+    e8 = build_root_system(parse_cartan("E8"))
+    adjoint = irr_character((0,) * 7 + (1,), e8)
+    parts = decompose(product(adjoint, adjoint))
+    dims = sorted(int(weyl_dimension(label, e8)) for label, c in parts if c == 1)
+    assert len(parts) == 5 and dims == [1, 248, 3875, 27000, 30380]
+    assert sum(c * weyl_dimension(label, e8) for label, c in parts) == 248 * 248
