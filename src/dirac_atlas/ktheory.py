@@ -51,9 +51,10 @@ GROUP_ORDER_CAP = 1000
 K0_ENTRY_CAP = 40_000
 # Complex entries fredholm_index may build for one module, counted from
 # the shapes before any work: per block with e1 > 0, the e1 x e1 SVD
-# factor of u (or identity, when u is empty), its e0 x e0 factor, and the
-# e1 x (e0 + cols) completed operator. An empty u with e1 = 1000, at the
-# cap, is decided in about 1.2 s cold on a shared 2-vCPU VM.
+# factor of u (or identity, when u is empty), its min(e0, e1) x e0 right
+# factor, and the e1 x (e0 + cols) completed operator. An empty u with
+# e1 = 1000, at the cap, is decided in about 1.2 s cold on a shared
+# 2-vCPU VM.
 K0_INDEX_WORK_CAP = 2_000_000
 # Cost of the exact idempotency check in limb products, summed over the
 # blocks of one spec (see exact_work). It admits an integer 200x200 block
@@ -357,7 +358,9 @@ def fredholm_index(m: FredholmModule, algebra: FDAlgebra, gap: float = RANK_GAP)
         raise ValidationError("module shape does not match the algebra")
     # at most n_free = max ceil(e1 / n) free copies, when every u has rank 0
     n_free = max((-(-e1 // n) for e1, n in zip(m.e1, algebra.blocks)), default=0)
-    work = sum(e0 * e0 + e1 * e1 + e1 * (e0 + n_free * n) for e0, e1, n in zip(m.e0, m.e1, algebra.blocks) if e1)
+    work = sum(
+        min(e0, e1) * e0 + e1 * e1 + e1 * (e0 + n_free * n) for e0, e1, n in zip(m.e0, m.e1, algebra.blocks) if e1
+    )
     if work > K0_INDEX_WORK_CAP:
         raise DeskScaleError(
             f"k0 index would build {work} matrix entries, over the desk-scale cap {K0_INDEX_WORK_CAP}"
@@ -389,10 +392,15 @@ def fredholm_index(m: FredholmModule, algebra: FDAlgebra, gap: float = RANK_GAP)
 
 
 def _cokernel_basis(u: np.ndarray, rank: int) -> np.ndarray:
-    """Orthonormal basis of the left null space (cokernel) of u, given its rank."""
+    """Orthonormal basis of the left null space (cokernel) of u, given its rank.
+
+    The left SVD factor is complete (e1 x e1) without full_matrices when
+    e1 <= e0; the right factor then has e1 rows instead of e0.
+    """
     if u.size == 0:
         return np.eye(u.shape[0], dtype=complex)
-    return np.linalg.svd(u)[0][:, rank:]
+    e1, e0 = u.shape
+    return np.linalg.svd(u, full_matrices=e1 > e0)[0][:, rank:]
 
 
 def pushforward(theta: Sequence[Sequence[int]], x: K0Class, src: FDAlgebra, dst: FDAlgebra) -> K0Class:

@@ -8,10 +8,11 @@ The reduced norm is never reported as a point value: compressing the
 left convolution operator to a ball gives a certified lower bound
 (nondecreasing in the radius), and the L1 norm is the upper bound.
 The ball is numbered once as integer index arrays, so the compressed
-operator is built by gathers, and its top singular value comes from a
-restarted Lanczos iteration on M^H M in plain numpy. For Z^d the sup
-of the symbol over the torus, bracketed by a dense grid with a
-Lipschitz correction, serves as ground truth in tests.
+operator is built by gathers. Its top singular value comes from one
+dense eigh of M^H M when it has at most DENSE_COLS columns, and from
+a restarted Lanczos iteration on M^H M in plain numpy otherwise. For
+Z^d the sup of the symbol over the torus, bracketed by a dense grid
+with a Lipschitz correction, serves as ground truth in tests.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ LANCZOS_BASIS = 16
 REORTH_RATIO = 0.7071067811865476  # 1/sqrt(2)
 # Step of the equidistributed sequence that perturbs the Lanczos start.
 START_STEP = (math.sqrt(5) - 1) / 2
+# Compressions with at most DENSE_COLS columns and DENSE_ENTRIES matrix
+# entries (16 bytes each, so 4 MB) are solved by one dense eigh of M^H M:
+# below about a hundred columns that costs less than the fixed overhead
+# of a few dozen Lanczos steps. Fixed by a sweep on the labs benchmark.
+DENSE_COLS = 96
+DENSE_ENTRIES = 1 << 18
 
 FreeWord = tuple[int, ...]
 LatticePoint = tuple[int, ...]
@@ -486,28 +493,55 @@ class _Compression:
 
         f is scaled by 2^-e, with e the binary exponent of max |f(s)|,
         before the solve; a power-of-two scale is exact, and the squares
-        in M^H M then neither overflow nor underflow.
+        in M^H M then neither overflow nor underflow. A compression of at
+        most DENSE_COLS columns and DENSE_ENTRIES entries is solved
+        directly (_dense_top), one of more by Lanczos, which is given
+        tol; max_iter bounds the applications of either.
         """
         peak = float(np.abs(coeffs).max())
         if peak == 0.0:
             return 0.0, 0, 0.0
         e = math.frexp(peak)[1]
         vals = (np.ldexp(coeffs.real, -e) + 1j * np.ldexp(coeffs.imag, -e))[self.which]
+        m, n = len(self.row_ids), len(self.col_ids)
+        if n <= min(DENSE_COLS, max_iter) and m * n <= DENSE_ENTRIES:
+            sigma, applications, residual = _dense_top(self.rows, self.cols, vals, m, n)
+            return math.ldexp(sigma, e), applications, residual
         conj = vals.conj()
-        m, n = 2 * len(self.row_ids), 2 * len(self.col_ids)
 
         def forward(x):
             p = np.take(x, self.cols)
             p *= vals
-            return np.bincount(self.rows2, p.view(float), m).view(complex)
+            return np.bincount(self.rows2, p.view(float), 2 * m).view(complex)
 
         def gram(x):
             p = np.take(forward(x), self.rows)
             p *= conj
-            return np.bincount(self.cols2, p.view(float), n).view(complex)
+            return np.bincount(self.cols2, p.view(float), 2 * n).view(complex)
 
-        sigma, applications, residual = _lanczos_top(gram, forward, len(self.col_ids), tol, max_iter)
+        sigma, applications, residual = _lanczos_top(gram, forward, n, tol, max_iter)
         return math.ldexp(sigma, e), applications, residual
+
+
+def _dense_top(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, m: int, n: int) -> tuple[float, int, float]:
+    """Top singular value of the m x n matrix M with entries vals at
+    (rows, cols), from one eigh of G = M^H M.
+
+    Each (row, column) pair occurs once, as s -> s.w_j is injective, so
+    M is filled by assignment. Returns ||M x|| for the top eigenvector
+    x of G scaled to unit length, which never exceeds ||M||, the n
+    columns of G as its operator applications, and ||G x - theta x||
+    divided by theta. The column of the identity holds every scaled
+    coefficient, so theta >= 1/4.
+    """
+    mat = np.zeros((m, n), dtype=complex)
+    mat[rows, cols] = vals
+    g = mat.conj().T @ mat
+    thetas, vecs = np.linalg.eigh(g)
+    theta, x = float(thetas[-1]), vecs[:, -1]
+    x = x / np.linalg.norm(x)
+    residual = float(np.linalg.norm(g @ x - theta * x)) / theta
+    return float(np.linalg.norm(mat @ x)), n, residual
 
 
 def _lanczos_top(gram, forward, n: int, tol: float, max_iter: int) -> tuple[float, int, float]:
@@ -567,14 +601,20 @@ def _lanczos_top(gram, forward, n: int, tol: float, max_iter: int) -> tuple[floa
     raise ConvergenceError("Lanczos iteration did not converge", max_iter)
 
 
-def _reduced_norm(f: GroupFunction, group: MarkedGroup, radius, tol: float, max_iter: int) -> tuple[float, int, float]:
-    """reduced_norm_truncated with the solver's applications and relative residual."""
+def _covered(f: GroupFunction, group: MarkedGroup, radius) -> GroupFunction:
+    """f normalized, once the ball of this radius is allowed and covers its support."""
     group.check_ball(radius)
     f = normalize_function(f, group)
-    if not f:
-        return 0.0, 0, 0.0
     if radius < support_radius(f, group):
         raise ValidationError("radius must cover the support of f")
+    return f
+
+
+def _reduced_norm(f: GroupFunction, group: MarkedGroup, radius, tol: float, max_iter: int) -> tuple[float, int, float]:
+    """reduced_norm_truncated with the solver's applications and relative residual."""
+    f = _covered(f, group, radius)
+    if not f:
+        return 0.0, 0, 0.0
     support = list(f)
     return _Compression(_ball_index(group, radius), support).norm(
         np.array([f[g] for g in support], dtype=complex), tol, max_iter
@@ -591,12 +631,14 @@ def reduced_norm_truncated(
     """Certified lower bound for the reduced norm of f.
 
     Compresses the left convolution operator to the ball of the given
-    radius and runs restarted Lanczos on the normal matrix; the
-    returned ||Mx|| for a unit Ritz vector x never exceeds the norm of
-    the compression, which never exceeds the reduced norm and grows
-    with the radius. max_iter bounds the operator applications; past it
-    ConvergenceError carries the count. Requires the radius to cover
-    the support of f.
+    radius and finds the top eigenvector x of the normal matrix: by one
+    dense eigh when the compression has at most DENSE_COLS columns (and
+    at most max_iter; tol is not used there), else by restarted Lanczos
+    stopped at tol. The returned ||Mx|| for the unit vector x never
+    exceeds the norm of the compression, which never exceeds the
+    reduced norm and grows with the radius. max_iter bounds the
+    operator applications; past it ConvergenceError carries the count.
+    Requires the radius to cover the support of f.
     """
     return _reduced_norm(f, group, radius, tol, max_iter)[0]
 
@@ -681,10 +723,13 @@ class NormSpec:
                 raise ValidationError("hs norm needs s")
             return hs_norm(f, self.s, group)
         if self.name == "reduced_truncated":
-            if self.radius is None:
-                raise ValidationError("truncated reduced norm needs a radius")
-            return reduced_norm_truncated(f, group, self.radius)
+            return reduced_norm_truncated(f, group, self.ball_radius())
         raise ValidationError(f"unknown norm {self.name!r}")
+
+    def ball_radius(self) -> float:
+        if self.radius is None:
+            raise ValidationError("truncated reduced norm needs a radius")
+        return self.radius
 
 
 @dataclass(frozen=True)
@@ -715,15 +760,17 @@ def unconditionality_probe(
     if trials > PROBE_COUNT_CAP:
         raise DeskScaleError(f"{trials} trials exceed the desk-scale cap {PROBE_COUNT_CAP}")
     f = normalize_function(f, group)
-    base = norm.evaluate(f, group)
+    elems = sorted(f, key=repr)
+    pattern = None
+    if norm.name == "reduced_truncated" and _covered(f, group, norm.ball_radius()):
+        # one compression for the base value and every trial: only the values move
+        pattern = _Compression(_ball_index(group, norm.radius), elems)
+        base = pattern.norm(np.array([f[g] for g in elems]), POWER_TOL, POWER_MAX_ITER)[0]
+    else:
+        base = norm.evaluate(f, group)
     rng = np.random.default_rng(seed)
     worst = 0.0
     witness = None
-    elems = sorted(f, key=repr)
-    pattern = None
-    if norm.name == "reduced_truncated" and f:
-        # evaluate has checked the radius; only the values move per trial
-        pattern = _Compression(_ball_index(group, norm.radius), elems)
     for _ in range(trials):
         phases = np.exp(2j * math.pi * rng.random(len(elems)))
         flipped = {g: f[g] * phases[i] for i, g in enumerate(elems)}
@@ -865,8 +912,9 @@ def schur_ratio_probe(
 class NormReport:
     """The norms of one function: exact l1, Sobolev at one s, and the
     truncated reduced-norm bracket [red_lower, red_upper = l1], with the
-    Lanczos operator applications behind red_lower and its final
-    residual relative to the top Ritz value."""
+    operator applications behind red_lower (the n columns of M^H M for
+    the dense solve) and the final residual relative to the top
+    eigenvalue."""
 
     l1: float
     s: float

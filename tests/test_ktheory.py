@@ -261,10 +261,13 @@ def test_index_work_cap_counts_the_built_matrices():
     assert fredholm_index(FredholmModule.build([0], [side], [np.zeros((side, 0))]), alg).ranks == (-side,)
     with pytest.raises(DeskScaleError, match="over the desk-scale cap"):
         fredholm_index(FredholmModule.build([0], [side + 1], [np.zeros((side + 1, 0))]), alg)
-    # one row of u: its e0 x e0 right SVD factor
+    # one row of u: its 1 x e0 right SVD factor and the 1 x (e0 + 1) completed
+    # operator, 2 * side^2 + 2 entries in all
     wide = side * side
     with pytest.raises(DeskScaleError, match="over the desk-scale cap"):
         fredholm_index(FredholmModule.build([wide], [1], [np.zeros((1, wide))]), alg)
+    # a 1 x 1415 u: its right factor has one row, not 1415^2 > cap entries
+    assert fredholm_index(FredholmModule.build([1415], [1], [np.zeros((1, 1415))]), alg).ranks == (1414,)
     # one free copy of a huge block: its columns in the completed operator
     with pytest.raises(DeskScaleError, match="over the desk-scale cap"):
         fredholm_index(FredholmModule.build([0], [1], [np.zeros((1, 0))]), FDAlgebra((10**9,)))

@@ -11,8 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rapid_decay_reference as reference
+from dirac_atlas import rapid_decay
 from dirac_atlas.errors import ConvergenceError, DeskScaleError, ValidationError
 from dirac_atlas.rapid_decay import (
+    DENSE_COLS,
+    POWER_MAX_ITER,
+    POWER_TOL,
     PROBE_COUNT_CAP,
     _ball_index,
     _Compression,
@@ -500,20 +504,38 @@ def test_reduced_norm_scales_extreme_coefficients(scale):
 
 
 def test_norm_report_carries_iterations_and_residual():
+    # 61 columns: the dense solve counts them as its applications
     rep = compute_norm_report(F_TRIPLE, Z, s=1.0, radius=30)
+    assert rep.iterations == 61 and 0 <= rep.residual <= 1e-12
+    # 201 columns: Lanczos. The scaled f has max |c| in [1/2, 1), so
+    # theta >= 1/4 and the stopping rule bounds the residual over theta
+    # by 4 * POWER_TOL
+    rep = compute_norm_report(F_TRIPLE, Z, s=1.0, radius=100)
     assert rep.iterations >= 1
-    # the scaled f has max |c| in [1/2, 1), so theta >= 1/4 and the stopping
-    # rule bounds the residual over theta by 4 * POWER_TOL
     assert 0 <= rep.residual <= 4e-6
     assert compute_norm_report({}, Z, s=1.0, radius=3).iterations == 0
 
 
-def test_unconditionality_probe_reuses_one_pattern():
+def test_unconditionality_probe_reuses_one_pattern(monkeypatch):
     f = {(): 1, (1,): 1, (-1,): 1, (2,): 1, (-2,): 1}
+    built = []
+    monkeypatch.setattr(rapid_decay, "_Compression", lambda *args: built.append(args) or _Compression(*args))
     rep = unconditionality_probe(NormSpec("reduced_truncated", radius=4), f, F2, trials=5, seed=2)
+    assert len(built) == 1  # the base value and every trial
     assert rep.base_value == pytest.approx(reduced_norm_truncated(f, F2, 4), rel=1e-12)
     again = reduced_norm_truncated(rep.witness, F2, 4)
     assert rep.max_deviation == pytest.approx(abs(again - rep.base_value), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec,f",
+    [(NormSpec("reduced_truncated"), F_TRIPLE), (NormSpec("reduced_truncated", radius=1), F_TRIPLE),
+     (NormSpec("reduced_truncated", radius=-3), F_TRIPLE), (NormSpec("reduced_truncated", radius=-3), {})],
+    ids=["no-radius", "radius-below-support", "negative-radius", "negative-radius-empty"],
+)
+def test_unconditionality_probe_checks_the_radius_before_the_trials(spec, f):
+    with pytest.raises(ValidationError):
+        unconditionality_probe(spec, f, Z, trials=2, seed=1)
 
 
 def test_ball_index_is_built_once_per_radius():
@@ -529,11 +551,60 @@ def test_ball_index_is_built_once_per_radius():
     [(F2, {(1,): 1.5 + 1.5j, (-1,): -1 - 1j}, 2), (FIN, {0: 1.0, 1: -1.0}, 1)],
     ids=["f2-symmetric", "s3-trivial-kernel"],
 )
-def test_lanczos_start_has_no_symmetry(group, f, radius):
+def test_lanczos_start_has_no_symmetry(group, f, radius, monkeypatch):
     # from ones/sqrt(n) the Krylov space of these f stays in a symmetric
-    # subspace that misses the top singular vector (2.5495 and 0.0)
+    # subspace that misses the top singular vector (2.5495 and 0.0); these
+    # compressions are small enough for the dense solve, so it is switched off
+    monkeypatch.setattr(rapid_decay, "DENSE_COLS", 0)
     sigma = float(np.linalg.norm(reference.compressed_operator_reference(f, group, radius), 2))
     assert reduced_norm_truncated(f, group, radius) == pytest.approx(sigma, rel=1e-9)
+
+
+def _radius_at_dense_threshold(group, support, above):
+    """The largest radius whose compression has at most DENSE_COLS columns,
+    or the smallest with more."""
+    radius = max(group.length(g) for g in support)
+    while True:
+        n = len(_Compression(_ball_index(group, radius + 1), support).col_ids)
+        if n > DENSE_COLS:
+            return radius + 1 if above else radius
+        radius += 1
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+@pytest.mark.parametrize(
+    "name,f",
+    [("z", {(0,): 1.5 - 0.5j, (1,): 1.0, (-2,): -0.75j}),
+     ("z2", {(0, 0): 1.0, (1, 0): 0.5 + 0.5j, (0, -1): -1.25}),
+     ("f2", {(): 0.5, (1,): 1.5 + 1.5j, (-1,): -1 - 1j, (2, 1): 0.25j})],
+)
+def test_dense_and_lanczos_solves_agree_at_the_threshold(name, f, above, monkeypatch):
+    group = parse_group(name)
+    support = list(f)
+    radius = _radius_at_dense_threshold(group, support, above)
+    op = _Compression(_ball_index(group, radius), support)
+    n = len(op.col_ids)
+    assert (n > DENSE_COLS) == above
+    coeffs = np.array([f[g] for g in support], dtype=complex)
+    sigma = float(np.linalg.norm(reference.compressed_operator_reference(f, group, radius), 2))
+    chosen = op.norm(coeffs, POWER_TOL, POWER_MAX_ITER)
+    monkeypatch.setattr(rapid_decay, "DENSE_COLS", n)
+    dense = op.norm(coeffs, POWER_TOL, POWER_MAX_ITER)
+    monkeypatch.setattr(rapid_decay, "DENSE_COLS", 0)
+    lanczos = op.norm(coeffs, POWER_TOL, POWER_MAX_ITER)
+    assert chosen == (lanczos if above else dense)
+    # the dense solve forms the n columns of M^H M, and its residual is rounding
+    assert dense[1] == n and 0 <= dense[2] <= 1e-12
+    assert 1 <= lanczos[1] and 0 <= lanczos[2] <= 4 * POWER_TOL
+    assert dense[0] == pytest.approx(sigma, rel=1e-12) and dense[0] <= sigma * (1 + 1e-12)
+    assert lanczos[0] == pytest.approx(sigma, rel=1e-9) and lanczos[0] <= sigma * (1 + 1e-12)
+    if not above:
+        # max_iter bounds the applications of either solve, so below n it is Lanczos
+        monkeypatch.setattr(rapid_decay, "DENSE_COLS", n)
+        assert op.norm(coeffs, POWER_TOL, n - 1) == lanczos
+        # and so is a compression over the entry bound
+        monkeypatch.setattr(rapid_decay, "DENSE_ENTRIES", len(op.row_ids) * n - 1)
+        assert op.norm(coeffs, POWER_TOL, POWER_MAX_ITER) == lanczos
 
 
 def test_free_ball_builds_left_rows_only_for_the_letters_used():
