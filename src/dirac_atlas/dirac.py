@@ -46,6 +46,7 @@ from .rootsys import (
     RootSystem,
     Weight,
     check_dominant_integral,
+    check_materializable,
     integer_coords,
     is_regular,
     wadd,
@@ -302,6 +303,7 @@ def enumerate_discrete_series(
         raise ValidationError("bound must be nonnegative")
     if not pair.equal_rank or pair.parity == 1:
         return []
+    check_materializable(pair.g)  # the chamber ids need W: refuse before the box
     rows, pairings, den = _lattice_box(pair, bound)
     form = pair.g.integral
     norm = np.einsum("ij,jk,ik->i", rows, form.gram, rows)

@@ -41,12 +41,10 @@ from .rootsys import (
     check_dim,
     check_dominant_integral,
     grlex_key,
-    inner,
     integer_coords,
     make_dominant,
     orbit_size,
     rootsys_to_json,
-    wadd,
     weight,
     weyl_orbit,
     wzero,
@@ -308,13 +306,13 @@ def weyl_dimension(mu, rs: RootSystem) -> Fraction:
     """Weyl dimension formula: prod (mu+rho, a) / (rho, a) over a > 0.
 
     Independent of the Freudenthal path; exact rational (integral on
-    dominant integral weights).
+    dominant integral weights). With the integer pairings (mu, a) = p_a/d
+    and (rho, a) = q_a/e it is prod (e p_a + d q_a) / (d^N prod q_a).
     """
-    shifted = wadd(label_weight(mu, rs), rs.rho)
-    out = Fraction(1)
-    for a in rs.positive_roots:
-        out *= inner(shifted, a, rs) / inner(rs.rho, a, rs)
-    return out
+    form = rs.integral
+    p, d = form.pairings(label_weight(mu, rs))
+    q, e = form.pairings(rs.rho)
+    return Fraction(math.prod(e * a + d * b for a, b in zip(p, q)), d ** len(q) * math.prod(q))
 
 
 def product(a: VirtualCharacter, b: VirtualCharacter) -> VirtualCharacter:

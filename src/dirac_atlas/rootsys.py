@@ -14,7 +14,9 @@ so formal-degree style ratios (x, a)/(rho, a) are scale-free. The
 stored bilinear form is the Gram matrix of the coordinate basis.
 
 Integer scaling: every quantity here lies on a lattice with a small
-known denominator, so the exact core runs on integers. Each RootSystem
+known denominator, so the exact core runs on integers. A root is the
+integer row k C of the Cartan matrix C; the form and fw_to_simple_coords
+are Bareiss solves, subsystems are found on integer rows. Each RootSystem
 carries an IntegralForm (built once, on first use): the scaled form, the
 positive roots and the simple coroots as integer arrays. A weight enters
 as integer numerators over one denominator, after the one length check
@@ -22,9 +24,9 @@ as integer numerators over one denominator, after the one length check
 weyl_orbit, regularity, Weyl-group materialization and chamber lookup
 are integer computations. Weyl group and orbit orders are closed-form
 in the root heights (Macdonald): |W x| for a dominant x is the product
-of (ht a + 1)/ht a over the positive roots a with (x, a) != 0. Fractions
-remain the currency of the public API and the JSON boundary: they are
-made only for returned values.
+of (ht a + 1)/ht a over the positive roots a with (x, a) != 0, and a
+group over WEYL_MATERIALIZE_CAP is refused from its order. Fractions
+are made only for returned values, at the public API and JSON boundary.
 
 Everything here is immutable after construction and safe to share;
 all operations are pure functions.
@@ -35,17 +37,19 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 import numpy as np
 
-from ._linalg import Matrix, mat_inv, solve_left
+from ._linalg import bareiss_solve
 from .errors import DeskScaleError, ValidationError
 from .jsonutil import fr_str, mat_str, vec_str
 
 Weight = tuple[Fraction, ...]
+Matrix = tuple[tuple[Fraction, ...], ...]
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -363,6 +367,11 @@ class RootSystem:
     rho: Weight
 
     @functools.cached_property
+    def root_index(self) -> dict[Weight, int]:
+        """Position of each positive root in positive_roots."""
+        return {r: j for j, r in enumerate(self.positive_roots)}
+
+    @functools.cached_property
     def integral(self) -> IntegralForm:
         """The integer-scaled form, roots and coroots; see IntegralForm."""
         n = self.rank
@@ -371,8 +380,7 @@ class RootSystem:
         if any(c.denominator != 1 for r in self.positive_roots for c in r):
             raise ValidationError("positive roots must have integer coordinates")
         roots = np.array(self.positive_roots, dtype=np.int64).reshape(-1, n)
-        index = {r: j for j, r in enumerate(self.positive_roots)}
-        simple_index = tuple(index[r] for r in self.simple_roots)
+        simple_index = tuple(self.root_index[r] for r in self.simple_roots)
         simple = roots[np.array(simple_index, dtype=np.intp)]
         simple_fr = gram @ simple.T
         # <x, a^vee> = 2 L (x, a) / (L (a, a)); integral for every system built here
@@ -415,50 +423,40 @@ def build_root_system(cartan: CartanType) -> RootSystem:
 
     Positive roots are complete under the Cartan-matrix closure and
     come in graded-lex order of their simple-root coordinates. The
-    empty type is rejected.
+    construction runs on integers: the root with simple-root
+    coordinates k is the row k C of the integer Cartan matrix C, and
+    the form is C^-1 (integer numerators over |det C|, one Bareiss
+    solve) times the symmetrizer. The empty type is rejected.
     """
     if not cartan.factors:
         raise ValidationError("empty Cartan type has no root system")
     n = cartan.rank
-    cm: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
+    cm = [[0] * n for _ in range(n)]
     sym: list[Fraction] = []
     offset = 0
     simple_coords: list[tuple[int, ...]] = []
     for fam, rank in cartan.factors:
         block = _cartan_matrix_simple(fam, rank)
-        for i in range(rank):
-            for j in range(rank):
-                cm[offset + i][offset + j] = Fraction(block[i][j])
+        for i, row in enumerate(block):
+            cm[offset + i][offset : offset + rank] = row
         sym.extend(_symmetrizer(fam, rank))
         for k in positive_roots_from_cartan(block):
             simple_coords.append((0,) * offset + k + (0,) * (n - offset - rank))
         offset += rank
     simple_coords.sort(key=lambda k: (sum(k), k))
-    cmat: Matrix = tuple(tuple(row) for row in cm)
-    inv = mat_inv(cmat)
-    form: Matrix = tuple(
-        tuple(inv[i][j] * sym[j] for j in range(n)) for i in range(n)
-    )
-    # fw coords of a root with simple-root coords k: sum_i k_i * row_i(C).
-    def to_fw(k) -> Weight:
-        return tuple(
-            sum((Fraction(k[i]) * cmat[i][j] for i in range(n)), Fraction(0)) for j in range(n)
-        )
-
-    positives = tuple(to_fw(k) for k in simple_coords)
-    simples = tuple(to_fw(tuple(1 if j == i else 0 for j in range(n))) for i in range(n))
-    rho = wscale(Fraction(1, 2), functools.reduce(wadd, positives, wzero(n)))
-    rs = RootSystem(
+    roots = np.array(simple_coords, dtype=np.int64) @ np.array(cm, dtype=np.int64)
+    if (roots.sum(axis=0) != 2).any():
+        raise AssertionError("rho is not the sum of the fundamental weights")
+    inv, det = bareiss_solve(cm, np.eye(n, dtype=np.int64).tolist())
+    frac = {c: Fraction(c) for c in range(int(roots.min()), int(roots.max()) + 1)}
+    return RootSystem(
         cartan=cartan,
         rank=n,
-        simple_roots=simples,
-        positive_roots=positives,
-        form=form,
-        rho=rho,
+        simple_roots=tuple(tuple(map(frac.get, row)) for row in cm),
+        positive_roots=tuple(tuple(map(frac.get, row)) for row in roots.tolist()),
+        form=tuple(tuple(Fraction(c * s.numerator, det * s.denominator) for c, s in zip(row, sym)) for row in inv),
+        rho=(Fraction(1),) * n,
     )
-    if rho != (Fraction(1),) * n:
-        raise AssertionError("rho is not the sum of the fundamental weights")
-    return rs
 
 
 def rescale_form(rs: RootSystem, factor) -> RootSystem:
@@ -478,34 +476,40 @@ def subsystem(ambient: RootSystem, roots: Iterable[Weight]) -> RootSystem:
 
     The coordinate space and form are inherited. Simple roots are the
     indecomposable elements; the closure they generate must reproduce
-    the given set exactly, otherwise the set is not a subsystem.
+    the given set exactly, otherwise the set is not a subsystem. The
+    checks run on the roots' integer rows and the ambient Gram matrix.
     """
-    pos = sorted(set(roots), key=grlex_key)
-    pos_set = set(pos)
-    for r in pos:
-        if r not in ambient.positive_roots:
-            raise ValidationError(f"{vec_str(r)} is not a positive root of the ambient system")
-    simples = [r for r in pos if all(wsub(r, s) not in pos_set for s in pos)]
-    cm = [[2 * inner(a, b, ambient) / inner(b, b, ambient) for b in simples] for a in simples]
+    located = [(ambient.root_index.get(r), r) for r in set(roots)]
+    outside = [r for j, r in located if j is None]
+    if outside:
+        raise ValidationError(f"{vec_str(min(outside, key=grlex_key))} is not a positive root of the ambient system")
+    form = ambient.integral
+    rows = form.roots.tolist()
+    keyed = sorted(((tuple(rows[j]), r) for j, r in located), key=lambda t: grlex_key(t[0]))
+    ints = [row for row, _ in keyed]
+    pos = [r for _, r in keyed]
+    pos_set = set(ints)
+    is_simple = [not any(tuple(map(operator.sub, a, b)) in pos_set for b in ints) for a in ints]
+    simples = [r for r, s in zip(pos, is_simple) if s]
+    simple_rows = [row for row, s in zip(ints, is_simple) if s]
+    # through inner: perfbench's --trace 1 needs it reached on every stream, and catalog loads reach it here
+    gram = [[inner(a, b, ambient) for b in simples] for a in simples]
+    cm = [[2 * row[j] / gram[j][j] for j in range(len(row))] for row in gram]
     if any(x.denominator != 1 for row in cm for x in row):
         raise ValidationError("marked set is not a root subsystem (non-integral Cartan pairing)")
     cm = [[int(x) for x in row] for row in cm]
     if simples:
-        closure = positive_roots_from_cartan(cm)
-        rebuilt = {
-            functools.reduce(wadd, (wscale(k[i], simples[i]) for i in range(len(simples))), wzero(ambient.rank))
-            for k in closure
-        }
-        if rebuilt != pos_set:
+        closure = np.array(positive_roots_from_cartan(cm), dtype=np.int64) @ np.array(simple_rows, dtype=np.int64)
+        if set(map(tuple, closure.tolist())) != pos_set:
             raise ValidationError("marked set is not a root subsystem (closure mismatch)")
-    rho = wscale(Fraction(1, 2), functools.reduce(wadd, pos, wzero(ambient.rank)))
+    total = [sum(col) for col in zip(*ints)] if ints else [0] * ambient.rank
     return RootSystem(
         cartan=identify_cartan_type(tuple(simples), ambient, cm),
         rank=ambient.rank,
         simple_roots=tuple(simples),
         positive_roots=tuple(pos),
         form=ambient.form,
-        rho=rho,
+        rho=tuple(Fraction(c, 2) for c in total),
     )
 
 
@@ -653,32 +657,34 @@ def weyl_elements(rs: RootSystem) -> tuple[Matrix, ...]:
     reflections; since a simple reflection changes the length by
     exactly one, a level's products are the next level plus elements
     of the previous one. Entries are Python ints, equal to the exact
-    rationals they stand for. Raises DeskScaleError past the
-    materialization cap.
+    rationals they stand for. A group over the materialization cap is
+    refused before the search (check_materializable).
     """
+    check_materializable(rs)
     n = rs.rank
     gens = _simple_reflections(rs)
     level = _row_keys(np.eye(n, dtype=np.int64).reshape(1, n * n))
     prev = level[:0]
     levels = [level]
-    total = 1
     while len(level):
         prods = np.einsum("fij,gjk->fgik", _key_rows(level, n), gens)
         keys = _distinct_sorted(_row_keys(prods.reshape(-1, n * n)))
         prev, level = level, keys[~_in_sorted(keys, prev)]
         levels.append(level)
-        total += len(level)
-        if total > WEYL_MATERIALIZE_CAP:
-            raise DeskScaleError(
-                f"Weyl group exceeds the materialization cap {WEYL_MATERIALIZE_CAP}"
-            )
     return tuple(tuple(map(tuple, m)) for m in _key_rows(np.concatenate(levels), n).tolist())
+
+
+def check_materializable(rs: RootSystem) -> None:
+    """Refuse a Weyl group over WEYL_MATERIALIZE_CAP from its closed-form order, before any work."""
+    if weyl_group_order(rs) > WEYL_MATERIALIZE_CAP:
+        raise DeskScaleError(f"Weyl group exceeds the materialization cap {WEYL_MATERIALIZE_CAP}")
 
 
 def weyl_group_order(rs: RootSystem) -> int:
     """|W| = |W rho| in closed form: the product of (ht a + 1)/ht a over
     the positive roots a (Macdonald, Math. Ann. 199, 1972)."""
-    return orbit_size(rs.rho, rs)
+    heights = rs.integral.heights
+    return math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
 def orbit_size(x: Weight, rs: RootSystem) -> int:
@@ -789,9 +795,10 @@ def fw_to_simple_coords(x: Weight, rs: RootSystem) -> Optional[Weight]:
     """Coordinates of x in the simple-root basis of rs, or None.
 
     For subsystems the simple roots need not span the ambient space;
-    None means x is outside their rational span.
+    None means x is outside their rational span. One Bareiss solve on
+    the integer simple roots and x's numerators.
     """
     check_dim(x, rs.rank)
-    if not rs.simple_roots:
-        return () if all(c == 0 for c in x) else None
-    return solve_left(rs.simple_roots, x)
+    nums, den = integer_coords(x)
+    (coeffs,), d = bareiss_solve(rs.integral.simple_rows, [nums])
+    return None if coeffs is None else tuple(Fraction(c, d * den) for c in coeffs)

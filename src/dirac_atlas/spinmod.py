@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Optional, Union
 
-from ._linalg import mat_inv, solve_left
+from ._linalg import bareiss_solve
 from .errors import ValidationError
 from .jsonutil import load_json_file, parse_vec, vec_str
 from .repring import VirtualCharacter, char_from_terms, product, trivial_character, zero_character
@@ -33,7 +35,7 @@ from .rootsys import (
     RootSystem,
     Weight,
     build_root_system,
-    grlex_key,
+    integer_coords,
     parse_cartan,
     rescale_form,
     subsystem,
@@ -88,20 +90,24 @@ class SpinStructure:
     lifts_on_double_cover: bool
 
 
-def _validate_grading(rs: RootSystem, compact: set[Weight]) -> None:
+def _validate_grading(rs: RootSystem, compact: set[int]) -> None:
     """The marking, extended by e(-a) = e(a), must be additive: the
     restriction of a homomorphism from the root lattice to Z/2. By
     induction on height, as every non-simple positive root b is
     (b - a) + a with a simple and b - a positive, that holds iff
-    e(b) = e(b - a) + e(a) mod 2 for all such pairs."""
-    eps = {r: 0 if r in compact else 1 for r in rs.positive_roots}
-    for b in rs.positive_roots:
-        for a in rs.simple_roots:
-            rest = wsub(b, a)
-            if rest in eps and (eps[rest] + eps[a]) % 2 != eps[b]:
+    e(b) = e(b - a) + e(a) mod 2 for all such pairs, on integer rows;
+    compact holds the positions of the compact positive roots."""
+    form = rs.integral
+    rows = list(map(tuple, form.roots.tolist()))
+    position = {row: j for j, row in enumerate(rows)}
+    eps = [0 if j in compact else 1 for j in range(len(rows))]
+    for b, row in enumerate(rows):
+        for a, i in zip(rs.simple_roots, form.simple_index):
+            rest = position.get(tuple(map(operator.sub, row, rows[i])))
+            if rest is not None and (eps[rest] + eps[i]) % 2 != eps[b]:
                 raise ValidationError(
                     "compact marking is not an additive Z/2 grading "
-                    f"(fails at {vec_str(rest)} + {vec_str(a)})"
+                    f"(fails at {vec_str(rs.positive_roots[rest])} + {vec_str(a)})"
                 )
 
 
@@ -124,40 +130,39 @@ def build_pair(
     ct = parse_cartan(cartan) if isinstance(cartan, str) else cartan
     g = build_root_system(ct)
     if compact_marking == "all":
-        compact = set(g.positive_roots)
+        marked = set(range(len(g.positive_roots)))
     else:
-        compact = set()
+        marked = set()
         for w in compact_marking:
             ww = tuple(Fraction(c) for c in w)
-            if ww not in g.positive_roots:
+            j = g.root_index.get(ww)
+            if j is None:
                 raise ValidationError(f"{vec_str(ww)} is not a positive root of {ct}")
-            compact.add(ww)
-    _validate_grading(g, compact)
-    k = subsystem(g, sorted(compact, key=grlex_key))
-    noncompact = tuple(r for r in g.positive_roots if r not in compact)
+            marked.add(j)
+    _validate_grading(g, marked)
+    k = subsystem(g, [r for j, r in enumerate(g.positive_roots) if j in marked])
+    noncompact = tuple(r for j, r in enumerate(g.positive_roots) if j not in marked)
     if dim_g_mod_k is None:
         dim_g_mod_k = 2 * len(noncompact)
     if equal_rank is None:
         equal_rank = True
     if k_lattice is None:
-        basis: tuple[Weight, ...] = tuple(
-            tuple(Fraction(1 if j == i else 0) for j in range(g.rank)) for i in range(g.rank)
-        )
+        basis = tuple(tuple(Fraction(int(i == j)) for j in range(g.rank)) for i in range(g.rank))
     else:
         basis = tuple(tuple(Fraction(c) for c in b) for b in k_lattice)
         if len(basis) != g.rank or any(len(b) != g.rank for b in basis):
             raise ValidationError(f"K lattice basis must be {g.rank} vectors of {g.rank} coordinates")
+        # the roots are weights of the torus, so they lie in the K weight lattice
         try:
-            mat_inv(basis)
+            contains = all(lattice_contains(basis, a) for a in g.simple_roots)
         except ValueError as exc:
             raise ValidationError("K lattice basis must have full rank") from exc
-        # the roots are weights of the torus, so they lie in the K weight lattice
-        if not all(lattice_contains(basis, a) for a in g.simple_roots):
+        if not contains:
             raise ValidationError("K lattice must contain the roots of g")
     return RealPair(
         g=g,
         k=k,
-        compact_positive=tuple(sorted(compact, key=grlex_key)),
+        compact_positive=k.positive_roots,
         noncompact_positive=noncompact,
         equal_rank=equal_rank,
         dim_g_mod_k=dim_g_mod_k,
@@ -186,8 +191,12 @@ def rho_noncompact(pair: RealPair) -> Weight:
 
 
 def lattice_contains(basis: tuple[Weight, ...], w: Weight) -> bool:
-    coeffs = solve_left(basis, w)
-    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
+    """Whether w is an integer combination of the basis rows, by one Bareiss
+    solve on the rows scaled to integers; ValueError for a dependent basis."""
+    nums, _ = integer_coords(tuple(itertools.chain(*basis, w)))
+    rows = [nums[i * len(w) : (i + 1) * len(w)] for i in range(len(basis) + 1)]
+    (coeffs,), d = bareiss_solve(rows[:-1], rows[-1:])
+    return coeffs is not None and not any(c % d for c in coeffs)
 
 
 def spin_characters(pair: RealPair) -> SpinCharacter:

@@ -17,6 +17,10 @@ the tensor product of characters as a convolution of Fraction-keyed
 supports, the Weyl-invariance check by Fraction orbits, and the product
 and rank by Gaussian elimination of matrices over the Gaussian
 rationals Q(i), entries as (re, im) Fraction pairs.
+Also kept: the root system, its subsystems and the grading check built
+in Fractions, with the inverse Cartan matrix and every lattice solve by
+Gaussian elimination over Fraction, and the Weyl dimension as a product
+of Fraction form values.
 The package computes the same results on integers (or, for the
 decomposition, on dominant tables only; for a rank, as the trace of an
 idempotent); tests compare the two element by element.
@@ -32,19 +36,84 @@ from fractions import Fraction
 import numpy as np
 
 from dirac_atlas import repring
-from dirac_atlas._linalg import mat_inv, solve_left
 from dirac_atlas.dirac import _lattice_box, dirac_induct
 from dirac_atlas.errors import ValidationError
+from dirac_atlas.jsonutil import vec_str
 from dirac_atlas.rootsys import (
+    RootSystem,
     _cartan_matrix_simple,
+    _symmetrizer,
     apply_matrix,
-    fw_to_simple_coords,
     grlex_key,
+    identify_cartan_type,
+    positive_roots_from_cartan,
     wadd,
     wneg,
     wscale,
     wsub,
+    wzero,
 )
+
+
+def mat_inv(a):
+    """Invert a square Fraction matrix; raises ValueError if singular."""
+    n = len(a)
+    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv_p = Fraction(1) / aug[col][col]
+        aug[col] = [x * inv_p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def solve_left(rows, target):
+    """Solve sum_i x_i * rows[i] = target exactly, by Gauss-Jordan over Fraction.
+
+    Returns the coefficient vector, or None when target is not in the
+    row span. Requires the rows to be linearly independent.
+    """
+    m = len(rows)
+    if m == 0:
+        return () if all(t == 0 for t in target) else None
+    n = len(rows[0])
+    # Transposed system: n equations in the m unknowns x_j.
+    aug = [[Fraction(rows[j][i]) for j in range(m)] + [Fraction(target[i])] for i in range(n)]
+    pivots = []
+    r = 0
+    for col in range(m):
+        piv = next((k for k in range(r, n) if aug[k][col] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv_p = Fraction(1) / aug[r][col]
+        aug[r] = [x * inv_p for x in aug[r]]
+        for k in range(n):
+            if k != r and aug[k][col] != 0:
+                f = aug[k][col]
+                aug[k] = [x - f * y for x, y in zip(aug[k], aug[r])]
+        pivots.append(col)
+        r += 1
+    if len(pivots) < m:
+        raise ValueError("rows are linearly dependent")
+    if any(all(aug[k][c] == 0 for c in range(m)) and aug[k][m] != 0 for k in range(r, n)):
+        return None
+    x = [Fraction(0)] * m
+    for i, col in enumerate(pivots):
+        x[col] = aug[i][m]
+    return tuple(x)
+
+
+def lattice_contains(basis, w):
+    """w is an integer combination of the basis rows, by solve_left."""
+    coeffs = solve_left(basis, w)
+    return coeffs is not None and all(c.denominator == 1 for c in coeffs)
 
 
 def inner(a, b, rs):
@@ -110,6 +179,95 @@ def grading_is_additive(rs, compact):
     return all(
         (eps[a] + eps[b]) % 2 == eps[wadd(a, b)] for a in eps for b in eps if wadd(a, b) in eps
     )
+
+
+def build_root_system(cartan):
+    """The root system of a CartanType built in Fractions: the inverse
+    Cartan matrix by mat_inv, each root's coordinates as a Fraction
+    combination of the Cartan rows, rho as half their Fraction sum."""
+    n = cartan.rank
+    cm = [[Fraction(0)] * n for _ in range(n)]
+    sym = []
+    offset = 0
+    simple_coords = []
+    for fam, rank in cartan.factors:
+        block = _cartan_matrix_simple(fam, rank)
+        for i in range(rank):
+            for j in range(rank):
+                cm[offset + i][offset + j] = Fraction(block[i][j])
+        sym.extend(_symmetrizer(fam, rank))
+        for k in positive_roots_from_cartan(block):
+            simple_coords.append((0,) * offset + k + (0,) * (n - offset - rank))
+        offset += rank
+    simple_coords.sort(key=lambda k: (sum(k), k))
+    cmat = tuple(tuple(row) for row in cm)
+    inv = mat_inv(cmat)
+    form = tuple(tuple(inv[i][j] * sym[j] for j in range(n)) for i in range(n))
+
+    def to_fw(k):
+        return tuple(sum((Fraction(k[i]) * cmat[i][j] for i in range(n)), Fraction(0)) for j in range(n))
+
+    positives = tuple(to_fw(k) for k in simple_coords)
+    simples = tuple(to_fw(tuple(1 if j == i else 0 for j in range(n))) for i in range(n))
+    rho = wscale(Fraction(1, 2), functools.reduce(wadd, positives, wzero(n)))
+    return RootSystem(cartan=cartan, rank=n, simple_roots=simples, positive_roots=positives, form=form, rho=rho)
+
+
+def subsystem(ambient, roots):
+    """The subsystem on a closed set of positive roots, in Fractions:
+    membership by a scan of the ambient roots, simple roots by Fraction
+    differences, Cartan pairings from the Fraction form, and the
+    closure rebuilt as Fraction combinations of the simple roots."""
+    pos = sorted(set(roots), key=grlex_key)
+    pos_set = set(pos)
+    for r in pos:
+        if r not in ambient.positive_roots:
+            raise ValidationError(f"{vec_str(r)} is not a positive root of the ambient system")
+    simples = [r for r in pos if all(wsub(r, s) not in pos_set for s in pos)]
+    cm = [[2 * inner(a, b, ambient) / inner(b, b, ambient) for b in simples] for a in simples]
+    if any(x.denominator != 1 for row in cm for x in row):
+        raise ValidationError("marked set is not a root subsystem (non-integral Cartan pairing)")
+    cm = [[int(x) for x in row] for row in cm]
+    if simples:
+        rebuilt = {
+            functools.reduce(wadd, (wscale(k[i], simples[i]) for i in range(len(simples))), wzero(ambient.rank))
+            for k in positive_roots_from_cartan(cm)
+        }
+        if rebuilt != pos_set:
+            raise ValidationError("marked set is not a root subsystem (closure mismatch)")
+    return RootSystem(
+        cartan=identify_cartan_type(tuple(simples), ambient, cm),
+        rank=ambient.rank,
+        simple_roots=tuple(simples),
+        positive_roots=tuple(pos),
+        form=ambient.form,
+        rho=wscale(Fraction(1, 2), functools.reduce(wadd, pos, wzero(ambient.rank))),
+    )
+
+
+def validate_grading(rs, compact):
+    """The height-induction check of a Z/2 root grading on Fraction
+    weights: e(b) = e(b - a) + e(a) mod 2 for every positive root b and
+    simple root a with b - a positive. Raises with the first failure."""
+    eps = {r: 0 if r in compact else 1 for r in rs.positive_roots}
+    for b in rs.positive_roots:
+        for a in rs.simple_roots:
+            rest = wsub(b, a)
+            if rest in eps and (eps[rest] + eps[a]) % 2 != eps[b]:
+                raise ValidationError(
+                    "compact marking is not an additive Z/2 grading "
+                    f"(fails at {vec_str(rest)} + {vec_str(a)})"
+                )
+
+
+def weyl_dimension(mu, rs):
+    """prod (mu + rho, a) / (rho, a) over the positive roots a, one
+    Fraction form value at a time."""
+    shifted = wadd(tuple(Fraction(c) for c in mu), rs.rho)
+    out = Fraction(1)
+    for a in rs.positive_roots:
+        out *= inner(shifted, a, rs) / inner(rs.rho, a, rs)
+    return out
 
 
 def _reflection_matrix(root, rs):
@@ -264,7 +422,7 @@ def dominant_multiplicities_box(mu, rs):
     simples = rs.simple_roots
     if not simples:
         return {mu: 1}
-    kmax = fw_to_simple_coords(wsub(mu, wneg(make_dominant(wneg(mu), rs))), rs)
+    kmax = solve_left(simples, wsub(mu, wneg(make_dominant(wneg(mu), rs))))
     if kmax is None or not all(k.denominator == 1 and k >= 0 for k in kmax):
         raise AssertionError("mu minus its antidominant image is not in the positive root cone")
     candidates = []

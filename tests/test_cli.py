@@ -819,6 +819,50 @@ def test_enumerate_output_is_byte_identical_to_the_recorded_digests(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (pair, bound, roots)
 
 
+# sha256 of the stdout of `rootsys info T` for every simple type of rank
+# <= 8, recorded before root systems were built on integers.
+ROOTSYS_INFO_DIGESTS = {
+    "A1": "afcd9afce6645d1864e962b13ff5890104a5e9ac44b430f8b8bb257cf22ef96c",
+    "A2": "d3bbab1ce7826e4a415e76def3a81fdef7c5b2061bdf601eabe16057cfde7351",
+    "A3": "b086b626990146f02b2657e7322c453d9b2b78cf9c84dccbb84f488a727a6026",
+    "A4": "fb1b1a7a8b5b77538163f0df9f2f78f38fea8ff4192b09a42649629c71a43867",
+    "A5": "32d239be89c28533c8580442581f445cfba8aacab5bf6edbef35c3498f141ef4",
+    "A6": "04d784fa0ec65558bf65f0edfa3cdf3de0ffdbc5f5bd9440aa70d01f772c9975",
+    "A7": "501510926468a88b258f6e08646be6c9d53bb0a0f4a298ecc91d591a1036e1bc",
+    "A8": "8d7488d44943939bc5e6630233772cb735d720f49bfef6dcaee7aaa619f15520",
+    "B2": "81d3616a016987bd1cb13482e22984d9a3fdea5c6c5a4e9da1db961c955d27b4",
+    "B3": "5c348deb362af000c7e8984977319ed3f8b490f7e18cac80d4d1bbf9c06cd43d",
+    "B4": "4f58b8c7baf602014ec96002843a7648182f0a1ee0860c88f6fbcd07fc713d42",
+    "B5": "4671a10fccd8d1badabde917aaf87d509b6da5d5f95275aeec492accef56dcb9",
+    "B6": "5a3534ea85db7789068cc7bc714c6494b989231e9d462b9b91c9c3ff8d611da9",
+    "B7": "d4c0b43588b555166dc7893403e385b2ea0474cb5b1b7af5e59a781feb0b4b98",
+    "B8": "3d9833eaf6e1580af595ee498904ee8d64516a1d57cb28a0138bd2385254a955",
+    "C3": "169413bce297ed1dd4ced35a39bd265b6b22ce11d335048a5f644cdc7dfc7c53",
+    "C4": "cf463090258b56973d0455cf721411ce515c374a79e48916bce76e74d32ed634",
+    "C5": "aae82ed1b0a4ffc33c311c1c1aa666e109f5bef457809db65c412db95fbdd1a3",
+    "C6": "6905dcda5997eb5a1da79d222746f11c76449d360ab7785a4313cc6186a63a4b",
+    "C7": "2571e814ea200f79aa01e346b8c9ce7f8b9f9fb30aaa90c21abd39c09918b9d3",
+    "C8": "ccd02cb412a8d42ce5dd87043bb29bc056d0d0d6c88138d4a8f3488d9f889cd3",
+    "D4": "312828014b9036a6fd202fc410277f88e532defd113bbf086eb31ac36a834ecf",
+    "D5": "03546d63f34a86330fdd95a6f75f5eb75272c7114ace70638f64118094949f44",
+    "D6": "848d46d2611d0bd0ae3a23344648be6442cd284cba74a5445f7baba9235bcb79",
+    "D7": "c244e3060d78997f9de8559d779d65073f4e425a9a0bcba60a44e0a728fb4444",
+    "D8": "d07dce2dda81d79a5fc8d39ca8c3e2658773cf8c83d1105f5686d933dcecfe4d",
+    "E6": "6c9c00cb7f390b92fbc4faa970dcf6261053c3d12e123322cbf78ffcdb91206d",
+    "E7": "215ce00691d92d2ceff206e1a34afd3b9363afa1c9994fa2e75c3a50c3902c08",
+    "E8": "8636364782ac52b8f47c90e82e2485f0357dd718a3d14cb5fe29c0e0d14d538d",
+    "F4": "179f9200a3d73a4eded2ade52be0c9b6eef4a34ce501620e7925dee8af212ed6",
+    "G2": "2b62d92dd335657f0ddf658b2c2cec06d36f440167172be05a6889628e025752",
+}
+
+
+def test_rootsys_info_is_byte_identical_to_the_recorded_digests(capsys):
+    for cartan, digest in ROOTSYS_INFO_DIGESTS.items():
+        code, out, err = run_cli(capsys, "rootsys", "info", cartan)
+        assert code == EXIT_OK, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, cartan
+
+
 # sha256 of stdout, recorded before characters moved to integer keys: `rep
 # tensor` on every ordered pair of fundamental weights of A3, B3 and C3 and
 # on B3 (1,1,1)x(1,1,1), `rep irr` on the E6 and F4 labels of the
