@@ -267,7 +267,11 @@ def singular_value_rank(mat: np.ndarray, gap: float = RANK_GAP) -> int:
     """
     if mat.size == 0:
         return 0
-    svals = np.linalg.svd(mat, compute_uv=False)
+    return _band_rank(np.linalg.svd(mat, compute_uv=False), gap)
+
+
+def _band_rank(svals: np.ndarray, gap: float) -> int:
+    """The rank singular_value_rank reads off the singular values."""
     hi = AMBIGUITY_FACTOR * gap
     if np.any((svals > gap) & (svals < hi)):
         band = svals[(svals > gap) & (svals < hi)]
@@ -365,23 +369,18 @@ def fredholm_index(m: FredholmModule, algebra: FDAlgebra, gap: float = RANK_GAP)
         raise DeskScaleError(
             f"k0 index would build {work} matrix entries, over the desk-scale cap {K0_INDEX_WORK_CAP}"
         )
-    defects = []
-    for e1, u, n in zip(m.e1, m.u, algebra.blocks):
-        r = singular_value_rank(u, gap)
-        defects.append((e1 - r, n))
-    n_free = max((-(-d // n) for d, n in defects), default=0)
-    n_free = max(n_free, 0)
+    cokernels = [_cokernel_basis(u, gap) for u in m.u]
+    n_free = max((-(-c.shape[1] // n) for c, n in zip(cokernels, algebra.blocks)), default=0)
     ranks = []
-    for (defect, n), e0, e1, u in zip(defects, m.e0, m.e1, m.u):
+    for coker, n, e0, e1, u in zip(cokernels, algebra.blocks, m.e0, m.e1, m.u):
         cols = n_free * n
         if e1 == 0:
             ker = e0 + cols
         else:
             w = np.zeros((e1, cols), dtype=complex)
-            if defect > 0:
-                w[:, :defect] = _cokernel_basis(u, e1 - defect)
-            stacked = np.hstack([u, w]) if cols else u
-            r_full = singular_value_rank(stacked, gap)
+            w[:, : coker.shape[1]] = coker
+            # without added columns u has full row rank: its defect is 0
+            r_full = singular_value_rank(np.hstack([u, w]), gap) if cols else e1
             if r_full != e1:
                 raise NumericalAmbiguityError(
                     "stabilized operator failed to become surjective"
@@ -391,8 +390,9 @@ def fredholm_index(m: FredholmModule, algebra: FDAlgebra, gap: float = RANK_GAP)
     return K0Class(tuple(ranks))
 
 
-def _cokernel_basis(u: np.ndarray, rank: int) -> np.ndarray:
-    """Orthonormal basis of the left null space (cokernel) of u, given its rank.
+def _cokernel_basis(u: np.ndarray, gap: float) -> np.ndarray:
+    """Orthonormal basis of the left null space (cokernel) of u, from one SVD
+    whose singular values give the rank by singular_value_rank's band test.
 
     The left SVD factor is complete (e1 x e1) without full_matrices when
     e1 <= e0; the right factor then has e1 rows instead of e0.
@@ -400,7 +400,8 @@ def _cokernel_basis(u: np.ndarray, rank: int) -> np.ndarray:
     if u.size == 0:
         return np.eye(u.shape[0], dtype=complex)
     e1, e0 = u.shape
-    return np.linalg.svd(u, full_matrices=e1 > e0)[0][:, rank:]
+    left, svals, _ = np.linalg.svd(u, full_matrices=e1 > e0)
+    return left[:, _band_rank(svals, gap) :]
 
 
 def pushforward(theta: Sequence[Sequence[int]], x: K0Class, src: FDAlgebra, dst: FDAlgebra) -> K0Class:

@@ -494,10 +494,8 @@ def subsystem(ambient: RootSystem, roots: Iterable[Weight]) -> RootSystem:
     simple_rows = [row for row, s in zip(ints, is_simple) if s]
     # through inner: perfbench's --trace 1 needs it reached on every stream, and catalog loads reach it here
     gram = [[inner(a, b, ambient) for b in simples] for a in simples]
-    cm = [[2 * row[j] / gram[j][j] for j in range(len(row))] for row in gram]
-    if any(x.denominator != 1 for row in cm for x in row):
-        raise ValidationError("marked set is not a root subsystem (non-integral Cartan pairing)")
-    cm = [[int(x) for x in row] for row in cm]
+    # exact: 2(a, b)/(b, b) is an integer for any two roots of a crystallographic system
+    cm = [[2 * row[j] // gram[j][j] for j in range(len(row))] for row in gram]
     if simples:
         closure = np.array(positive_roots_from_cartan(cm), dtype=np.int64) @ np.array(simple_rows, dtype=np.int64)
         if set(map(tuple, closure.tolist())) != pos_set:

@@ -5,13 +5,14 @@ system together with a compact/noncompact marking of its positive
 roots. The marking must extend additively to a Z/2 grading of all
 roots, and the compact part must close into a root subsystem. The
 spin module S = S+ (+) S- of the noncompact part is built purely from
-weights: its weights are the half sign-sums over the noncompact
-positive roots.
+weights, as the graded product of (e^{b/2} + e^{-b/2}) over the
+noncompact positive roots b, on integer numerators; the character
+support cap bounds it.
 
 Unequal-rank pairs (for the no-discrete-series corollaries) are
-representable through catalog metadata, but the sign-vector spin
-construction refuses them; the spin difference degenerates to the zero
-class instead.
+representable through catalog metadata, but the spin construction
+refuses them; the spin difference degenerates to the zero class
+instead.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .rootsys import (
     wadd,
     wneg,
     wscale,
-    wsub,
     wzero,
 )
 
@@ -200,33 +200,24 @@ def lattice_contains(basis: tuple[Weight, ...], w: Weight) -> bool:
 
 
 def spin_characters(pair: RealPair) -> SpinCharacter:
-    """S+ and S- from sign vectors over the noncompact positive roots.
+    """S+ and S- as the graded product of (e^{b/2} + e^{-b/2}) over the
+    noncompact positive roots b.
 
-    The weights of S are (1/2) sum eps_b * b over all sign vectors;
-    grading is by the parity of the number of minus signs. Refuses
-    unequal-rank pairs (no shared torus to carry the weights).
+    The weights of S are (1/2) sum eps_b * b over all sign vectors,
+    graded by the parity of the number of minus signs; multiplying in
+    one root at a time keeps that parity: e^{b/2} keeps it, e^{-b/2}
+    flips it. Every coefficient is positive, so nothing cancels and
+    product's support cap refuses a module too large to expand.
+    Refuses unequal-rank pairs (no shared torus to carry the weights).
     """
     if not pair.equal_rank:
         raise ValidationError("spin characters need an equal-rank pair")
-    n = pair.g.rank
-    plus: dict[Weight, int] = {}
-    minus: dict[Weight, int] = {}
-    halves = [wscale(Fraction(1, 2), b) for b in pair.noncompact_positive]
-    for mask in range(1 << len(halves)):
-        w = wzero(n)
-        negs = 0
-        for i, h in enumerate(halves):
-            if mask >> i & 1:
-                w = wsub(w, h)
-                negs += 1
-            else:
-                w = wadd(w, h)
-        tgt = plus if negs % 2 == 0 else minus
-        tgt[w] = tgt.get(w, 0) + 1
-    return SpinCharacter(
-        s_plus=char_from_terms(pair.k, plus),
-        s_minus=char_from_terms(pair.k, minus),
-    )
+    even, odd = trivial_character(pair.k), zero_character(pair.k)
+    for b in pair.noncompact_positive:
+        h = wscale(Fraction(1, 2), b)
+        up, down = char_from_terms(pair.k, {h: 1}), char_from_terms(pair.k, {wneg(h): 1})
+        even, odd = product(even, up) + product(odd, down), product(odd, up) + product(even, down)
+    return SpinCharacter(s_plus=even, s_minus=odd)
 
 
 def spin_difference_character(pair: RealPair) -> VirtualCharacter:

@@ -14,7 +14,8 @@ highest weight and its antidominant image, the Cartan type matched
 against the standard matrices under every permutation, the
 decomposition of a character by peeling off full irreducible characters,
 the tensor product of characters as a convolution of Fraction-keyed
-supports, the Weyl-invariance check by Fraction orbits, and the product
+supports, the Weyl-invariance check by Fraction orbits, the spin module
+as a sum over all sign vectors of the noncompact roots, and the product
 and rank by Gaussian elimination of matrices over the Gaussian
 rationals Q(i), entries as (re, im) Fraction pairs.
 Also kept: the root system, its subsystems and the grading check built
@@ -53,6 +54,7 @@ from dirac_atlas.rootsys import (
     wsub,
     wzero,
 )
+from dirac_atlas.spinmod import SpinCharacter
 
 
 def mat_inv(a):
@@ -549,6 +551,29 @@ def decompose_peel(chi):
         out.append((repring.IrrLabel(mu), c))
     out.sort(key=lambda t: grlex_key(t[0].highest_weight))
     return out
+
+
+def spin_characters_by_sign_vectors(pair):
+    """S+ and S- from all 2^{n+} sign vectors over the noncompact positive
+    roots: the weight (1/2) sum eps_b * b goes to S+ or S- by the parity
+    of the number of minus signs."""
+    plus, minus = {}, {}
+    halves = [wscale(Fraction(1, 2), b) for b in pair.noncompact_positive]
+    for mask in range(1 << len(halves)):
+        w = wzero(pair.g.rank)
+        negs = 0
+        for i, h in enumerate(halves):
+            if mask >> i & 1:
+                w = wsub(w, h)
+                negs += 1
+            else:
+                w = wadd(w, h)
+        tgt = plus if negs % 2 == 0 else minus
+        tgt[w] = tgt.get(w, 0) + 1
+    return SpinCharacter(
+        s_plus=repring.char_from_terms(pair.k, plus),
+        s_minus=repring.char_from_terms(pair.k, minus),
+    )
 
 
 def gq_mul(a, b):

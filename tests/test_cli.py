@@ -17,7 +17,10 @@ import jsonschema
 import pytest
 
 from dirac_atlas.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, SCHEMAS, main
+from dirac_atlas.jsonutil import vec_str
 from dirac_atlas.ktheory import K0_ENTRY_CAP, K0_INDEX_WORK_CAP
+from dirac_atlas.repring import SUPPORT_CAP
+from dirac_atlas.rootsys import build_root_system, fw_to_simple_coords, parse_cartan
 from dirac_atlas.spinmod import catalog_names, get_pair
 
 
@@ -313,6 +316,26 @@ def test_degree_roots_flag(capsys):
 def _write_catalog(path, pair):
     path.write_text(json.dumps({"version": 1, "pairs": {pair: {"cartan": "A1", "compact": "all"}}}))
     return str(path)
+
+
+def test_spin_info_on_exceptional_hermitian_pairs(capsys, tmp_path):
+    """E6 with K = A5 x A1 (node 2) and E8 with K = D8 (node 1): a root is
+    compact when its simple-root coefficient at the node is even. E6 expands
+    2^20 sign vectors into a support under the cap; E8 (n+ = 64) is refused."""
+    pairs = {}
+    for name, cartan, node in (("e6h", "E6", 2), ("e8h", "E8", 1)):
+        g = build_root_system(parse_cartan(cartan))
+        compact = [r for r in g.positive_roots if fw_to_simple_coords(r, g)[node - 1] % 2 == 0]
+        pairs[name] = {"cartan": cartan, "compact": [vec_str(r) for r in compact]}
+    cat = tmp_path / "hermitian.json"
+    cat.write_text(json.dumps({"version": 1, "pairs": pairs}))
+    payload = run_json(capsys, "spin", "info", "--pair", "e6h", "--catalog", str(cat))
+    assert payload["n_noncompact_positive"] == 20
+    assert payload["dim_s_plus"] == payload["dim_s_minus"] == 524288
+    code, out, err = run_cli(capsys, "spin", "info", "--pair", "e8h", "--catalog", str(cat))
+    assert code == EXIT_VALIDATION and out == ""
+    assert err.count("\n") == 1 and f"character support exceeds the cap {SUPPORT_CAP}" in err
+    assert "Traceback" not in err
 
 
 def test_flags_override_the_config(capsys, tmp_path):

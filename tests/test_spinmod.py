@@ -20,7 +20,7 @@ from dirac_atlas.spinmod import (
     spin_characters,
     spin_difference_character,
 )
-from fraction_oracles import grading_is_additive
+from fraction_oracles import grading_is_additive, spin_characters_by_sign_vectors
 
 EQUAL_RANK_NAMES = [n for n in catalog_names() if n != "sl2c"]
 
@@ -91,6 +91,58 @@ def test_spin_dimension_and_two_paths(name):
         assert dimension(sc.s_plus) == dimension(sc.s_minus)
     assert (sc.s_plus - sc.s_minus).terms == spin_difference_character(pair).terms
     assert pair.parity == 0
+
+
+SIMPLE_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+ORACLE_MAX_N_PLUS = 10
+
+
+def one_node_gradings():
+    """(type, node, compact roots, n+) for every simple type of rank <= 8 and
+    every node (1-based): a positive root is compact when its simple-root
+    coefficient at the node is even (Borel-de Siebenthal)."""
+    out = []
+    for name in SIMPLE_TYPES:
+        g = build_root_system(parse_cartan(name))
+        coords = [fw_to_simple_coords(r, g) for r in g.positive_roots]
+        for node in range(g.rank):
+            compact = [r for r, k in zip(g.positive_roots, coords) if k[node] % 2 == 0]
+            out.append((name, node + 1, compact, len(g.positive_roots) - len(compact)))
+    return out
+
+
+ONE_NODE_GRADINGS = one_node_gradings()
+SMALL_GRADINGS = [t for t in ONE_NODE_GRADINGS if t[3] <= ORACLE_MAX_N_PLUS]
+
+
+def test_one_node_gradings_under_the_oracle_size():
+    assert len(ONE_NODE_GRADINGS) == 161 and len(SMALL_GRADINGS) == 60
+
+
+def assert_spin_matches_sign_vectors(pair):
+    sc = spin_characters(pair)
+    assert sc == spin_characters_by_sign_vectors(pair)
+    assert sc.s_plus - sc.s_minus == spin_difference_character(pair)
+
+
+@pytest.mark.parametrize("name", EQUAL_RANK_NAMES)
+def test_spin_characters_match_sign_vector_oracle_on_catalog(name):
+    assert_spin_matches_sign_vectors(get_pair(name))
+
+
+@pytest.mark.parametrize(
+    "cartan,node,compact,n_plus", SMALL_GRADINGS, ids=[f"{c}-node{n}" for c, n, _, _ in SMALL_GRADINGS]
+)
+def test_spin_characters_match_sign_vector_oracle_on_one_node_gradings(cartan, node, compact, n_plus):
+    pair = build_pair(cartan, compact)
+    assert pair.n_plus == n_plus
+    assert_spin_matches_sign_vectors(pair)
 
 
 def test_sl2c_metadata_pair():
