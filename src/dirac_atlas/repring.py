@@ -10,12 +10,13 @@ weights are made only where a caller reads them. Irreducible characters
 come from highest weights via the Freudenthal multiplicity recursion, run on
 integer numerators over one denominator: the dominant weights are found
 by descent from the highest weight, each multiplicity is computed once
-per dominant weight, and the Weyl orbits are expanded only at the end,
-after the support has been checked against SUPPORT_CAP with closed-form
-orbit sizes. Decomposition into irreducibles works on dominant parts
-alone: it subtracts dominant tables and expands no orbit. The Weyl
-dimension formula is kept as an independent second code path so the two
-can cross-validate.
+per dominant weight, the dominance moves of the root strings are shared
+across tables through make_dominant's bounded cache, and the Weyl
+orbits are expanded only at the end, after the support has been checked
+against SUPPORT_CAP with closed-form orbit sizes. Decomposition into
+irreducibles works on dominant parts alone: it subtracts dominant tables
+and expands no orbit. The Weyl dimension formula is kept as an
+independent second code path so the two can cross-validate.
 
 Negative multiplicities are first class; nothing clamps.
 """
@@ -203,8 +204,11 @@ def _dominant_multiplicities(mu: Weight, rs: RootSystem) -> tuple[int, dict]:
     and rho. With L the scale of rs.integral, x @ fr is L D (lambda, a)
     for every positive root a at once, and each step of a root string
     adds D L (a, a). The dominant representative of each lambda + t a
-    comes from make_dominant, once per distinct weight. The final
-    division of the recursion is checked to be exact and positive.
+    comes from make_dominant, shared across tables, bounded: dom_of
+    asks it once per distinct weight of this table (and is freed on
+    return, so one large table cannot thrash make_dominant's cache),
+    and the cache answers the weights that other tables asked for. The
+    final division of the recursion is checked to be exact and positive.
     Returns (d, table): d is the LCD of mu, and table maps the
     numerators over d of each dominant weight to its multiplicity
     (every weight differs from mu by integral roots, so d divides it).
@@ -252,7 +256,9 @@ def _dominant_multiplicities(mu: Weight, rs: RootSystem) -> tuple[int, dict]:
                 p += inc
                 dom = dom_of.get(nu)
                 if dom is None:
-                    dom = dom_of[nu] = _numerators(make_dominant(tuple(Fraction(c, den) for c in nu), rs), den)
+                    # over den 1 the numerators are the weight, and key make_dominant's cache alike
+                    w = nu if den == 1 else tuple(Fraction(c, den) for c in nu)
+                    dom = dom_of[nu] = _numerators(make_dominant(w, rs), den)
                 m = mult.get(dom)
                 if m is None:
                     break

@@ -22,7 +22,10 @@ positive roots and the simple coroots as integer arrays. A weight enters
 as integer numerators over one denominator, after the one length check
 (check_dim); inner, coroot_pairing, is_dominant, make_dominant,
 weyl_orbit, regularity, Weyl-group materialization and chamber lookup
-are integer computations. Weyl group and orbit orders are closed-form
+are integer computations. make_dominant and the orbit search pair a
+weight with the simple coroots once and then reflect on those pairings
+(IntegralForm.cartan_rows); make_dominant is cached, bounded like
+weyl_orbit. Weyl group and orbit orders are closed-form
 in the root heights (Macdonald): |W x| for a dominant x is the product
 of (ht a + 1)/ht a over the positive roots a with (x, a) != 0, and a
 group over WEYL_MATERIALIZE_CAP is refused from its order. Fractions
@@ -64,9 +67,11 @@ LATTICE_BOX_CAP = 5_000_000
 # type (B22, C22, D22) takes about 1.9 s on a 2-vCPU VM; A40 takes 8.7 s
 # and A60 35 s, and a catalog cartan that size stalls spin and ds too.
 RANK_CAP = 22
-# Orbits kept by weyl_orbit's cache. A stream of about a hundred rep
-# requests asks for under 200 distinct orbits; this keeps every one of
-# them and still bounds a long-lived process.
+# Orbits kept by weyl_orbit's cache, and dominant representatives kept
+# by make_dominant's. A stream of about a hundred rep requests asks for
+# under 200 distinct orbits and about 800-1 100 distinct weights to make
+# dominant; this keeps every one of them and still bounds a long-lived
+# process.
 ORBIT_CACHE_SIZE = 4096
 
 
@@ -293,7 +298,12 @@ class IntegralForm:
     over the simple roots a_i. The kernels compute in Python integers,
     so they are exact for any input size; fr_columns, coroot_columns,
     simple_rows and gram_rows hold the same matrices as tuples of
-    Python ints for them.
+    Python ints for them. cartan_rows is simple @ coroots, whose row i
+    holds <a_i, a_j^vee>: the simple reflection s_i subtracts c times
+    simple_rows[i] from a weight x and c times cartan_rows[i] from its
+    coroot pairings, with c = <x, a_i^vee>. On a standalone type the two
+    row sets are equal; on a subsystem they are not (ambient coordinates
+    against the subsystem's own pairings).
     """
 
     scale: int
@@ -315,6 +325,10 @@ class IntegralForm:
     @functools.cached_property
     def simple_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.simple.tolist()))
+
+    @functools.cached_property
+    def cartan_rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, (self.simple @ self.coroots).tolist()))
 
     @functools.cached_property
     def gram_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -549,34 +563,45 @@ def reflect(x: Weight, root: Weight, rs: RootSystem) -> Weight:
     return wsub(x, wscale(c, root))
 
 
+@functools.lru_cache(maxsize=ORBIT_CACHE_SIZE)
 def make_dominant(x: Weight, rs: RootSystem) -> Weight:
-    """The dominant representative of the Weyl orbit of x."""
+    """The dominant representative of the Weyl orbit of x.
+
+    x is paired with the simple coroots once; each reflection then
+    updates the numerators and the pairings together (see IntegralForm).
+    Cached: Freudenthal asks again for the weights of every table that
+    decompose reads. An integral x may come as an int tuple, which keys
+    equal to its Fraction tuple; the result is Fractions either way.
+    """
     form = rs.integral
     nums, den = form.coords(x)
+    pairs = _dots(nums, form.coroot_columns)
     while True:
-        pairs = _dots(nums, form.coroot_columns)
         i = next((i for i, p in enumerate(pairs) if p < 0), None)
         if i is None:
             return tuple(Fraction(c, den) for c in nums)
-        nums = tuple(a - pairs[i] * r for a, r in zip(nums, form.simple_rows[i]))
+        c = pairs[i]
+        nums = tuple(a - c * r for a, r in zip(nums, form.simple_rows[i]))
+        pairs = tuple(p - c * r for p, r in zip(pairs, form.cartan_rows[i]))
 
 
 def _orbit_numerators(nums: tuple[int, ...], form: IntegralForm) -> set[tuple[int, ...]]:
     """Weyl orbit of the weight with numerators nums (over any positive
-    denominator), by breadth-first search under the simple reflections."""
+    denominator), by breadth-first search under the simple reflections,
+    carrying each weight's coroot pairings along."""
     seen = {nums}
-    frontier = [nums]
+    frontier = [(nums, _dots(nums, form.coroot_columns))]
+    moves = tuple(zip(form.simple_rows, form.cartan_rows))
     while frontier:
         nxt = []
-        for w in frontier:
-            for col, root in zip(form.coroot_columns, form.simple_rows):
-                c = sum(a * b for a, b in zip(w, col))
+        for w, pairs in frontier:
+            for c, (root, row) in zip(pairs, moves):
                 if c == 0:
                     continue
                 img = tuple(a - c * r for a, r in zip(w, root))
                 if img not in seen:
                     seen.add(img)
-                    nxt.append(img)
+                    nxt.append((img, tuple(p - c * r for p, r in zip(pairs, row))))
         frontier = nxt
     return seen
 

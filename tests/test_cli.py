@@ -889,7 +889,9 @@ def test_rootsys_info_is_byte_identical_to_the_recorded_digests(capsys):
 # sha256 of stdout, recorded before characters moved to integer keys: `rep
 # tensor` on every ordered pair of fundamental weights of A3, B3 and C3 and
 # on B3 (1,1,1)x(1,1,1), `rep irr` on the E6 and F4 labels of the
-# benchmark, and `spin info` on every catalog pair.
+# benchmark, and `spin info` on every catalog pair. The heavy tensors D4
+# (1,1,1,1)x(1,1,1,1) and E8 248x248 were recorded before make_dominant
+# was cached.
 CHARACTER_DIGESTS = {
     ('rep', 'tensor', '--type', 'A3', '--hw', '1,0,0', '--hw2', '1,0,0'): "4a1a02d34856c6a83073549d63a57f6fae70a64ce0cd09548b1a59255e3b1031",
     ('rep', 'tensor', '--type', 'A3', '--hw', '1,0,0', '--hw2', '0,1,0'): "6a522829de048ccc972857c4ca124dd6182b3e72e4ab27d34a5f26401c5f46aa",
@@ -919,6 +921,8 @@ CHARACTER_DIGESTS = {
     ('rep', 'tensor', '--type', 'C3', '--hw', '0,0,1', '--hw2', '0,1,0'): "d5e575b93f605ebbc02539ffa34041f806424227123c6d4de562fd0efae1e38b",
     ('rep', 'tensor', '--type', 'C3', '--hw', '0,0,1', '--hw2', '0,0,1'): "b08f1cfde873fec50cff545002bb9a8205f4d1e9b83bdb14605690208d8ed765",
     ('rep', 'tensor', '--type', 'B3', '--hw', '1,1,1', '--hw2', '1,1,1'): "e5a6b31a951155116359a5553ec26552cc20df748d0b2b433c0bc935069fb6f0",
+    ('rep', 'tensor', '--type', 'D4', '--hw', '1,1,1,1', '--hw2', '1,1,1,1'): "07e5027f321266f42ee60c6b91074a0cce73d1b2a197f92b4dba35173ea844d1",
+    ('rep', 'tensor', '--type', 'E8', '--hw', '0,0,0,0,0,0,0,1', '--hw2', '0,0,0,0,0,0,0,1'): "26c11e88b20d7ad8eeb7dd1cca9469a131ee0efd90e8f82cd971b9db3ff72de2",
     ('rep', 'irr', '--type', 'E6', '--hw', '0,1,0,0,0,0'): "56690a941af93e7bfcfc840000810454ea297451b71ced899e18f137dc77e449",
     ('rep', 'irr', '--type', 'E6', '--hw', '1,0,0,0,0,0'): "f1f86b856c1c47973ceaa2e4802f2e95de1cc6a32438a0f53007ae33780a688f",
     ('rep', 'irr', '--type', 'F4', '--hw', '1,0,0,0'): "dd1123f5c4e00ac5e4a778edb9c799add73c47a56455978965e34538780882c9",

@@ -16,6 +16,7 @@ import fraction_oracles as oracle
 from dirac_atlas.errors import DeskScaleError, ValidationError
 from dirac_atlas.repring import (
     IrrLabel,
+    _dominant_multiplicities,
     char_from_terms,
     decompose,
     dimension,
@@ -33,6 +34,7 @@ from dirac_atlas.repring import (
 from dirac_atlas.rootsys import (
     apply_matrix,
     build_root_system,
+    make_dominant,
     orbit_size,
     parse_cartan,
     weight,
@@ -503,6 +505,18 @@ def test_integer_characters_match_fraction_oracles(name, data):
     assert decompose(inv) == oracle.decompose_peel(inv)
     bumped = inv + char_from_terms(rs, {data.draw(st.sampled_from(sorted(inv.terms))): 1})
     assert is_weyl_invariant(bumped) == oracle.is_weyl_invariant_orbits(bumped)
+
+
+def test_decompose_shares_dominance_moves_across_tables():
+    # each table keeps its own dom_of, so every make_dominant hit is a
+    # weight that an earlier table of the same decomposition made dominant
+    b3 = build_root_system(parse_cartan("B3"))
+    chi = product(irr_character((1, 1, 1), b3), irr_character((1, 0, 1), b3))
+    make_dominant.cache_clear()
+    _dominant_multiplicities.cache_clear()
+    got = decompose(chi)
+    assert make_dominant.cache_info().hits > 0
+    assert got == oracle.decompose_peel(chi)
 
 
 def test_e8_adjoint_square_decomposes_into_five_irreducibles():

@@ -17,6 +17,7 @@ from sympy.liealgebras.weyl_group import WeylGroup
 
 from dirac_atlas.errors import DeskScaleError, ValidationError
 from dirac_atlas.rootsys import (
+    ORBIT_CACHE_SIZE,
     RANK_CAP,
     CartanType,
     apply_matrix,
@@ -42,9 +43,10 @@ from dirac_atlas.rootsys import (
     wscale,
     wzero,
 )
-from dirac_atlas.spinmod import get_pair
+from dirac_atlas.spinmod import build_pair, get_pair
 import fraction_oracles as oracle
 from fraction_oracles import weyl_elements_bfs
+from test_spinmod import ONE_NODE_GRADINGS
 
 
 def reflection_closure_oracle(rs):
@@ -279,8 +281,14 @@ def test_root_count_and_cartan_matrix_match_sympy(name):
     assert ours == (ref.cartan_matrix().tolist() if rs.rank > 1 else [[2]])
 
 
+# Standalone types, and subsystems: the rank-one K of two catalog pairs,
+# and the K of two one-node gradings, B2 in B3 and A2 in C3, where one
+# reflection is not enough to reach the dominant chamber.
 KERNEL_SYSTEMS = {name: build_root_system(parse_cartan(name)) for name in RANK_4_TYPES}
 KERNEL_SYSTEMS.update({f"{p}.k": get_pair(p).k for p in ("su21", "sp4r")})
+KERNEL_SYSTEMS.update(
+    {f"{c}-node{n}.k": build_pair(c, compact).k for c, n, compact, _ in ONE_NODE_GRADINGS if (c, n) in (("B3", 1), ("C3", 3))}
+)
 
 
 @settings(max_examples=10, deadline=None)
@@ -296,6 +304,38 @@ def test_integer_kernels_match_fraction_oracle(name, data):
         assert rs.coroot_pairing(x, i) == oracle.coroot_pairing(x, i, rs)
     assert make_dominant(x, rs) == oracle.make_dominant(x, rs)
     assert weyl_orbit(x, rs) == oracle.weyl_orbit(x, rs)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("ints_first", [False, True])
+@pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
+def test_make_dominant_keys_int_and_fraction_weights_alike(name, ints_first, data):
+    # an integral weight as an int tuple keys make_dominant's cache like
+    # the equal Fraction tuple; either call order returns Fractions
+    rs = KERNEL_SYSTEMS[name]
+    ints = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=rs.rank, max_size=rs.rank)))
+    fracs = tuple(map(F, ints))
+    expected = oracle.make_dominant(fracs, rs)
+    make_dominant.cache_clear()
+    for x in (ints, fracs) if ints_first else (fracs, ints):
+        got = make_dominant(x, rs)
+        assert got == expected
+        assert all(type(c) is F for c in got)
+    assert make_dominant.cache_info().hits == 1
+
+
+def test_make_dominant_cache_is_bounded():
+    assert make_dominant.cache_info().maxsize == ORBIT_CACHE_SIZE
+
+
+def test_cartan_rows_are_the_pairings_of_the_simple_roots():
+    # equal to the simple rows on a standalone type, not on a subsystem
+    for name, rs in KERNEL_SYSTEMS.items():
+        form = rs.integral
+        expected = tuple(tuple(int(rs.coroot_pairing(a, j)) for j in range(len(rs.simple_roots))) for a in rs.simple_roots)
+        assert form.cartan_rows == expected
+        assert (form.cartan_rows == form.simple_rows) != name.endswith(".k")
 
 
 def test_weyl_materialization_cap_still_refuses():
