@@ -547,7 +547,16 @@ def validate_group_table(table) -> tuple[int, np.ndarray]:
     """The one group-table check; returns (identity index, inverses).
 
     Whole-array tests for shape, entries, Latin square and identity,
-    then associativity row by row (O(n^3)).
+    then associativity by Light's test (Clifford-Preston, The Algebraic
+    Theory of Semigroups I, 1.2). The elements a with (x a) y = x (a y)
+    for all x, y are closed under products, so the table is associative
+    once every element of a generating set passes. Generators are taken
+    greedily, each the least element not yet reached from e by right
+    multiplication. A Latin square with an identity that is associative
+    is a group, where the reached set is the subgroup the generators
+    span; by Lagrange each new generator at least doubles it, so one
+    that does not proves the table is not associative. At most
+    log2(n) + 1 generators are tested, with two n^2 gathers each.
     """
     table = np.asarray(table, dtype=int)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
@@ -563,25 +572,53 @@ def validate_group_table(table) -> tuple[int, np.ndarray]:
     if not units.size:
         raise ValidationError("table has no identity element")
     e = int(units[0])
-    for a in range(n):
-        if not np.array_equal(table[table[a], :], table[a, table]):
+    reached = ident == e
+    gens: list[int] = []
+    while not reached.all():
+        size = np.count_nonzero(reached)
+        gens.append(int(np.argmin(reached)))
+        reached = _right_closure(table, reached, gens)
+        if np.count_nonzero(reached) < 2 * size:
             raise ValidationError("table is not associative")
+    if not all(_associates_through(table, a) for a in gens):
+        raise ValidationError("table is not associative")
     # each row of a Latin square holds e exactly once, at g^-1
     return e, np.argmax(table == e, axis=1)
 
 
+def _right_closure(table: np.ndarray, reached: np.ndarray, gens: list[int]) -> np.ndarray:
+    """The set `reached` (a mask) closed under right multiplication by gens.
+
+    x -> x g is a permutation p (column g of a Latin square). The sets
+    S, S | S p, S | S p | S p^2 | S p^3, ... come from squaring p, so
+    the orbit of S under p's powers takes log2 of the cycle length
+    passes; the passes over gens repeat until none adds an element.
+    """
+    reached = reached.copy()
+    while True:
+        size = np.count_nonzero(reached)
+        for g in gens:
+            step = table[:, g]
+            while True:
+                before = np.count_nonzero(reached)
+                reached[step[reached]] = True
+                if np.count_nonzero(reached) == before:
+                    break
+                step = step[step]
+        if np.count_nonzero(reached) == size:
+            return reached
+
+
+def _associates_through(table: np.ndarray, a: int) -> bool:
+    """Light's condition for one element: (x a) y = x (a y) for all x, y."""
+    return np.array_equal(table[table[:, a]], table[:, table[a]])
+
+
 def _conjugacy_classes(table: np.ndarray, inv: np.ndarray) -> list[list[int]]:
-    """Classes in order of their least element; the orbit of g is table[h g, h^-1] over all h."""
-    n = table.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    classes = []
-    for g in range(n):
-        if not seen[g]:
-            orbit = np.zeros(n, dtype=bool)
-            orbit[table[table[:, g], inv]] = True
-            seen |= orbit
-            classes.append(np.flatnonzero(orbit).tolist())
-    return classes
+    """Classes in order of their least element; the class of g is table[h g, h^-1] over all h."""
+    least = table[table, inv[:, None]].min(axis=0)
+    _, sizes = np.unique(least, return_counts=True)
+    return [c.tolist() for c in np.split(np.argsort(least, kind="stable"), np.cumsum(sizes)[:-1])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -622,7 +659,11 @@ def wedderburn(group: Union[str, np.ndarray, Sequence], seed: int = 0) -> Finite
     Both stages are index arithmetic on the table, with shift[g, x] =
     g^-1 x: left convolution by a group function w is the matrix
     w(x y^-1), and the left translate of a basis B is the row gather
-    B[shift[g]]. No |G|^3 array is formed.
+    B[shift[g]]. No |G|^3 array is formed. Stage 2 compresses the
+    commutant to all isotypics of one size in one stacked product and
+    one stacked eigh, then checks the isotypics in stage-1 order. The
+    blocks are ordered by the rows of one k x k character matrix at
+    the class representatives, rounded once.
     """
     table = resolve_group_table(group)
     e, inv = validate_group_table(table)
@@ -632,12 +673,13 @@ def wedderburn(group: Union[str, np.ndarray, Sequence], seed: int = 0) -> Finite
     rng = np.random.default_rng(seed)
 
     # Stage 1: isotypic decomposition from the center (w is a Hermitian
-    # class function, so its convolution operator is central).
-    w = np.zeros(n, dtype=complex)
-    for cls in classes:
-        a, b = rng.normal(size=2)
-        w[cls] += a + 1j * b
-        w[inv[cls]] += a - 1j * b
+    # class function, so its convolution operator is central). Element g
+    # takes its class's draw plus the conjugate draw of the class of g^-1.
+    draws = rng.normal(size=(len(classes), 2))
+    z = draws[:, 0] + 1j * draws[:, 1]
+    class_of = np.empty(n, dtype=int)
+    class_of[np.concatenate(classes)] = np.repeat(np.arange(len(classes)), [len(c) for c in classes])
+    w = z[class_of] + np.conj(z[class_of[inv]])
     evals, evecs = np.linalg.eigh(w[table[:, inv]])
     groups = _group_eigenvalues(evals)
     if len(groups) != len(classes):
@@ -648,35 +690,27 @@ def wedderburn(group: Union[str, np.ndarray, Sequence], seed: int = 0) -> Finite
     # Stage 2: one irreducible copy per isotypic via the commutant, the
     # Hermitian part of a random combination of right translations.
     coeff = rng.normal(size=n) + 1j * rng.normal(size=n)
-    commutant = coeff[shift.T] + np.conj(coeff[shift])
+    split = _commutant_split(evecs, groups, coeff[shift.T] + np.conj(coeff[shift]))
     blocks = []
-    for idx in groups:
-        q = evecs[:, idx]
-        m2 = q.shape[1]
-        dim = int(round(m2 ** 0.5))
-        if dim * dim != m2:
-            raise NumericalAmbiguityError(
-                f"isotypic dimension {m2} is not a perfect square"
-            )
-        xev, xvec = np.linalg.eigh(q.conj().T @ commutant @ q)
+    for idx, part in zip(groups, split):
+        if part is None:
+            raise NumericalAmbiguityError(f"isotypic dimension {len(idx)} is not a perfect square")
+        xev, basis = part
+        dim = basis.shape[1]
         first = _group_eigenvalues(xev)[0]
         if len(first) != dim:
             raise NumericalAmbiguityError(
                 f"commutant eigenspace has dimension {len(first)}, expected {dim}"
             )
-        basis = q @ xvec[:, first]
         blocks.append((dim, basis.conj().T @ basis[shift]))
 
     if sum(d * d for d, _ in blocks) != n:
         raise NumericalAmbiguityError("block dimensions do not satisfy sum d^2 = |G|")
 
-    def sort_key(item):
-        dim, rep = item
-        chars = np.trace(rep[[cls[0] for cls in classes]], axis1=1, axis2=2)
-        return (dim, tuple(round(c, 6) for c in chars.real.tolist()),
-                tuple(round(c, 6) for c in chars.imag.tolist()))
-
-    blocks.sort(key=sort_key)
+    dims = np.array([d for d, _ in blocks])
+    reps = [cls[0] for cls in classes]
+    chars = np.array([np.trace(rep[reps], axis1=1, axis2=2) for _, rep in blocks])
+    blocks = [blocks[i] for i in np.lexsort(_block_keys(dims, chars).T[::-1])]
     return FiniteGroupAlgebra(
         table=table,
         order=n,
@@ -687,6 +721,40 @@ def wedderburn(group: Union[str, np.ndarray, Sequence], seed: int = 0) -> Finite
         irreps=tuple(rep for _, rep in blocks),
         seed=seed,
     )
+
+
+def _commutant_split(evecs: np.ndarray, groups: list[list[int]], commutant: np.ndarray) -> list:
+    """Stage 2 of wedderburn, before any check: for each stage-1 group,
+    the eigenvalues of the commutant compressed to it and the basis of
+    its dim lowest eigenvectors, or None when its size is not a square.
+
+    The groups of one size m2 share one stacked q^H C q and one eigh.
+    A size that is not a square is never stacked, so that wedderburn
+    can check the groups in stage-1 order and report the first failure.
+    """
+    sizes = np.array([len(idx) for idx in groups])
+    starts = np.array([idx[0] for idx in groups])
+    split = [None] * len(groups)
+    for m2 in sorted(set(sizes.tolist())):
+        dim = math.isqrt(m2)
+        if dim * dim != m2:
+            continue
+        members = np.flatnonzero(sizes == m2)
+        # eigenvalue groups are runs of consecutive indices
+        q = evecs.T[starts[members, None] + np.arange(m2)].transpose(0, 2, 1)
+        xev, xvec = np.linalg.eigh(q.conj().transpose(0, 2, 1) @ commutant @ q)
+        # eigh sorts the eigenvalues, so the first group starts at index 0
+        basis = q @ xvec[..., :dim]
+        for j, i in enumerate(members.tolist()):
+            split[i] = (xev[j], basis[j])
+    return split
+
+
+def _block_keys(dims: np.ndarray, chars: np.ndarray) -> np.ndarray:
+    """One row per block: its dimension, then the real and imaginary parts
+    of its characters at the class representatives, rounded to 6 places.
+    wedderburn orders the blocks by these rows, lexicographically."""
+    return np.column_stack([dims, np.round(chars.real, 6), np.round(chars.imag, 6)])
 
 
 def _group_eigenvalues(evals: np.ndarray) -> list[list[int]]:

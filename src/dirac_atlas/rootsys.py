@@ -264,6 +264,8 @@ def positive_roots_from_cartan(cartan_matrix) -> list[tuple[int, ...]]:
 
 def integer_coords(x: Weight) -> tuple[tuple[int, ...], int]:
     """(nums, den) with x = nums / den and den the LCD of x's coordinates."""
+    if all(type(c) is int for c in x):
+        return tuple(x), 1
     x = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in x)
     den = math.lcm(*(c.denominator for c in x))
     return tuple(c.numerator * (den // c.denominator) for c in x), den

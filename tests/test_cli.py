@@ -18,7 +18,7 @@ import pytest
 
 from dirac_atlas.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, SCHEMAS, main
 from dirac_atlas.jsonutil import vec_str
-from dirac_atlas.ktheory import K0_ENTRY_CAP, K0_INDEX_WORK_CAP
+from dirac_atlas.ktheory import K0_ENTRY_CAP, K0_INDEX_WORK_CAP, dihedral_table
 from dirac_atlas.repring import SUPPORT_CAP
 from dirac_atlas.rootsys import build_root_system, fw_to_simple_coords, parse_cartan
 from dirac_atlas.spinmod import catalog_names, get_pair
@@ -953,3 +953,46 @@ def test_character_outputs_are_byte_identical_to_the_recorded_digests(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_OK, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
+
+
+# sha256 of the stdout of `group wedderburn FLAG GROUP --seed s`, concatenated
+# over seeds 0..k-1 and recorded before the Wedderburn passes were batched:
+# the catalog groups and z6-z21 over seeds 0-9, and the benchmark's two heavy
+# inputs, z128 and the order-100 dihedral table (as the file d100.json, in
+# the working directory, since the table's path is echoed), over seeds 0-2.
+WEDDERBURN_DIGESTS = {
+    ("--name", "s3", 10): "2691a39d568a4a63f7e009302441d7c1db7aed65aa2084ab17bab4cfaddb19f3",
+    ("--name", "s4", 10): "7b42ee43ba51a29d4a9d0511929114c3b1c6b6432644ad6836cdcf3c5a82fefe",
+    ("--name", "d4", 10): "b31ad571e073446857b99dc4ca4daf2379588a9cbec467d3ce6cd40e5c29b7ff",
+    ("--name", "q8", 10): "2361269b0258b5f90a1523dfe336678d7b62d5fbfd0fa8e94860bd5d705ede04",
+    ("--name", "z6", 10): "643ef16ae29ebf6f6669846733897b3fb83928d5612774975d30634aa80d7e5e",
+    ("--name", "z7", 10): "31678f2ded89202f69602782873631c6a233e865d957eebb9d20c9cb8b93cb6b",
+    ("--name", "z8", 10): "209e6390a4cb069383279ba9fb15dbf820e059da6adf1e30c7baf34847c2bb21",
+    ("--name", "z9", 10): "8c1f46b36fda6d88a488487824225b1b1339d0b1ddebaea1a68cba319408bf33",
+    ("--name", "z10", 10): "8792a53298ecb6de331af43f48473d8a3af0e9797d5ae636b02750c750d27bc1",
+    ("--name", "z11", 10): "05e9e4c0564980749cd5bf6be4025f852c5fdffcf9935687c5995d99e03c79be",
+    ("--name", "z12", 10): "494803ea200c801c29e4d94f21d184824ad6aa015837746e1956d4e37ed8104c",
+    ("--name", "z13", 10): "09ce00944aa565ab539e6301f5fce1b9086a56c78259beafddf92564a2eca9ec",
+    ("--name", "z14", 10): "39104950af480daf5047dc55d5a853652688244dd8257dffb9a41a6fe9063d9d",
+    ("--name", "z15", 10): "9a105c7b77d8d1225ae748cbc1e920f39589e3a75d3081ed94a0a9e592272115",
+    ("--name", "z16", 10): "a41ee1c3c3179d9c0035e8fb390a4a4da1d25ef50d33b113be03de819624f6d2",
+    ("--name", "z17", 10): "3cb48ba2cd8ec691c23d7a68d4e6254a341d5fe37ea8c5ea5c51c6d82f7f34a7",
+    ("--name", "z18", 10): "fbee64767804c8e9d2d1c1330e75b8bb109911f51b770793d272adec69ac47b0",
+    ("--name", "z19", 10): "40ae916885371aeec68f81419471dae4723ee224285ed57407e763eef53f7591",
+    ("--name", "z20", 10): "fa483f8dd1309fd09f9da5d7920d216e0864835911152f1870e6209f904007d3",
+    ("--name", "z21", 10): "fc606e0e53dd406277992b2bf8b6c449560c7667942a5f0a1b3596c0ba5d0baf",
+    ("--name", "z128", 3): "f45c85d7d9df664959ad19cfb560e31b374f00aba3d91a669473059285f2358f",
+    ("--table", "d100.json", 3): "da921eb2bbca677da68fc8436f3d6b1fcf7137e2a981cc8c6991c1988adc05fb",
+}
+
+
+def test_wedderburn_outputs_are_byte_identical_to_the_recorded_digests(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d100.json").write_text(json.dumps(dihedral_table(50).tolist()))
+    for (flag, group, seeds), digest in WEDDERBURN_DIGESTS.items():
+        h = hashlib.sha256()
+        for seed in range(seeds):
+            code, out, err = run_cli(capsys, "group", "wedderburn", flag, group, "--seed", str(seed))
+            assert code == EXIT_OK, err
+            h.update(out.encode("utf-8"))
+        assert h.hexdigest() == digest, (group, seeds)

@@ -1,5 +1,6 @@
 """K0, Fredholm index, Wedderburn, and group-algebra idempotent tests."""
 
+import itertools
 import math
 import time
 import warnings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import fraction_oracles as oracle
 import wedderburn_reference
+from dirac_atlas import ktheory
 from dirac_atlas.errors import DeskScaleError, NumericalAmbiguityError, ValidationError
 from dirac_atlas.ktheory import (
     K0_EXACT_WORK_CAP,
@@ -465,6 +467,80 @@ def test_validate_group_table_matches_the_loop_oracle_on_groups():
         assert (t[np.arange(len(t)), inv] == e).all()
 
 
+def _intercalate_swaps(table):
+    """Every table made from a group table by swapping one intercalate (a
+    2x2 Latin subsquare) that avoids the identity row and column."""
+    n = len(table)
+    out = []
+    for r1, r2 in itertools.combinations(range(1, n), 2):
+        for c1, c2 in itertools.combinations(range(1, n), 2):
+            if table[r1, c1] == table[r2, c2] and table[r1, c2] == table[r2, c1]:
+                out.append(_swap_intercalate(table, (r1, r2), (c1, c2)))
+    return out
+
+
+def _swap_intercalate(table, rows, cols):
+    (r1, r2), (c1, c2) = rows, cols
+    assert table[r1, c1] == table[r2, c2] and table[r1, c2] == table[r2, c1]
+    out = table.copy()
+    out[np.ix_(rows, cols)] = table[np.ix_(rows, cols[::-1])]
+    return out
+
+
+@pytest.mark.parametrize("name", ["s3", "d4", "q8", "z8"])
+def test_validate_group_table_refuses_intercalate_swaps_like_the_loop_oracle(name):
+    # identity at index 0; each swap keeps a Latin square with an identity
+    swaps = _intercalate_swaps(resolve_group_table(name))
+    assert swaps
+    for t in swaps:
+        got = _outcome(validate_group_table, t)
+        assert got == _outcome(wedderburn_reference.validate_table_loops, t) == "table is not associative"
+
+
+@st.composite
+def swapped_loops(draw):
+    """Latin squares with an identity: a relabeled group table after a
+    few intercalate swaps, so both groups and non-associative loops."""
+    klein = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+    t = draw(st.sampled_from([cyclic_table(4), klein, cyclic_table(6), symmetric_table(3), dihedral_table(4),
+                              quaternion_table(), cyclic_table(8)]))
+    for _ in range(draw(st.integers(0, 3))):
+        swaps = _intercalate_swaps(t)
+        if not swaps:
+            break
+        t = draw(st.sampled_from(swaps))
+    perm = np.array(draw(st.permutations(range(len(t)))))
+    relabeled = np.empty_like(t)
+    relabeled[np.ix_(perm, perm)] = perm[t]
+    return relabeled
+
+
+@settings(max_examples=60, deadline=None)
+@given(swapped_loops())
+def test_validate_group_table_decides_like_the_loop_oracle_on_loops(table):
+    assert _outcome(validate_group_table, table) == _outcome(wedderburn_reference.validate_table_loops, table)
+
+
+def test_light_refuses_a_closure_that_fails_to_double(monkeypatch):
+    # generators 1 and 4 reach 4 and then 6 elements: no group has a
+    # subgroup of order 4 inside one of order 6, so this refusal needs no
+    # associativity check at all
+    t = _swap_intercalate(symmetric_table(3), (1, 3), (1, 4))
+    monkeypatch.setattr(ktheory, "_associates_through", lambda table, a: True)
+    with pytest.raises(ValidationError, match="^table is not associative$"):
+        validate_group_table(t)
+
+
+def test_light_refuses_a_later_generator_that_fails_the_check(monkeypatch):
+    # every closure doubles and the first generator passes; the second fails
+    t = _swap_intercalate(symmetric_table(3), (2, 3), (2, 4))
+    assert ktheory._associates_through(t, 1) and not ktheory._associates_through(t, 2)
+    with pytest.raises(ValidationError, match="^table is not associative$"):
+        validate_group_table(t)
+    monkeypatch.setattr(ktheory, "_associates_through", lambda table, a: True)
+    assert validate_group_table(t)[0] == 0
+
+
 def test_group_order_cap():
     big = np.zeros((1001, 1001), dtype=int)
     with pytest.raises(ValidationError, match="cap"):
@@ -510,6 +586,68 @@ def test_wedderburn_matches_dense_reference(group, seeds):
             assert x.shape == y.shape
             assert np.max(np.abs(x - y)) < 1e-12
             assert np.max(np.abs(ds_idempotent(got, blk) - ds_idempotent(want, blk))) < 1e-12
+
+
+# the groups and seeds whose `group wedderburn` stdout tests/test_cli.py pins
+WEDDERBURN_MATRIX = [(name, range(10)) for name in ["s3", "s4", "d4", "q8"] + [f"z{n}" for n in range(6, 22)]]
+WEDDERBURN_MATRIX += [("z128", range(3)), ("d100", range(3))]
+
+
+def test_block_order_keys_round_like_python_round():
+    for name, seeds in WEDDERBURN_MATRIX:
+        table = dihedral_table(50) if name == "d100" else name
+        for seed in seeds:
+            G = wedderburn(table, seed=seed)
+            reps = [cls[0] for cls in G.classes]
+            chars = np.array([np.trace(rep[reps], axis1=1, axis2=2) for rep in G.irreps])
+            k = len(reps)
+            got = [(row[0], tuple(row[1:k + 1]), tuple(row[k + 1:]))
+                   for row in ktheory._block_keys(np.array(G.algebra.blocks), chars).tolist()]
+            want = [wedderburn_reference.block_key(d, c) for d, c in zip(G.algebra.blocks, chars)]
+            assert got == want, (name, seed)
+            assert want == sorted(want)
+
+
+def _faulty_grouping(real, move_after, fail_sizes):
+    """A stand-in for _group_eigenvalues in one wedderburn run. Stage 1
+    (the first call) moves the last index of group move_after into the
+    next group; in stage 2 an isotypic of a size in fail_sizes gets a
+    first commutant eigenvalue group of m2 + 3 indices, so the error
+    message names the size that failed."""
+    calls = itertools.count()
+
+    def fake(evals):
+        groups = real(evals)
+        if next(calls) == 0:
+            if move_after is not None:
+                groups[move_after + 1].insert(0, groups[move_after].pop())
+        elif len(evals) in fail_sizes:
+            groups[0] = list(range(len(evals) + 3))
+        return groups
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "move_after,fail_sizes,message",
+    [
+        # s4 at seed 0 has isotypics of sizes 9, 1, 1, 9, 4 in stage-1 order
+        (None, (9, 4), "commutant eigenspace has dimension 12, expected 3"),
+        (None, (4, 1), "commutant eigenspace has dimension 4, expected 1"),
+        (3, (1,), "commutant eigenspace has dimension 4, expected 1"),  # sizes 9, 1, 1, 8, 5
+        (0, (4,), "isotypic dimension 8 is not a perfect square"),  # sizes 8, 2, 1, 9, 4
+    ],
+)
+def test_stage_two_reports_the_first_failure_in_stage_one_order(monkeypatch, move_after, fail_sizes, message):
+    # the dense reference checks each isotypic in turn
+    errors = []
+    for module, run in ((wedderburn_reference, wedderburn_reference.wedderburn), (ktheory, wedderburn)):
+        monkeypatch.setattr(module, "_group_eigenvalues",
+                            _faulty_grouping(ktheory._group_eigenvalues, move_after, fail_sizes))
+        with pytest.raises(NumericalAmbiguityError) as exc:
+            run("s4", seed=0)
+        errors.append(str(exc.value))
+    assert errors == [message, message]
 
 
 def _sympy_table(perm_group) -> np.ndarray:

@@ -26,6 +26,7 @@ from dirac_atlas.rootsys import (
     grlex_key,
     identify_cartan_type,
     inner,
+    integer_coords,
     is_dominant,
     is_regular,
     make_dominant,
@@ -145,6 +146,17 @@ def test_inner_examples():
     assert inner(a2.rho, wzero(2), a2) == 0
     alpha = a1.positive_roots[0]
     assert inner(alpha, alpha, a1) == 2
+
+
+@pytest.mark.parametrize(
+    "x,want",
+    [((3, -2, 0), ((3, -2, 0), 1)), ((), ((), 1)), ((F(1, 2), 1, F(-3, 4)), ((2, 4, -3), 4)),
+     ((F(4, 2), 3), ((2, 3), 1)), ((True, 2), ((1, 2), 1))],
+)
+def test_integer_coords_over_the_least_common_denominator(x, want):
+    nums, den = integer_coords(x)
+    assert (nums, den) == want
+    assert all(type(c) is int for c in nums) and type(den) is int
 
 
 def test_inner_dimension_mismatch():

@@ -5,9 +5,12 @@ regular representation as an n x n x n stack of permutation matrices,
 the central element as a sum of class-sum matrices, the commutant as a
 sum of n dense right-translation matrices, conjugacy classes by a
 Python double loop, the group axioms by per-element loops, and the
-irreducible blocks as a three-operand einsum over the stack. It draws the same random numbers in the same
-order as `dirac_atlas.ktheory.wedderburn`, which computes the same
-blocks by index arithmetic on the table; tests compare the two.
+irreducible blocks as a three-operand einsum over the stack. It draws
+the same random numbers in the same order as
+`dirac_atlas.ktheory.wedderburn`, which computes the same blocks by
+index arithmetic on the table; tests compare the two. Its block order
+rounds each character with Python's round (`block_key`), the oracle
+for the one numpy rounding of ktheory's character matrix.
 """
 
 from __future__ import annotations
@@ -124,13 +127,7 @@ def wedderburn(group, seed: int = 0) -> FiniteGroupAlgebra:
     if sum(d * d for d, _ in blocks) != n:
         raise NumericalAmbiguityError("block dimensions do not satisfy sum d^2 = |G|")
 
-    def sort_key(item):
-        dim, rep = item
-        chars = tuple(round(float(np.trace(rep[cls[0]]).real), 6) for cls in classes)
-        ichars = tuple(round(float(np.trace(rep[cls[0]]).imag), 6) for cls in classes)
-        return (dim, chars, ichars)
-
-    blocks.sort(key=sort_key)
+    blocks.sort(key=lambda item: block_key(item[0], np.array([np.trace(item[1][cls[0]]) for cls in classes])))
     return FiniteGroupAlgebra(
         table=table,
         order=n,
@@ -141,3 +138,11 @@ def wedderburn(group, seed: int = 0) -> FiniteGroupAlgebra:
         irreps=tuple(rep for _, rep in blocks),
         seed=seed,
     )
+
+
+def block_key(dim: int, chars: np.ndarray) -> tuple:
+    """The block order by Python's round: the dimension, then the real
+    and the imaginary parts of the characters at the class
+    representatives, each rounded to 6 places."""
+    return (dim, tuple(round(c, 6) for c in chars.real.tolist()),
+            tuple(round(c, 6) for c in chars.imag.tolist()))
