@@ -704,9 +704,6 @@ def wedderburn(group: Union[str, np.ndarray, Sequence], seed: int = 0) -> Finite
             )
         blocks.append((dim, basis.conj().T @ basis[shift]))
 
-    if sum(d * d for d, _ in blocks) != n:
-        raise NumericalAmbiguityError("block dimensions do not satisfy sum d^2 = |G|")
-
     dims = np.array([d for d, _ in blocks])
     reps = [cls[0] for cls in classes]
     chars = np.array([np.trace(rep[reps], axis1=1, axis2=2) for _, rep in blocks])

@@ -1,8 +1,9 @@
 """Norms on group algebras of discrete groups, at truncation scale.
 
-Three marked group kinds: free groups on k letters with word
-reduction, integer lattices Z^d, and finite groups given by a table.
-Group functions are finite-support dicts element -> complex.
+Two marked group kinds, each with its word length: free groups on k
+letters with word reduction, and integer lattices Z^d. Property (RD)
+is a statement about such infinite groups; finite group algebras live
+in ktheory. Group functions are finite-support dicts element -> complex.
 
 The reduced norm is never reported as a point value: compressing the
 left convolution operator to a ball gives a certified lower bound
@@ -25,7 +26,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DeskScaleError, ValidationError
 from .jsonutil import finite_number
-from .ktheory import resolve_group_table, validate_group_table
 
 BALL_CAP = 1_000_000
 # Trials of the unconditionality probe and samples of the rapid-decay probe.
@@ -49,7 +49,7 @@ DENSE_ENTRIES = 1 << 18
 
 FreeWord = tuple[int, ...]
 LatticePoint = tuple[int, ...]
-Element = Union[FreeWord, LatticePoint, int]
+Element = Union[FreeWord, LatticePoint]
 GroupFunction = dict
 
 
@@ -68,21 +68,14 @@ def reduce_word(letters: Iterable[int]) -> FreeWord:
 
 @dataclass(frozen=True, eq=False)
 class MarkedGroup:
-    """A group with a length function satisfying l(g^-1) = l(g) and
-    l(gh) <= l(g) + l(h), with l(identity) = 0.
-
-    Each kind carries its natural word length (free: letters, lattice:
-    l1, finite: discrete); with_length swaps in a custom one. Custom
-    lengths are the caller's responsibility; validate_length
-    property-tests the axioms on random triples.
+    """A free group F_k or a lattice Z^d with its word length: the
+    number of letters of a reduced word, or the l1 norm of a point.
+    Both satisfy l(g^-1) = l(g), l(gh) <= l(g) + l(h) and
+    l(identity) = 0, and every sphere of radius r >= 1 is nonempty.
     """
 
     kind: str
     rank: int = 0
-    table: Optional[np.ndarray] = None
-    inverses: Optional[np.ndarray] = None
-    identity_index: int = 0
-    length_fn: Optional[Callable] = None
     # radius -> _BallIndex, filled on first use; it lives as long as the group
     _indices: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -98,48 +91,23 @@ class MarkedGroup:
             raise ValidationError("lattice dimension must be positive")
         return cls(kind="lattice", rank=d)
 
-    @classmethod
-    def from_table(cls, table) -> "MarkedGroup":
-        t = resolve_group_table(table)
-        e, inv = validate_group_table(t)
-        return cls(kind="finite", rank=t.shape[0], table=t, inverses=inv, identity_index=e)
-
     # -- group operations ---------------------------------------------------
 
     def identity(self) -> Element:
-        if self.kind == "free":
-            return ()
-        if self.kind == "lattice":
-            return (0,) * self.rank
-        return self.identity_index
+        return () if self.kind == "free" else (0,) * self.rank
 
     def mul(self, a: Element, b: Element) -> Element:
         if self.kind == "free":
             return reduce_word(tuple(a) + tuple(b))
-        if self.kind == "lattice":
-            return tuple(x + y for x, y in zip(a, b))
-        return int(self.table[a, b])
+        return tuple(x + y for x, y in zip(a, b))
 
     def inv(self, a: Element) -> Element:
         if self.kind == "free":
             return tuple(-x for x in reversed(a))
-        if self.kind == "lattice":
-            return tuple(-x for x in a)
-        return int(self.inverses[a])
+        return tuple(-x for x in a)
 
-    def length(self, a: Element):
-        if self.length_fn is not None:
-            return self.length_fn(a)
-        if self.kind == "free":
-            return len(a)
-        if self.kind == "lattice":
-            return sum(abs(x) for x in a)
-        return 0 if a == self.identity_index else 1
-
-    def with_length(self, fn: Callable) -> "MarkedGroup":
-        import dataclasses
-
-        return dataclasses.replace(self, length_fn=fn)
+    def length(self, a: Element) -> int:
+        return len(a) if self.kind == "free" else sum(abs(x) for x in a)
 
     def check_element(self, a: Element) -> Element:
         if self.kind == "free":
@@ -149,15 +117,10 @@ class MarkedGroup:
             if reduce_word(word) != word:
                 raise ValidationError(f"word {word} is not reduced")
             return word
-        if self.kind == "lattice":
-            v = tuple(int(x) for x in a)
-            if len(v) != self.rank:
-                raise ValidationError(f"lattice point must have {self.rank} coordinates")
-            return v
-        idx = int(a)
-        if not 0 <= idx < self.rank:
-            raise ValidationError("element index out of range")
-        return idx
+        v = tuple(int(x) for x in a)
+        if len(v) != self.rank:
+            raise ValidationError(f"lattice point must have {self.rank} coordinates")
+        return v
 
     # -- ball enumeration ---------------------------------------------------
 
@@ -171,8 +134,6 @@ class MarkedGroup:
         the points with i nonzero coordinates number 2^i C(d,i) C(r,i),
         so |B_r| = 2r + 1 for d = 1.
         """
-        if self.kind == "finite":
-            return self.rank
         r, k = math.floor(radius), self.rank
         if self.kind == "free" and k > 1:
             spheres = (2 * k * (2 * k - 1) ** (j - 1) for j in range(1, r + 1))
@@ -203,8 +164,8 @@ class MarkedGroup:
 
     def ball(self, radius) -> list[Element]:
         """Elements of length <= radius, numbered as in _BallIndex: lattice
-        points in lexicographic order, reduced words by length, table
-        indices. Refused past BALL_CAP first."""
+        points in lexicographic order, reduced words by length. Refused
+        past BALL_CAP first."""
         return _ball_index(self, radius).elements()
 
     def sphere(self, radius: int) -> list[Element]:
@@ -233,22 +194,6 @@ def _l1_ball(d: int, r: int) -> list[LatticePoint]:
             pt[j + 1], left[j + 1] = -rest, rest
             pt[j + 2 :] = left[j + 2 :] = [0] * (d - j - 2)
         out.append(tuple(pt))
-
-
-def validate_length(group: MarkedGroup, trials: int = 200, seed: int = 0, radius: int = 3) -> None:
-    """Property-test the length axioms on random triples; raises on
-    the first violation."""
-    rng = np.random.default_rng(seed)
-    if group.length(group.identity()) != 0:
-        raise ValidationError("length of the identity must be 0")
-    pool = group.ball(radius)
-    for _ in range(trials):
-        a = pool[int(rng.integers(len(pool)))]
-        b = pool[int(rng.integers(len(pool)))]
-        if group.length(group.inv(a)) != group.length(a):
-            raise ValidationError(f"length is not symmetric at {a!r}")
-        if group.length(group.mul(a, b)) > group.length(a) + group.length(b):
-            raise ValidationError(f"length is not subadditive at {a!r}, {b!r}")
 
 
 def parse_group(name: str) -> MarkedGroup:
@@ -411,22 +356,17 @@ class _BallIndex:
         if group.kind == "free":
             self.free = _FreeBall(group.rank, r)
             self.size = self.free.size
-        elif group.kind == "lattice":
+        else:
             self.points = np.array(_l1_ball(group.rank, r), dtype=np.int64).reshape(-1, group.rank)
             self.keys = _lattice_keys(self.points, r)
             self.size = len(self.points)
-        else:
-            self.table = group.table
-            self.size = group.rank
 
     def elements(self) -> list[Element]:
         if self.kind == "lattice":
             return list(map(tuple, self.points.tolist()))
-        return self.free.words() if self.kind == "free" else list(range(self.size))
+        return self.free.words()
 
     def translate(self, g: Element) -> np.ndarray:
-        if self.kind == "finite":
-            return np.asarray(self.table[g], dtype=np.intp)
         if self.kind == "lattice":
             moved = self.points + np.asarray(g, dtype=np.int64)
             inside = np.abs(moved).sum(axis=1) <= self.radius
@@ -820,8 +760,6 @@ def rd_inequality_probe(
     coefficients are seeded complex Gaussians. sphere_supported
     restricts supports to spheres (the natural regime on free groups).
     """
-    if group.kind not in ("free", "lattice"):
-        raise ValidationError("the rapid-decay probe runs on free groups and lattices")
     if samples < 1:
         raise ValidationError("at least one sample required")
     if samples > PROBE_COUNT_CAP:
@@ -832,8 +770,6 @@ def rd_inequality_probe(
     for i in range(samples):
         r = 1 + (i % max_support_radius)
         pool = group.sphere(r) if sphere_supported else group.ball(r)
-        if not pool:
-            raise ValidationError(f"the sphere of radius {r} is empty under this length; no sample to draw")
         size = min(len(pool), int(rng.integers(1, max(2, min(len(pool), 100)))))
         chosen = [pool[j] for j in rng.choice(len(pool), size=size, replace=False)]
         f = {
@@ -948,9 +884,8 @@ def compute_norm_report(
 def function_from_json(items, group: MarkedGroup) -> GroupFunction:
     """Parse [{"g": ..., "re": ..., "im": ...}] into a group function.
 
-    g is a list of integers (a reduced word, or lattice coordinates),
-    or for a finite group an integer index; re and im are finite
-    numbers and default to 0.
+    g is a list of integers (a reduced word, or lattice coordinates);
+    re and im are finite numbers and default to 0.
     """
     if not isinstance(items, list):
         raise ValidationError("a group function is a JSON list of {g, re, im} entries")
@@ -959,9 +894,7 @@ def function_from_json(items, group: MarkedGroup) -> GroupFunction:
         if not isinstance(item, dict) or "g" not in item:
             raise ValidationError("each entry needs a 'g' key")
         g = item["g"]
-        if isinstance(g, list) and all(type(x) is int for x in g):
-            g = tuple(g)
-        elif not (group.kind == "finite" and type(g) is int):
+        if not (isinstance(g, list) and all(type(x) is int for x in g)):
             raise ValidationError(f"element {g!r} is not a list of integers")
         c = complex(finite_number(item.get("re", 0), "re"), finite_number(item.get("im", 0), "im"))
         if c != 0:
@@ -971,8 +904,4 @@ def function_from_json(items, group: MarkedGroup) -> GroupFunction:
 
 
 def function_to_json(f: GroupFunction) -> list[dict]:
-    out = []
-    for g, c in sorted(f.items(), key=lambda t: repr(t[0])):
-        entry = {"g": list(g) if isinstance(g, tuple) else g, "re": c.real, "im": c.imag}
-        out.append(entry)
-    return out
+    return [{"g": list(g), "re": c.real, "im": c.imag} for g, c in sorted(f.items(), key=lambda t: repr(t[0]))]

@@ -121,8 +121,6 @@ class CartanType:
                 raise ValidationError(f"unknown family {fam!r}")
             if not isinstance(rank, int) or rank < 1:
                 raise ValidationError(f"rank must be a positive integer, got {rank!r}")
-            if fam == "A" and rank < 1:
-                raise ValidationError("A requires rank >= 1")
             if fam == "B" and rank < 2:
                 raise ValidationError("B requires rank >= 2")
             if fam == "C" and rank < 2:

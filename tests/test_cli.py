@@ -433,6 +433,7 @@ _DELTA = '[{"g": [0], "re": 1.0}]'
         (["rd", "norms", "--group", "z", "--s", "1", "--input", "{bad}", "--radius", "2"], {"bad": '[{"g": [1.5], "re": 1}]'}),
         (["rd", "norms", "--group", "z", "--s", "1", "--input", "{bad}", "--radius", "2"], {"bad": '[{"g": [true], "re": 1}]'}),
         (["rd", "norms", "--group", "z", "--s", "1", "--input", "{bad}", "--radius", "2"], {"bad": '[{"g": "ab", "re": 1}]'}),
+        (["rd", "norms", "--group", "z", "--s", "1", "--input", "{bad}", "--radius", "2"], {"bad": '[{"g": 2, "re": 1}]'}),
         (["rd", "norms", "--group", "z", "--s", "1", "--input", "{bad}", "--radius", "2"], {"bad": '[{"g": [1], "re": "x"}]'}),
         (["rd", "norms", "--group", "z", "--s", "1", "--input", "{f}", "--radius", "nan"], {"f": _DELTA}),
         (["rd", "norms", "--group", "z", "--s", "1", "--input", "{f}", "--radius", "inf"], {"f": _DELTA}),
@@ -497,6 +498,13 @@ def test_file_json_and_config_errors_exit_2(capsys, tmp_path, argv, files):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_rd_refuses_a_bare_integer_element(capsys, tmp_path):
+    f = tmp_path / "f.json"
+    f.write_text('[{"g": 2, "re": 1}]')
+    code, out, err = run_cli(capsys, "rd", "norms", "--group", "z", "--s", "1", "--input", str(f), "--radius", "2")
+    assert (code, out, err) == (EXIT_VALIDATION, "", "error: element 2 is not a list of integers\n")
 
 
 def test_missing_catalog_from_env_var_exits_2(capsys, tmp_path, monkeypatch):
@@ -996,3 +1004,49 @@ def test_wedderburn_outputs_are_byte_identical_to_the_recorded_digests(capsys, t
             assert code == EXIT_OK, err
             h.update(out.encode("utf-8"))
         assert h.hexdigest() == digest, (group, seeds)
+
+
+# Group functions read by the rd calls below, as the files z.json, z2.json
+# and f2.json in the working directory.
+RD_INPUTS = {
+    "z": [{"g": [0], "re": 1.5, "im": -0.5}, {"g": [1], "re": 1.0}, {"g": [-2], "im": -0.75}],
+    "z2": [{"g": [0, 0], "re": 1.0}, {"g": [1, 0], "re": 0.5, "im": 0.5}, {"g": [0, -1], "re": -1.25}],
+    "f2": [{"g": [], "re": 0.5}, {"g": [1], "re": 1.5, "im": 1.5}, {"g": [-1], "re": -1, "im": -1},
+           {"g": [2, 1], "im": 0.25}],
+}
+
+# (exit code, sha256 of stdout) of each `rd` call, recorded while
+# MarkedGroup still had a finite kind and a custom length. The z norm has
+# more than DENSE_COLS columns, so Lanczos runs.
+RD_DIGESTS = {
+    ("norms", "--group", "z", "--s", "1", "--input", "z.json", "--radius", "60"):
+        (0, "3bb22f67c042dcb5743fc72dbf15c2f40ad36e3ca8d5a32ff87437df2f8a8d2c"),
+    ("norms", "--group", "z2", "--s", "0.5", "--input", "z2.json", "--radius", "4"):
+        (0, "74db8de4293d88b0b1c2f29a23b7f292d65a80b43acdd990b116851a56e9f611"),
+    ("norms", "--group", "f2", "--s", "2", "--input", "f2.json", "--radius", "3"):
+        (0, "29c3e265217bdbcdb2486a15f59a11fb57585180ef325fd4aee2f6896a8d9073"),
+    ("probe-unconditional", "--group", "z", "--trials", "5", "--seed", "1"):
+        (0, "c44ebfa70f7ce6b9e86e55478afc33bb152c0ccd808dd67cc28c97f0adf20054"),
+    ("probe-unconditional", "--group", "z2", "--norm", "l1", "--input", "z2.json", "--trials", "5", "--seed", "2"):
+        (0, "e67a20642ff9d715f8d3fe17a710a024fa0ab44c596c3b72a671da6ab85b8c35"),
+    ("probe-unconditional", "--group", "f2", "--norm", "hs", "--s", "1", "--trials", "5", "--seed", "3"):
+        (0, "8b41357c277889e92b8cfedac27c19eb8270fea471eed85a0fa483c28083dec2"),
+    ("probe-rd", "--group", "z3", "--s", "1", "--samples", "2", "--seed", "1"):
+        (0, "4a943363f9a7d398b79f2eff1c53ec2c5a68fe612765eb9bf6fd549b85dbfd86"),
+    ("probe-rd", "--group", "f1", "--s", "2", "--samples", "6", "--seed", "2", "--spheres"):
+        (0, "3d7bb4266b990999a28d05a95da96db33e9450c2db0821eab0911c0bd0bff15f"),
+    ("probe-rd", "--group", "f2", "--s", "1", "--samples", "2", "--seed", "3", "--spheres"):
+        (0, "e08e37c70d3dc22e79b0b634ac63be6d7e50d53efc5a8fedab3d6cc9f6ff5240"),
+    ("probe-rd", "--group", "f2", "--s", "1.5", "--samples", "1", "--seed", "4"):
+        (0, "fa4546e26cd2d9ebc6456f16dc2e257029c057d2b66f02686d0190298fc1d46d"),
+}
+
+
+def test_rd_outputs_are_byte_identical_to_the_recorded_digests(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, items in RD_INPUTS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(items))
+    for argv, (want_code, digest) in RD_DIGESTS.items():
+        code, out, err = run_cli(capsys, "rd", *argv)
+        assert code == want_code, (argv, err)
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, argv
