@@ -35,9 +35,6 @@ POWER_MAX_ITER = 200_000
 # Krylov vectors kept by the Lanczos solver, so its memory is this many
 # complex vectors of the ball's length.
 LANCZOS_BASIS = 16
-# A Gram-Schmidt pass is repeated when it leaves less than this share of
-# the vector's norm: the classical criterion for one pass not being enough.
-REORTH_RATIO = 0.7071067811865476  # 1/sqrt(2)
 # Step of the equidistributed sequence that perturbs the Lanczos start.
 START_STEP = (math.sqrt(5) - 1) / 2
 # Compressions with at most DENSE_COLS columns and DENSE_ENTRIES matrix
@@ -46,6 +43,12 @@ START_STEP = (math.sqrt(5) - 1) / 2
 # of a few dozen Lanczos steps. Fixed by a sweep on the labs benchmark.
 DENSE_COLS = 96
 DENSE_ENTRIES = 1 << 18
+# Translates are stacked into index arrays of at most this many entries
+# (512 KB), so a ball this large is moved one element at a time. This
+# already amortizes numpy's per-call cost on small balls; stacks of up
+# to BALL_CAP entries built no faster and raised the labs benchmark's
+# peak RSS.
+STACK_ENTRIES = 1 << 16
 
 FreeWord = tuple[int, ...]
 LatticePoint = tuple[int, ...]
@@ -347,8 +350,9 @@ def _lattice_keys(points: np.ndarray, r: int) -> np.ndarray:
 class _BallIndex:
     """The ball of radius r, numbered once; elements() is MarkedGroup.ball.
 
-    translate(g) is the left action of g as an index array: entry j is
-    the index of g.w_j, or -1 when the product leaves the ball.
+    translates(gs) is the left action of each g in gs as the rows of one
+    index array: entry [i, j] is the index of gs[i].w_j, or -1 when the
+    product leaves the ball. translate(g) is its one row.
     """
 
     def __init__(self, group: MarkedGroup, r: int):
@@ -356,10 +360,14 @@ class _BallIndex:
         if group.kind == "free":
             self.free = _FreeBall(group.rank, r)
             self.size = self.free.size
+            width = 1
         else:
             self.points = np.array(_l1_ball(group.rank, r), dtype=np.int64).reshape(-1, group.rank)
             self.keys = _lattice_keys(self.points, r)
             self.size = len(self.points)
+            width = group.rank  # a lattice point moves as d integers
+        # the number of translates that _Compression stacks per call
+        self.chunk = max(1, STACK_ENTRIES // (self.size * width))
 
     def elements(self) -> list[Element]:
         if self.kind == "lattice":
@@ -367,20 +375,27 @@ class _BallIndex:
         return self.free.words()
 
     def translate(self, g: Element) -> np.ndarray:
+        return self.translates([g])[0]
+
+    def translates(self, gs: list) -> np.ndarray:
         if self.kind == "lattice":
-            moved = self.points + np.asarray(g, dtype=np.int64)
-            inside = np.abs(moved).sum(axis=1) <= self.radius
-            out = np.full(self.size, -1, dtype=np.intp)
+            moved = self.points + np.array(gs, dtype=np.int64).reshape(len(gs), 1, -1)
+            inside = np.abs(moved).sum(axis=2) <= self.radius
+            out = np.full((len(gs), self.size), -1, dtype=np.intp)
             out[inside] = np.searchsorted(self.keys, _lattice_keys(moved[inside], self.radius))
             return out
         # Composing the letters of a reduced word right to left is exact:
         # along a_j...a_m.h the length first falls, then rises, so no
         # partial product leaves the ball unless the whole product does.
-        idx = np.arange(self.size + 1)
-        idx[-1] = -1
-        for letter in reversed(g):
-            idx = self.free.left(_letter_code(letter))[idx]
-        return idx[:-1]
+        start = np.arange(self.size + 1)
+        start[-1] = -1
+        out = np.empty((len(gs), self.size), dtype=np.intp)
+        for i, g in enumerate(gs):
+            idx = start
+            for letter in reversed(g):
+                idx = self.free.left(_letter_code(letter))[idx]
+            out[i] = idx[:-1]
+        return out
 
 
 def _ball_index(group: MarkedGroup, radius) -> _BallIndex:
@@ -406,19 +421,22 @@ class _Compression:
 
     M[i, j] is the sum of f(s) over the support elements s with
     w_i = s.w_j. The pattern (row, column, support index) is built once,
-    by one translate per support element; only the values move with f.
+    from the support's translates stacked index.chunk at a time; only the
+    values move with f.
     Rows and columns without entries are dropped, which changes no
     singular value.
     """
 
     def __init__(self, index: _BallIndex, support: list):
         rows, cols, which = [], [], []
-        for k, s in enumerate(support):
-            t = index.translate(s)
-            j = np.flatnonzero(t >= 0)
-            rows.append(t[j])
+        for lo in range(0, len(support), index.chunk):
+            t = index.translates(support[lo : lo + index.chunk])
+            flat = np.flatnonzero(t >= 0)
+            rows.append(t.ravel()[flat])
+            k, j = np.divmod(flat, index.size)
+            k += lo
             cols.append(j)
-            which.append(np.full(len(j), k, dtype=np.intp))
+            which.append(k)
         self.rows, self.row_ids = _compact(np.concatenate(rows), index.size)
         self.cols, self.col_ids = _compact(np.concatenate(cols), index.size)
         self.which = np.concatenate(which)
@@ -488,13 +506,19 @@ def _lanczos_top(gram, forward, n: int, tol: float, max_iter: int) -> tuple[floa
     """Top singular value of M by thick-restarted Lanczos on M^H M.
 
     gram(x) = M^H M x, forward(x) = M x. The basis holds at most
-    LANCZOS_BASIS vectors, fully reorthogonalized; a restart keeps the
-    top half of the Ritz vectors. The start vector is positive like
-    ones/sqrt(n) but has no symmetry: ones lies in the subspace fixed by
-    the ball's symmetries, the Krylov space of a symmetric f never
-    leaves it, and with full reorthogonalization no rounding error
-    brings back a top singular vector outside it (on f2 at radius 2,
-    (1.5+1.5i) a - (1+i) a^-1 stopped at 2.5495 against 3.0822).
+    LANCZOS_BASIS vectors; a restart keeps the top half of the Ritz
+    vectors. Every step runs classical Gram-Schmidt against the whole
+    basis twice, which keeps the basis orthonormal to working precision
+    (Giraud, Langou, Rozloznik and van den Eshof, 2005). The projected
+    matrix is real: M^H M is Hermitian, so its Lanczos coefficients and
+    the restart couplings beta * u are real, and the imaginary parts of
+    the computed ones are rounding, which is dropped. The start vector
+    is positive like ones/sqrt(n) but has no symmetry: ones lies in the
+    subspace fixed by the ball's symmetries, the Krylov space of a
+    symmetric f never leaves it, and with full reorthogonalization no
+    rounding error brings back a top singular vector outside it (on f2
+    at radius 2, (1.5+1.5i) a - (1+i) a^-1 stopped at 2.5495 against
+    3.0822).
     Stops once ||M^H M x - theta x|| <= tol * max(1, theta) for the top
     Ritz pair (theta, x); by the Lanczos relation that residual is
     beta * |last entry of the Ritz coefficients|. Returns ||M x|| for
@@ -504,26 +528,19 @@ def _lanczos_top(gram, forward, n: int, tol: float, max_iter: int) -> tuple[floa
     size = min(LANCZOS_BASIS, n)
     keep = max(1, size // 2)
     basis = np.zeros((size, n), dtype=complex)
-    proj = np.zeros((size, size), dtype=complex)
+    proj = np.zeros((size, size))
     start = 0.5 + np.arange(1, n + 1) * START_STEP % 1.0
     basis[0] = start / np.linalg.norm(start)
     k = 1
     for applications in range(1, max_iter + 1):
         j = k - 1
         w = gram(basis[j])
-        # Full reorthogonalization: Gram-Schmidt against the whole basis,
-        # repeated when it cancelled most of w (Daniel et al., 1976).
-        beta = float(np.linalg.norm(w))
         for _ in range(2):
-            before = beta
             h = (basis[:k] @ w.conj()).conj()
             w -= h @ basis[:k]
-            proj[:k, j] += h
-            beta = float(np.linalg.norm(w))
-            if beta > REORTH_RATIO * before:
-                break
-        proj[j, :k] = proj[:k, j].conj()
-        proj[j, j] = proj[j, j].real
+            proj[:k, j] += h.real
+        beta = float(np.linalg.norm(w))
+        proj[j, :k] = proj[:k, j]
         thetas, vecs = np.linalg.eigh(proj[:k, :k])
         theta, u = float(thetas[-1]), vecs[:, -1]
         residual = beta * abs(u[-1])

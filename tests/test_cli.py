@@ -1017,10 +1017,12 @@ RD_INPUTS = {
 
 # (exit code, sha256 of stdout) of each `rd` call, recorded while
 # MarkedGroup still had a finite kind and a custom length. The z norm has
-# more than DENSE_COLS columns, so Lanczos runs.
+# more than DENSE_COLS columns, so Lanczos runs. The z norm and the z3 and
+# f2 (s = 1.5) probes were re-recorded when the Lanczos solver moved to a
+# real projected matrix; RD_VALUES bounds how far their floats moved.
 RD_DIGESTS = {
     ("norms", "--group", "z", "--s", "1", "--input", "z.json", "--radius", "60"):
-        (0, "3bb22f67c042dcb5743fc72dbf15c2f40ad36e3ca8d5a32ff87437df2f8a8d2c"),
+        (0, "e4676c347590be75247efc2db0016230bbcdaa949c88dfbb81d9f5c435381ccb"),
     ("norms", "--group", "z2", "--s", "0.5", "--input", "z2.json", "--radius", "4"):
         (0, "74db8de4293d88b0b1c2f29a23b7f292d65a80b43acdd990b116851a56e9f611"),
     ("norms", "--group", "f2", "--s", "2", "--input", "f2.json", "--radius", "3"):
@@ -1032,14 +1034,154 @@ RD_DIGESTS = {
     ("probe-unconditional", "--group", "f2", "--norm", "hs", "--s", "1", "--trials", "5", "--seed", "3"):
         (0, "8b41357c277889e92b8cfedac27c19eb8270fea471eed85a0fa483c28083dec2"),
     ("probe-rd", "--group", "z3", "--s", "1", "--samples", "2", "--seed", "1"):
-        (0, "4a943363f9a7d398b79f2eff1c53ec2c5a68fe612765eb9bf6fd549b85dbfd86"),
+        (0, "3d480186b57bf97a8effb05ab2649ad6f9d6707bcae2db7a71fb8dd24d78a70a"),
     ("probe-rd", "--group", "f1", "--s", "2", "--samples", "6", "--seed", "2", "--spheres"):
         (0, "3d7bb4266b990999a28d05a95da96db33e9450c2db0821eab0911c0bd0bff15f"),
     ("probe-rd", "--group", "f2", "--s", "1", "--samples", "2", "--seed", "3", "--spheres"):
         (0, "e08e37c70d3dc22e79b0b634ac63be6d7e50d53efc5a8fedab3d6cc9f6ff5240"),
     ("probe-rd", "--group", "f2", "--s", "1.5", "--samples", "1", "--seed", "4"):
-        (0, "fa4546e26cd2d9ebc6456f16dc2e257029c057d2b66f02686d0190298fc1d46d"),
+        (0, "ebf555226c1f299d488ec2ac9a40dd9c223a684d7c2196df8a8915a64a98c170"),
 }
+
+
+# (exit code, parsed stdout) of each RD_DIGESTS call, recorded before the
+# Lanczos solver moved to a real projected matrix: a change that moves
+# floats in their last digits must still meet these values.
+RD_VALUES = {
+    ('norms', '--group', 'z', '--s', '1', '--input', 'z.json', '--radius', '60'):
+        (0,
+         {'group': 'z',
+          'hs': 3.400367627183861,
+          'iterations': 65,
+          'l1': 3.33113883008419,
+          'radius': 60.0,
+          'red_lower': 3.3132382579602795,
+          'red_upper': 3.33113883008419,
+          'residual': 8.02943669667364e-07,
+          's': 1.0}),
+    ('norms', '--group', 'z2', '--s', '0.5', '--input', 'z2.json', '--radius', '4'):
+        (0,
+         {'group': 'z2',
+          'hs': 2.2638462845343543,
+          'iterations': 41,
+          'l1': 2.9571067811865475,
+          'radius': 4.0,
+          'red_lower': 2.829762113368246,
+          'red_upper': 2.9571067811865475,
+          'residual': 5.690479137938473e-16,
+          's': 0.5}),
+    ('norms', '--group', 'f2', '--s', '2', '--input', 'f2.json', '--radius', '3'):
+        (0,
+         {'group': 'f2',
+          'hs': 10.455261833163242,
+          'iterations': 53,
+          'l1': 4.285533905932738,
+          'radius': 3.0,
+          'red_lower': 3.6781694007968175,
+          'red_upper': 4.285533905932738,
+          'residual': 2.982351716323704e-16,
+          's': 2.0}),
+    ('probe-unconditional', '--group', 'z', '--trials', '5', '--seed', '1'):
+        (0,
+         {'base_value': 2.975376681190276,
+          'group': 'z',
+          'max_deviation': 0.602831484506877,
+          'norm': {'name': 'reduced_truncated', 'radius': 9.0, 's': None},
+          'seed': 1,
+          'trials': 5,
+          'witness': [{'g': [-1], 'im': -0.8831692702278008, 're': 0.4690544106234305},
+                      {'g': [0], 'im': 0.5400686299642604, 're': -0.8416209805657929},
+                      {'g': [1], 'im': -0.30658800392805624, 're': -0.9518423166929543}]}),
+    ('probe-unconditional', '--group', 'z2', '--norm', 'l1', '--input', 'z2.json', '--trials', '5', '--seed', '2'):
+        (0,
+         {'base_value': 2.9571067811865475,
+          'group': 'z2',
+          'max_deviation': 0.0,
+          'norm': {'name': 'l1', 'radius': None, 's': None},
+          'seed': 2,
+          'trials': 5,
+          'witness': None}),
+    ('probe-unconditional', '--group', 'f2', '--norm', 'hs', '--s', '1', '--trials', '5', '--seed', '3'):
+        (0,
+         {'base_value': 4.123105625617661,
+          'group': 'f2',
+          'max_deviation': 0.0,
+          'norm': {'name': 'hs', 'radius': None, 's': 1.0},
+          'seed': 3,
+          'trials': 5,
+          'witness': None}),
+    ('probe-rd', '--group', 'z3', '--s', '1', '--samples', '2', '--seed', '1'):
+        (0,
+         {'group': 'z3',
+          'max_ratio': 0.7783930966095273,
+          'note': 'empirical probe only; boundedness here proves nothing',
+          'ratios': [0.7783930966095273, 0.4499825660833538],
+          's': 1.0,
+          'samples': 2,
+          'seed': 1}),
+    ('probe-rd', '--group', 'f1', '--s', '2', '--samples', '6', '--seed', '2', '--spheres'):
+        (0,
+         {'group': 'f1',
+          'max_ratio': 0.25,
+          'note': 'empirical probe only; boundedness here proves nothing',
+          'ratios': [0.25,
+                     0.11111111111111109,
+                     0.06250000000000001,
+                     0.04000000000000001,
+                     0.027777777777777776,
+                     0.02040816326530612],
+          's': 2.0,
+          'samples': 6,
+          'seed': 2}),
+    ('probe-rd', '--group', 'f2', '--s', '1', '--samples', '2', '--seed', '3', '--spheres'):
+        (0,
+         {'group': 'f2',
+          'max_ratio': 0.677635736776353,
+          'note': 'empirical probe only; boundedness here proves nothing',
+          'ratios': [0.677635736776353, 0.3333333333333333],
+          's': 1.0,
+          'samples': 2,
+          'seed': 3}),
+    ('probe-rd', '--group', 'f2', '--s', '1.5', '--samples', '1', '--seed', '4'):
+        (0,
+         {'group': 'f2',
+          'max_ratio': 0.5250611413360683,
+          'note': 'empirical probe only; boundedness here proves nothing',
+          'ratios': [0.5250611413360683],
+          's': 1.5,
+          'samples': 1,
+          'seed': 4}),
+}
+
+
+def assert_rd_values(got, want, path=()):
+    """Every non-float field exactly; every float to rel 1e-12, except the
+    solver's residual, which sits at rounding level, to abs 1e-12."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            assert_rd_values(got[key], want[key], path + (key,))
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_rd_values(a, b, path + (i,))
+    elif isinstance(want, float):
+        assert type(got) is float, path
+        tol = {"rel": 0, "abs": 1e-12} if path[-1] == "residual" else {"rel": 1e-12, "abs": 0}
+        assert got == pytest.approx(want, **tol), path
+    else:
+        assert type(got) is type(want) and got == want, path
+
+
+def test_rd_outputs_match_the_recorded_values(capsys, tmp_path, monkeypatch):
+    assert set(RD_VALUES) == set(RD_DIGESTS)
+    monkeypatch.chdir(tmp_path)
+    for name, items in RD_INPUTS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(items))
+    for argv, (want_code, want) in RD_VALUES.items():
+        code, out, err = run_cli(capsys, "rd", *argv)
+        assert code == want_code, (argv, err)
+        assert_rd_values(json.loads(out), want, argv)
 
 
 def test_rd_outputs_are_byte_identical_to_the_recorded_digests(capsys, tmp_path, monkeypatch):

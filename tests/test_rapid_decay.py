@@ -541,13 +541,16 @@ def _radius_at_dense_threshold(group, support, above):
         radius += 1
 
 
+# Also the functions of the CLI's RD_INPUTS.
+THRESHOLD_CASES = [
+    ("z", {(0,): 1.5 - 0.5j, (1,): 1.0, (-2,): -0.75j}),
+    ("z2", {(0, 0): 1.0, (1, 0): 0.5 + 0.5j, (0, -1): -1.25}),
+    ("f2", {(): 0.5, (1,): 1.5 + 1.5j, (-1,): -1 - 1j, (2, 1): 0.25j}),
+]
+
+
 @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
-@pytest.mark.parametrize(
-    "name,f",
-    [("z", {(0,): 1.5 - 0.5j, (1,): 1.0, (-2,): -0.75j}),
-     ("z2", {(0, 0): 1.0, (1, 0): 0.5 + 0.5j, (0, -1): -1.25}),
-     ("f2", {(): 0.5, (1,): 1.5 + 1.5j, (-1,): -1 - 1j, (2, 1): 0.25j})],
-)
+@pytest.mark.parametrize("name,f", THRESHOLD_CASES)
 def test_dense_and_lanczos_solves_agree_at_the_threshold(name, f, above, monkeypatch):
     group = parse_group(name)
     support = list(f)
@@ -600,3 +603,128 @@ def test_norm_report_bracket_holds_on_random_deltas():
             c = complex(*rng.normal(size=2)) * 10.0 ** int(rng.integers(-300, 300))
             rep = compute_norm_report({g: c}, group, 1, 3)
             assert rep.red_lower <= rep.red_upper, (g, c)
+
+
+def lanczos_solve(solver, name, f, radius, monkeypatch):
+    """(sigma, applications, residual) of f's compression solved by
+    solver with the dense solve off, the vectors handed to gram, and
+    the number of columns."""
+    group = parse_group(name)
+    support = list(f)
+    op = _Compression(_ball_index(group, radius), support)
+    handed = []
+
+    def traced(gram, forward, n, tol, max_iter):
+        return solver(lambda x: handed.append(x.copy()) or gram(x), forward, n, tol, max_iter)
+
+    monkeypatch.setattr(rapid_decay, "DENSE_COLS", 0)
+    monkeypatch.setattr(rapid_decay, "_lanczos_top", traced)
+    out = op.norm(np.array([f[g] for g in support], dtype=complex), POWER_TOL, POWER_MAX_ITER)
+    return out, handed, len(op.col_ids)
+
+
+def restart_cycles(handed, n):
+    """The vectors handed to gram, split at the restarts: the first cycle
+    fills the basis, each later one its unkept half."""
+    size = min(rapid_decay.LANCZOS_BASIS, n)
+    lo, hi = 0, size
+    while lo < len(handed):
+        yield np.array(handed[lo:hi])
+        lo, hi = hi, hi + size - max(1, size // 2)
+
+
+def lanczos_corpus():
+    """The RD_INPUTS compressions, the threshold cases above DENSE_COLS,
+    and labs-shaped ones."""
+    corpus = [(name, f, radius) for (name, f), radius in zip(THRESHOLD_CASES, (60, 4, 3))]
+    for name, f in THRESHOLD_CASES:
+        corpus.append((name, f, _radius_at_dense_threshold(parse_group(name), list(f), above=True)))
+    return [pytest.param(*case, id=f"{case[0]}-r{case[2]}") for case in corpus + labs_shaped_cases()]
+
+
+def labs_shaped_cases():
+    """Seeded complex Gaussians on z2 at radii 10 and 12, f2 at 5, z at
+    200, and 15 words of the sphere of radius 4 on f2 at 8."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for name, radius, pool in [("z2", 10, 3), ("z2", 12, 4), ("f2", 5, 2), ("z", 200, 5), ("f2", 8, None)]:
+        group = parse_group(name)
+        elems = group.sphere(4) if pool is None else group.ball(pool)
+        picks = rng.choice(len(elems), 15 if pool is None else 6, replace=False)
+        cases.append((name, {elems[i]: complex(*rng.normal(size=2)) for i in picks}, radius))
+    return cases
+
+
+@pytest.mark.parametrize("name,f,radius", lanczos_corpus())
+def test_lanczos_matches_the_reference_solver(name, f, radius, monkeypatch):
+    # the real Ritz problem with Gram-Schmidt twice takes the same steps
+    # as the complex one with a conditional second pass
+    got, _, _ = lanczos_solve(rapid_decay._lanczos_top, name, f, radius, monkeypatch)
+    want, _, _ = lanczos_solve(reference.lanczos_top_reference, name, f, radius, monkeypatch)
+    assert got[1] == want[1]
+    assert got[0] == pytest.approx(want[0], rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize(
+    "name,f,radius",
+    [("z", {(0,): 100, (1,): 1e-3, (-3,): 1e-3j}, 300), ("z2", {(0, 0): 50, (1, 0): 0.01, (0, 2): 0.02j}, 14)],
+)
+def test_lanczos_reorthogonalizes_every_step(name, f, radius, monkeypatch):
+    # alpha >> beta: a second pass run only when beta <= ||G v_j - alpha_j v_j|| / sqrt(2)
+    # lost orthogonality to 1.8e-6 (z) and 2.7e-9 (z2); on z it stopped after
+    # 3 applications at 100.00101 against the dense 100.00188
+    got, handed, n = lanczos_solve(rapid_decay._lanczos_top, name, f, radius, monkeypatch)
+    want, _, _ = lanczos_solve(reference.lanczos_top_reference, name, f, radius, monkeypatch)
+    assert got[1] == want[1]
+    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
+    for cycle in restart_cycles(handed, n):
+        loss = float(np.abs(cycle.conj() @ cycle.T - np.eye(len(cycle))).max())
+        assert loss <= 1e-12
+
+
+STACK_GROUPS = {"z": 40, "z2": 6, "z3": 4, "f1": 12, "f2": 4, "f3": 3}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_GROUPS))
+def test_translates_stack_the_single_translates(name):
+    group = parse_group(name)
+    radius = STACK_GROUPS[name]
+    index = _ball_index(group, radius)
+    gs = group.ball(2)
+    stacked = index.translates(gs)
+    assert stacked.shape == (len(gs), index.size)
+    ball = group.ball(radius)
+    position = {h: j for j, h in enumerate(ball)}
+    for i, g in enumerate(gs):
+        assert np.array_equal(stacked[i], index.translate(g)), g
+        assert stacked[i].tolist() == [position.get(group.mul(g, h), -1) for h in ball], g
+
+
+@pytest.mark.parametrize("name", sorted(STACK_GROUPS))
+def test_compression_pattern_does_not_depend_on_the_chunk(name, monkeypatch):
+    group = parse_group(name)
+    index = _ball_index(group, STACK_GROUPS[name])
+    rng = np.random.default_rng(5)
+    pool = group.ball(3)
+    support = [pool[i] for i in rng.choice(len(pool), min(len(pool), 11), replace=False)]
+    patterns = []
+    for chunk in (1, 3, len(support)):
+        monkeypatch.setattr(index, "chunk", chunk)
+        patterns.append(_Compression(index, support))
+    for field in ("rows", "cols", "which", "row_ids", "col_ids"):
+        for op in patterns[1:]:
+            got, want = getattr(op, field), getattr(patterns[0], field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
+
+
+def test_large_balls_stack_few_translates():
+    # 20 001 points: three translates per chunk, so seven support elements take three
+    index = _ball_index(Z, 10_000)
+    assert index.chunk == 3
+    support = [(0,), (1,), (-3,), (7,), (-10_000,), (2,), (5_000,)]
+    op = _Compression(index, support)
+    cols = [np.flatnonzero(index.translate(s) >= 0) for s in support]
+    assert np.array_equal(op.which, np.repeat(np.arange(len(support)), [len(c) for c in cols]))
+    assert np.array_equal(op.col_ids[op.cols], np.concatenate(cols))
+    # a ball past STACK_ENTRIES moves one element at a time
+    assert _ball_index(parse_group("f2"), 10).chunk == 1
