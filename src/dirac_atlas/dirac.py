@@ -33,14 +33,7 @@ import numpy as np
 
 from .errors import DeskScaleError, ValidationError
 from .jsonutil import fr_str, vec_str
-from .repring import (
-    IrrLabel,
-    dual,
-    invariant_multiplicity,
-    irr_character,
-    label_weight,
-    product,
-)
+from .repring import IrrLabel, label_weight
 from .rootsys import (
     LATTICE_BOX_CAP,
     RootSystem,
@@ -52,7 +45,7 @@ from .rootsys import (
     wadd,
     wsub,
 )
-from .spinmod import RealPair, spin_characters
+from .spinmod import RealPair
 
 DEGREE_ROOT_CHOICES = ("positive", "simple")
 
@@ -317,24 +310,6 @@ def enumerate_discrete_series(
         _parameter(tuple(map(coord.__getitem__, lam)), tuple(map(coord.__getitem__, mu)), s, c, pair)
         for lam, mu, s, c in zip(rows.tolist(), mus.tolist(), signed, chambers)
     ]
-
-
-def pairing_compact_oracle(h_label, v, pair: RealPair) -> int:
-    """Index pairing in the fully compact case via invariants.
-
-    Computes the invariant multiplicity of dual(V) x dual(S) x H over
-    K. With the trivial spin module of a compact pair this is exactly
-    the Kronecker delta of the two labels.
-    """
-    if not pair.is_compact:
-        raise ValidationError("compact oracle needs a fully compact pair")
-    sc = spin_characters(pair)
-    s_total = sc.s_plus + sc.s_minus
-    chi = product(
-        product(dual(irr_character(v, pair.k)), dual(s_total)),
-        irr_character(h_label, pair.k),
-    )
-    return invariant_multiplicity(chi)
 
 
 def parameter_to_json(p: DiscreteSeriesParameter) -> dict:

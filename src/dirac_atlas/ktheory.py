@@ -209,18 +209,6 @@ class AlgebraElement:
             raise ValidationError("all blocks must share one amplification level")
         return cls(algebra=algebra, blocks=tuple(converted), amplification=amps.pop())
 
-    @classmethod
-    def zero(cls, algebra: FDAlgebra, amplification: int = 1) -> "AlgebraElement":
-        return cls.from_blocks(
-            algebra, [np.zeros((n * amplification, n * amplification)) for n in algebra.blocks]
-        )
-
-    @classmethod
-    def unit(cls, algebra: FDAlgebra, amplification: int = 1) -> "AlgebraElement":
-        return cls.from_blocks(
-            algebra, [np.eye(n * amplification) for n in algebra.blocks]
-        )
-
     @property
     def is_exact(self) -> bool:
         return any(isinstance(b, ExactMatrix) for b in self.blocks)
@@ -303,15 +291,6 @@ def k0_class(p: AlgebraElement, algebra: FDAlgebra, *, tol: float = TAU, gap: fl
         mat.idempotent_rank() if isinstance(mat, ExactMatrix) else _idempotent_eigen_rank(mat, gap)
         for mat in p.blocks
     ))
-
-
-def homotopic(p: AlgebraElement, q: AlgebraElement, algebra: FDAlgebra) -> bool:
-    """Idempotent homotopy test via the rank classification.
-
-    In a finite-dimensional semisimple algebra two idempotents are
-    connected by a path of idempotents iff their per-block ranks agree.
-    """
-    return k0_class(p, algebra) == k0_class(q, algebra)
 
 
 @dataclass(frozen=True)
@@ -402,26 +381,6 @@ def _cokernel_basis(u: np.ndarray, gap: float) -> np.ndarray:
     e1, e0 = u.shape
     left, svals, _ = np.linalg.svd(u, full_matrices=e1 > e0)
     return left[:, _band_rank(svals, gap) :]
-
-
-def pushforward(theta: Sequence[Sequence[int]], x: K0Class, src: FDAlgebra, dst: FDAlgebra) -> K0Class:
-    """Functorial map on K0 from a unital block embedding.
-
-    theta[j][i] is the multiplicity of src block i inside dst block j;
-    unitality requires sum_i theta[j][i] * n_i == m_j for every j.
-    """
-    mat = [[int(c) for c in row] for row in theta]
-    if len(mat) != dst.k or any(len(row) != src.k for row in mat):
-        raise ValidationError("morphism matrix shape does not match the algebras")
-    if any(c < 0 for row in mat for c in row):
-        raise ValidationError("block multiplicities must be nonnegative")
-    for j, row in enumerate(mat):
-        total = sum(c * n for c, n in zip(row, src.blocks))
-        if total != dst.blocks[j]:
-            raise ValidationError(
-                f"morphism is not unital on block {j}: sizes {total} != {dst.blocks[j]}"
-            )
-    return K0Class(tuple(sum(c * r for c, r in zip(row, x.ranks)) for row in mat))
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +602,6 @@ class FiniteGroupAlgebra:
     @property
     def haar_weight(self) -> float:
         return 1.0 / self.order
-
-    def block_dims(self) -> tuple[int, ...]:
-        return self.algebra.blocks
 
 
 def wedderburn(group: Union[str, np.ndarray, Sequence], seed: int = 0) -> FiniteGroupAlgebra:

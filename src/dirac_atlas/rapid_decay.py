@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -217,24 +217,6 @@ def normalize_function(f: GroupFunction, group: MarkedGroup) -> GroupFunction:
         cc = complex(c)
         if cc != 0:
             out[group.check_element(g)] = cc
-    return out
-
-
-def delta(g: Element) -> GroupFunction:
-    return {g: 1.0 + 0j}
-
-
-def convolve(f: GroupFunction, g: GroupFunction, group: MarkedGroup) -> GroupFunction:
-    """Convolution for the counting measure: sum_h f(h) g(h^-1 x)."""
-    out: GroupFunction = {}
-    for a, ca in f.items():
-        for b, cb in g.items():
-            x = group.mul(a, b)
-            val = out.get(x, 0j) + ca * cb
-            if val == 0:
-                out.pop(x, None)
-            else:
-                out[x] = val
     return out
 
 
@@ -653,16 +635,6 @@ def fourier_sup_oracle(f: GroupFunction, group: MarkedGroup, grid: int = 1 << 15
     return OracleBracket(lower=best, upper=upper)
 
 
-def schur_multiply(c: Callable[[Element], complex], f: GroupFunction) -> GroupFunction:
-    """Pointwise product g -> c(g) f(g)."""
-    out = {}
-    for g, coeff in f.items():
-        val = complex(c(g)) * coeff
-        if val != 0:
-            out[g] = val
-    return out
-
-
 @dataclass(frozen=True)
 class NormSpec:
     """Which norm a probe exercises: l1, hs (needs s), or
@@ -801,61 +773,6 @@ def rd_inequality_probe(
         s=float(s),
         ratios=tuple(ratios),
         max_ratio=max(ratios),
-        samples=samples,
-        seed=seed,
-    )
-
-
-@dataclass(frozen=True)
-class SchurRatioReport:
-    """Empirical bound witness for a Schur multiplier.
-
-    The operator norm of Schur multiplication is not computed; only
-    the ratio of truncated reduced norms, maximized over seeded
-    samples, is reported.
-    """
-
-    max_ratio: float
-    ratios: tuple[float, ...]
-    samples: int
-    seed: int
-
-
-def schur_ratio_probe(
-    c: Callable[[Element], complex],
-    group: MarkedGroup,
-    samples: int,
-    seed: int,
-    max_support_radius: int = 5,
-    radius_margin: int = 4,
-) -> SchurRatioReport:
-    """Max over samples of red_trunc(c . f) / red_trunc(f)."""
-    if samples < 1:
-        raise ValidationError("at least one sample required")
-    group.check_ball(min(samples, max_support_radius) + radius_margin)
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for i in range(samples):
-        r = 1 + (i % max_support_radius)
-        pool = group.ball(r)
-        size = int(rng.integers(1, min(len(pool), 24) + 1))
-        chosen = [pool[j] for j in rng.choice(len(pool), size=size, replace=False)]
-        f = {
-            g: complex(a, b)
-            for g, a, b in zip(chosen, rng.normal(size=size), rng.normal(size=size))
-        }
-        f = normalize_function(f, group)
-        if not f:
-            continue
-        base = reduced_norm_truncated(f, group, r + radius_margin)
-        mult = schur_multiply(c, f)
-        if not mult or base == 0:
-            ratios.append(0.0)
-            continue
-        ratios.append(reduced_norm_truncated(mult, group, r + radius_margin) / base)
-    return SchurRatioReport(
-        max_ratio=max(ratios) if ratios else 0.0,
-        ratios=tuple(ratios),
         samples=samples,
         seed=seed,
     )

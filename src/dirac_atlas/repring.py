@@ -4,7 +4,7 @@ A virtual character is a finite weight -> integer multiplicity map over
 a fixed ambient root system (the system of K, possibly a subsystem of a
 larger one sharing its coordinates). It keys its weights by integer
 numerator tuples over one denominator (1 on standalone types, 2 for the
-half-integral weights of spin modules), so sums, products, duals, the
+half-integral weights of spin modules), so sums, products, the
 Weyl-invariance check and the decomposition run on integers; Fraction
 weights are made only where a caller reads them. Irreducible characters
 come from highest weights via the Freudenthal multiplicity recursion, run on
@@ -45,10 +45,8 @@ from .rootsys import (
     integer_coords,
     make_dominant,
     orbit_size,
-    rootsys_to_json,
     weight,
     weyl_orbit,
-    wzero,
 )
 
 # Character supports beyond this are outside the desk scale contract.
@@ -341,11 +339,6 @@ def product(a: VirtualCharacter, b: VirtualCharacter) -> VirtualCharacter:
     return _character(a.ambient, out, den)
 
 
-def dual(chi: VirtualCharacter) -> VirtualCharacter:
-    """Contragredient: negate every weight in the support."""
-    return VirtualCharacter(chi.ambient, {tuple(-c for c in w): m for w, m in chi.nums.items()}, chi.den)
-
-
 def is_weyl_invariant(chi: VirtualCharacter) -> bool:
     """True iff every Weyl orbit meets the support with one multiplicity."""
     form = chi.ambient.integral
@@ -419,22 +412,3 @@ def resum(rs: RootSystem, parts: Iterable[tuple[IrrLabel, int]]) -> VirtualChara
         if c:
             total = total + irr_character(label, rs).scaled(c)
     return total
-
-
-def invariant_multiplicity(chi: VirtualCharacter) -> int:
-    """Coefficient of the trivial representation in chi."""
-    zero = wzero(chi.ambient.rank)
-    for label, c in decompose(chi):
-        if label.highest_weight == zero:
-            return c
-    return 0
-
-
-def char_to_json(chi: VirtualCharacter) -> dict:
-    return {
-        "ambient": rootsys_to_json(chi.ambient),
-        "terms": [
-            {"weight": vec_str(_fractions(w, chi.den)), "mult": m}
-            for w, m in sorted(chi.nums.items(), key=lambda t: grlex_key(t[0]))
-        ],
-    }

@@ -554,15 +554,6 @@ def check_dominant_integral(x: Weight, rs: RootSystem, what: str) -> None:
             )
 
 
-def reflect(x: Weight, root: Weight, rs: RootSystem) -> Weight:
-    """Reflection s_root(x) = x - 2(x,root)/(root,root) * root."""
-    nn = inner(root, root, rs)
-    if nn == 0:
-        raise ValidationError("cannot reflect in an isotropic vector")
-    c = 2 * inner(x, root, rs) / nn
-    return wsub(x, wscale(c, root))
-
-
 @functools.lru_cache(maxsize=ORBIT_CACHE_SIZE)
 def make_dominant(x: Weight, rs: RootSystem) -> Weight:
     """The dominant representative of the Weyl orbit of x.

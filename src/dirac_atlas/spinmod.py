@@ -241,16 +241,13 @@ def check_spin_structure(pair: RealPair) -> SpinStructure:
 
     Lifts on G itself iff the half sum of the noncompact positive
     roots lies in the pair's K weight lattice. On the two-fold cover
-    the needed character always exists (half-integral weights are
-    admitted), so that flag is constantly true.
+    the needed character always exists, as build_pair admits only K
+    lattices that hold the roots; that flag is constantly true.
     """
     if not pair.equal_rank:
         raise ValidationError("spin structure check needs an equal-rank pair")
     rn = rho_noncompact(pair)
     on_g = lattice_contains(pair.k_lattice, rn)
-    half_basis = tuple(wscale(Fraction(1, 2), b) for b in pair.k_lattice)
-    if not lattice_contains(half_basis, rn):
-        raise AssertionError("rho_n escaped the half lattice")
     return SpinStructure(lifts_on_G=on_g, lifts_on_double_cover=True)
 
 

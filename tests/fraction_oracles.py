@@ -22,6 +22,10 @@ Also kept: the root system, its subsystems and the grading check built
 in Fractions, with the inverse Cartan matrix and every lattice solve by
 Gaussian elimination over Fraction, and the Weyl dimension as a product
 of Fraction form values.
+Test tools that no production path calls live here too: the Fraction
+reflection in a root, the dual of a character and the multiplicity of
+the trivial representation in it, and the index pairing of a fully
+compact pair computed through them.
 The package computes the same results on integers (or, for the
 decomposition, on dominant tables only; for a rank, as the trace of an
 idempotent); tests compare the two element by element.
@@ -54,7 +58,7 @@ from dirac_atlas.rootsys import (
     wsub,
     wzero,
 )
-from dirac_atlas.spinmod import SpinCharacter
+from dirac_atlas.spinmod import SpinCharacter, spin_characters
 
 
 def mat_inv(a):
@@ -622,3 +626,44 @@ def gq_rank(rows):
                 ]
         rank += 1
     return rank
+
+
+def reflect(x, root, rs):
+    """Reflection s_root(x) = x - 2(x,root)/(root,root) * root."""
+    nn = inner(root, root, rs)
+    if nn == 0:
+        raise ValidationError("cannot reflect in an isotropic vector")
+    c = 2 * inner(x, root, rs) / nn
+    return wsub(x, wscale(c, root))
+
+
+def dual(chi):
+    """Contragredient: negate every weight in the support."""
+    return repring.VirtualCharacter(chi.ambient, {tuple(-c for c in w): m for w, m in chi.nums.items()}, chi.den)
+
+
+def invariant_multiplicity(chi):
+    """Coefficient of the trivial representation in chi."""
+    zero = wzero(chi.ambient.rank)
+    for label, c in repring.decompose(chi):
+        if label.highest_weight == zero:
+            return c
+    return 0
+
+
+def pairing_compact_oracle(h_label, v, pair):
+    """Index pairing in the fully compact case via invariants.
+
+    Computes the invariant multiplicity of dual(V) x dual(S) x H over
+    K. With the trivial spin module of a compact pair this is exactly
+    the Kronecker delta of the two labels.
+    """
+    if not pair.is_compact:
+        raise ValidationError("compact oracle needs a fully compact pair")
+    sc = spin_characters(pair)
+    s_total = sc.s_plus + sc.s_minus
+    chi = repring.product(
+        repring.product(dual(repring.irr_character(v, pair.k)), dual(s_total)),
+        repring.irr_character(h_label, pair.k),
+    )
+    return invariant_multiplicity(chi)

@@ -20,7 +20,6 @@ from dirac_atlas.dirac import (
     dirac_induct,
     enumerate_discrete_series,
     formal_degree,
-    pairing_compact_oracle,
     parameter_to_json,
     trace_product,
 )
@@ -50,6 +49,7 @@ from fraction_oracles import (
     chamber_scan,
     enumerate_by_induction,
     enumerate_scan,
+    pairing_compact_oracle,
     weyl_elements_bfs,
 )
 

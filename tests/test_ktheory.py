@@ -33,10 +33,8 @@ from dirac_atlas.ktheory import (
     exact_work,
     fredholm_index,
     group_function_class,
-    homotopic,
     index_by_kernel_cokernel,
     k0_class,
-    pushforward,
     quaternion_table,
     resolve_group_table,
     singular_value_rank,
@@ -65,8 +63,10 @@ def rank1_projector(rng, n, real=False):
 
 def test_k0_class_of_zero_and_unit():
     alg = FDAlgebra((1, 2))
-    assert k0_class(AlgebraElement.zero(alg), alg).ranks == (0, 0)
-    assert k0_class(AlgebraElement.unit(alg), alg).ranks == (1, 2)
+    zero = AlgebraElement.from_blocks(alg, [np.zeros((n, n)) for n in alg.blocks])
+    unit = AlgebraElement.from_blocks(alg, [np.eye(n) for n in alg.blocks])
+    assert k0_class(zero, alg).ranks == (0, 0)
+    assert k0_class(unit, alg).ranks == (1, 2)
 
 
 def test_k0_class_conjugated_rank_one():
@@ -207,17 +207,6 @@ def test_diag_sum_relation():
     assert lhs == rhs
 
 
-def test_homotopic():
-    rng = np.random.default_rng(7)
-    alg = FDAlgebra((3,))
-    p = AlgebraElement.from_blocks(alg, [rank1_projector(rng, 3)])
-    q = AlgebraElement.from_blocks(alg, [rank1_projector(rng, 3)])
-    two = AlgebraElement.from_blocks(alg, [np.diag([1.0, 1.0, 0.0])])
-    assert homotopic(p, p, alg)
-    assert homotopic(p, q, alg)
-    assert not homotopic(p, two, alg)
-
-
 def test_mixed_amplification_rejected():
     alg = FDAlgebra((1, 2))
     with pytest.raises(ValidationError):
@@ -319,33 +308,6 @@ def test_index_oracle_equivalence_seeded():
     for _ in range(60):
         alg, m = random_module(rng)
         assert fredholm_index(m, alg) == index_by_kernel_cokernel(m, alg)
-
-
-# ---------------------------------------------------------------------------
-# Pushforward
-
-
-def test_pushforward_examples():
-    one = FDAlgebra((1,))
-    two = FDAlgebra((2,))
-    assert pushforward([[1]], K0Class((5,)), one, one).ranks == (5,)
-    assert pushforward([[2]], K0Class((1,)), one, two).ranks == (2,)
-    with pytest.raises(ValidationError):
-        pushforward([[0]], K0Class((1,)), one, two)
-    with pytest.raises(ValidationError):
-        pushforward([[1, 1]], K0Class((1,)), one, two)
-
-
-def test_pushforward_functorial():
-    a = FDAlgebra((1, 1))
-    b = FDAlgebra((2, 1))
-    c = FDAlgebra((3,))
-    theta1 = [[1, 1], [0, 1]]  # a -> b
-    theta2 = [[1, 1]]  # b -> c
-    x = K0Class((2, -1))
-    via = pushforward(theta2, pushforward(theta1, x, a, b), b, c)
-    composed = [[sum(theta2[i][k] * theta1[k][j] for k in range(2)) for j in range(2)] for i in range(1)]
-    assert pushforward(composed, x, a, c) == via
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,6 @@ from dirac_atlas.rapid_decay import (
     MarkedGroup,
     NormSpec,
     compute_norm_report,
-    convolve,
-    delta,
     fourier_sup_oracle,
     function_from_json,
     function_to_json,
@@ -35,7 +33,6 @@ from dirac_atlas.rapid_decay import (
     rd_inequality_probe,
     reduce_word,
     reduced_norm_truncated,
-    schur_multiply,
     support_radius,
     unconditionality_probe,
 )
@@ -46,6 +43,10 @@ F2 = MarkedGroup.free_group(2)
 
 F_TRIPLE = {(0,): 1, (1,): 1, (2,): 1}
 F_FLIPPED = {(0,): 1, (1,): 1, (2,): -1}
+
+
+def delta(g):
+    return {g: 1.0 + 0j}
 
 
 def random_elements(group, rng, count, radius=4):
@@ -73,13 +74,6 @@ def test_reduce_word_properties(letters):
     assert all(w[i] != -w[i + 1] for i in range(len(w) - 1))
     # reduction is idempotent
     assert reduce_word(w) == w
-
-
-def test_free_convolution_respects_reduction():
-    f = convolve(delta((1,)), delta((-1,)), F2)
-    assert f == {(): 1 + 0j}
-    g = convolve(delta((1, 2)), delta((-2, 1)), F2)
-    assert g == {(1, 1): 1 + 0j}
 
 
 def test_f2_ball_sizes():
@@ -178,19 +172,6 @@ def test_power_iteration_non_convergence_reported():
     assert exc.value.iterations == 3
 
 
-def test_schur_multiply_examples():
-    f = normalize_function({(0,): 1, (1,): 2, (5,): 1}, Z)
-    assert schur_multiply(lambda g: 1.0, f) == f
-    ball2 = set(Z.ball(2))
-    truncated = schur_multiply(lambda g: 1.0 if g in ball2 else 0.0, f)
-    assert truncated == {(0,): 1, (1,): 2}
-    # weight (1+l)^{-s} converts the Sobolev norm into the plain l2 norm
-    s = 2.0
-    weighted = schur_multiply(lambda g: (1.0 + Z.length(g)) ** (-s), f)
-    plain_l2 = math.sqrt(sum(abs(c) ** 2 for c in f.values()))
-    assert abs(hs_norm(weighted, s, Z) - plain_l2) < 1e-12
-
-
 def test_unconditional_norms_have_zero_deviation():
     f = {(0,): 1 + 1j, (1,): -2, (3,): 0.5j}
     rep = unconditionality_probe(NormSpec("l1"), f, Z, trials=100, seed=7)
@@ -243,31 +224,6 @@ def test_norm_report_invariants():
     rep = compute_norm_report(F_TRIPLE, Z, s=1.0, radius=30)
     assert rep.red_lower <= rep.red_upper + 1e-6
     assert rep.red_upper == rep.l1 == 3.0
-
-
-def test_l1_submultiplicative_random():
-    rng = np.random.default_rng(12)
-    for group in (Z, F2):
-        for _ in range(8):
-            sup1 = random_elements(group, rng, 3, radius=2)
-            sup2 = random_elements(group, rng, 3, radius=2)
-            f = {g: complex(a, b) for g, a, b in zip(sup1, rng.normal(size=3), rng.normal(size=3))}
-            g_ = {g: complex(a, b) for g, a, b in zip(sup2, rng.normal(size=3), rng.normal(size=3))}
-            assert l1_norm(convolve(f, g_, group)) <= l1_norm(f) * l1_norm(g_) + 1e-12
-
-
-def test_schur_ratio_probe():
-    from dirac_atlas.rapid_decay import schur_ratio_probe
-
-    ball2 = set(Z.ball(2))
-    rep = schur_ratio_probe(lambda g: 1.0 if g in ball2 else 0.0, Z, samples=8, seed=4)
-    assert len(rep.ratios) == 8
-    assert 0 <= rep.max_ratio
-    # the identity multiplier never changes the norm
-    rep_id = schur_ratio_probe(lambda g: 1.0, Z, samples=5, seed=4)
-    assert rep_id.max_ratio == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(ValidationError):
-        schur_ratio_probe(lambda g: 1.0, Z, samples=0, seed=1)
 
 
 def test_parse_group_names():

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles as oracle
+from fraction_oracles import dual, invariant_multiplicity
 from dirac_atlas.errors import DeskScaleError, ValidationError
 from dirac_atlas.repring import (
     IrrLabel,
@@ -21,8 +22,6 @@ from dirac_atlas.repring import (
     decompose,
     dimension,
     dominant_multiplicities,
-    dual,
-    invariant_multiplicity,
     irr_character,
     is_weyl_invariant,
     product,
@@ -311,17 +310,6 @@ def test_freudenthal_multiplicities_match_alternating_sum(rs, mu):
     # a dominant weight just outside the diagram has multiplicity zero
     outside = weight(tuple(c + 2 for c in mu))
     assert alternating_sum_multiplicity(mu, outside, rs) == 0
-
-
-def test_char_to_json_shape():
-    from dirac_atlas.repring import char_to_json
-
-    js = char_to_json(irr_character((1,), A1))
-    assert js["terms"] == [
-        {"weight": ["-1"], "mult": 1},
-        {"weight": ["1"], "mult": 1},
-    ]
-    assert js["ambient"]["cartan"] == [["A", 1]]
 
 
 def test_half_integral_label_on_rank_one():

@@ -32,7 +32,6 @@ from dirac_atlas.rootsys import (
     make_dominant,
     orbit_size,
     parse_cartan,
-    reflect,
     rescale_form,
     rootsys_to_json,
     subsystem,
@@ -46,7 +45,7 @@ from dirac_atlas.rootsys import (
 )
 from dirac_atlas.spinmod import build_pair, get_pair
 import fraction_oracles as oracle
-from fraction_oracles import weyl_elements_bfs
+from fraction_oracles import reflect, weyl_elements_bfs
 from test_spinmod import ONE_NODE_GRADINGS
 
 

@@ -312,13 +312,3 @@ def test_k_lattice_containing_the_roots_accepted():
         check_spin_structure(build_pair("A1", [], k_lattice=lattice))
     pair = build_pair("A2", [weight([1, 1])], k_lattice=[weight([2, -1]), weight([-1, 2])])
     assert check_spin_structure(pair).lifts_on_double_cover
-
-
-def test_half_lattice_invariant_is_an_explicit_check():
-    # build_pair refuses such a lattice; bypassing it, the invariant still
-    # raises, with or without python -O
-    import dataclasses
-
-    pair = dataclasses.replace(get_pair("sl2r"), k_lattice=(weight([4]),))
-    with pytest.raises(AssertionError, match="half lattice"):
-        check_spin_structure(pair)
