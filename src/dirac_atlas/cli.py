@@ -509,17 +509,20 @@ def _require_seed(cfg: Config) -> int:
     return int(cfg.seed)
 
 
+def _group_arg(args):
+    """The group of a group subcommand, by --table or --name, and the
+    label its output echoes as "group"."""
+    if args.table:
+        return ktheory.table_from_rows(load_json_file(args.table, "table file")), args.table
+    if not args.name:
+        raise ValidationError("give --name or --table")
+    return args.name, args.name
+
+
 def _cmd_group_wedderburn(args, cfg: Config) -> dict:
     seed = _require_seed(cfg)
-    if args.table:
-        table = load_json_file(args.table, "table file")
-        G = ktheory.wedderburn(ktheory.table_from_rows(table), seed=seed)
-        name = args.table
-    else:
-        if not args.name:
-            raise ValidationError("give --name or --table")
-        G = ktheory.wedderburn(args.name, seed=seed)
-        name = args.name
+    group, name = _group_arg(args)
+    G = ktheory.wedderburn(group, seed=seed)
     return {
         "group": name,
         "order": G.order,
@@ -531,12 +534,15 @@ def _cmd_group_wedderburn(args, cfg: Config) -> dict:
 
 def _cmd_group_idempotent(args, cfg: Config) -> dict:
     seed = _require_seed(cfg)
-    G = ktheory.wedderburn(args.name, seed=seed)
+    if args.block < 0:
+        raise ValidationError("block index out of range")
+    group, name = _group_arg(args)
+    G = ktheory.wedderburn(group, seed=seed, block=args.block)
     p = ktheory.ds_idempotent(G, args.block)
     err = float(np.max(np.abs(ktheory.convolve(p, p, G) - p)))
     cls = ktheory.group_function_class(p, G)
     return {
-        "group": args.name,
+        "group": name,
         "block": args.block,
         "block_dimension": G.algebra.blocks[args.block],
         "idempotency_error": err,
@@ -704,7 +710,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(q)
     q.set_defaults(handler=_cmd_group_wedderburn)
     q = ssub.add_parser("idempotent", help="matrix-coefficient idempotent of one block")
-    q.add_argument("--name", required=True)
+    q.add_argument("--name", default=None, help="z<n>, s3, s4, d4, q8")
+    q.add_argument("--table", default=None, help="JSON file with a multiplication table")
     q.add_argument("--block", type=int, required=True)
     q.add_argument("--seed", type=int, default=None)
     _add_common(q)

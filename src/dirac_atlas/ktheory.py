@@ -405,10 +405,16 @@ def _table_from_elements(elements: list, compose) -> np.ndarray:
 
 
 def symmetric_table(n: int) -> np.ndarray:
-    elements = sorted(itertools.permutations(range(n)))
-    return _table_from_elements(
-        elements, lambda p, q: tuple(p[q[i]] for i in range(n))
-    )
+    """S_n on its permutations in lexicographic order, p q = p after q.
+
+    Every product p[q] is one gather of the stacked permutations; read
+    as base-n digits, the sorted permutations have sorted keys, so a
+    product's index is a binary search for its key.
+    """
+    perms = np.array(sorted(itertools.permutations(range(n))), dtype=np.int64)
+    digits = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    products = perms[np.arange(len(perms))[:, None, None], perms[None, :, :]]
+    return np.searchsorted(perms @ digits, products @ digits)
 
 
 def dihedral_table(n: int) -> np.ndarray:
@@ -585,8 +591,10 @@ class FiniteGroupAlgebra:
     """Convolution algebra of a finite group under mass-one Haar.
 
     wedderburn() attaches the numerical isomorphism onto its matrix
-    blocks: unitary irreducible representations compressed out of the
-    regular representation. Blocks are sorted by (dimension, rounded
+    blocks: per block, an orthonormal basis (|G| x d) of one irreducible
+    copy in the regular representation. irrep() compresses the left
+    action to that copy, a unitary irreducible representation, for the
+    one block a caller reads. Blocks are sorted by (dimension, rounded
     character vector) so the layout is reproducible for a fixed seed.
     """
 
@@ -596,15 +604,23 @@ class FiniteGroupAlgebra:
     inverses: np.ndarray
     classes: tuple[tuple[int, ...], ...]
     algebra: FDAlgebra
-    irreps: tuple[np.ndarray, ...]
+    bases: tuple[np.ndarray, ...]
     seed: int
 
     @property
     def haar_weight(self) -> float:
         return 1.0 / self.order
 
+    def irrep(self, block: int) -> np.ndarray:
+        """The |G| x d x d matrices B^H L(g) B of one block, for its basis
+        B; the left translate L(g) B is the row gather B[g^-1 x]."""
+        basis = self.bases[block]
+        return basis.conj().T @ basis[self.table[self.inverses]]
 
-def wedderburn(group: Union[str, np.ndarray, Sequence], seed: int = 0) -> FiniteGroupAlgebra:
+
+def wedderburn(
+    group: Union[str, np.ndarray, Sequence], seed: int = 0, *, block: Optional[int] = None
+) -> FiniteGroupAlgebra:
     """Numerical Wedderburn decomposition of a finite group algebra.
 
     Two seeded stages: a random Hermitian central element splits the
@@ -617,14 +633,26 @@ def wedderburn(group: Union[str, np.ndarray, Sequence], seed: int = 0) -> Finite
     w(x y^-1), and the left translate of a basis B is the row gather
     B[shift[g]]. No |G|^3 array is formed. Stage 2 compresses the
     commutant to all isotypics of one size in one stacked product and
-    one stacked eigh, then checks the isotypics in stage-1 order. The
-    blocks are ordered by the rows of one k x k character matrix at
-    the class representatives, rounded once.
+    one stacked eigh, then checks the isotypics in stage-1 order. An
+    isotypic of size 1 is its own copy and skips the compression.
+
+    The blocks are ordered by the rows of one k x k character matrix at
+    the class representatives, rounded once. The characters come from
+    the centre, not from the representations (Dixon, Numer. Math. 10,
+    1967): the stage-1 projector P = V V^H onto an isotypic of degree d
+    is left convolution by the central idempotent (d/|G|) conj(chi), so
+    chi(g) = (|G|/d) P[g^-1, e], at k d^2 products per block. No irrep
+    is built here; FiniteGroupAlgebra.irrep builds one block's.
+
+    block, when given, is the one block the caller will read: an index
+    outside 0..k-1 is refused once the classes are known, before any eigh.
     """
     table = resolve_group_table(group)
     e, inv = validate_group_table(table)
     n = table.shape[0]
     classes = _conjugacy_classes(table, inv)
+    if block is not None and not 0 <= block < len(classes):
+        raise ValidationError("block index out of range")
     shift = table[inv]
     rng = np.random.default_rng(seed)
 
@@ -646,8 +674,8 @@ def wedderburn(group: Union[str, np.ndarray, Sequence], seed: int = 0) -> Finite
     # Stage 2: one irreducible copy per isotypic via the commutant, the
     # Hermitian part of a random combination of right translations.
     coeff = rng.normal(size=n) + 1j * rng.normal(size=n)
-    split = _commutant_split(evecs, groups, coeff[shift.T] + np.conj(coeff[shift]))
-    blocks = []
+    split = _commutant_split(evecs, groups, coeff, shift)
+    bases = []
     for idx, part in zip(groups, split):
         if part is None:
             raise NumericalAmbiguityError(f"isotypic dimension {len(idx)} is not a perfect square")
@@ -658,28 +686,29 @@ def wedderburn(group: Union[str, np.ndarray, Sequence], seed: int = 0) -> Finite
             raise NumericalAmbiguityError(
                 f"commutant eigenspace has dimension {len(first)}, expected {dim}"
             )
-        blocks.append((dim, basis.conj().T @ basis[shift]))
+        bases.append(basis)
 
-    dims = np.array([d for d, _ in blocks])
-    reps = [cls[0] for cls in classes]
-    chars = np.array([np.trace(rep[reps], axis1=1, axis2=2) for _, rep in blocks])
-    blocks = [blocks[i] for i in np.lexsort(_block_keys(dims, chars).T[::-1])]
+    dims = np.array([basis.shape[1] for basis in bases])
+    chars = _isotypic_characters(evecs, groups, dims, e, inv[[cls[0] for cls in classes]])
+    order = np.lexsort(_block_keys(dims, chars).T[::-1])
     return FiniteGroupAlgebra(
         table=table,
         order=n,
         identity=e,
         inverses=inv,
         classes=tuple(tuple(c) for c in classes),
-        algebra=FDAlgebra(tuple(d for d, _ in blocks)),
-        irreps=tuple(rep for _, rep in blocks),
+        algebra=FDAlgebra(tuple(dims[order].tolist())),
+        bases=tuple(bases[i] for i in order),
         seed=seed,
     )
 
 
-def _commutant_split(evecs: np.ndarray, groups: list[list[int]], commutant: np.ndarray) -> list:
+def _commutant_split(evecs: np.ndarray, groups: list[list[int]], coeff: np.ndarray, shift: np.ndarray) -> list:
     """Stage 2 of wedderburn, before any check: for each stage-1 group,
     the eigenvalues of the commutant compressed to it and the basis of
     its dim lowest eigenvectors, or None when its size is not a square.
+    The commutant is coeff[shift.T] + conj(coeff[shift]), built only if
+    some group has more than one index.
 
     The groups of one size m2 share one stacked q^H C q and one eigh.
     A size that is not a square is never stacked, so that wedderburn
@@ -688,6 +717,7 @@ def _commutant_split(evecs: np.ndarray, groups: list[list[int]], commutant: np.n
     sizes = np.array([len(idx) for idx in groups])
     starts = np.array([idx[0] for idx in groups])
     split = [None] * len(groups)
+    commutant = None
     for m2 in sorted(set(sizes.tolist())):
         dim = math.isqrt(m2)
         if dim * dim != m2:
@@ -695,12 +725,30 @@ def _commutant_split(evecs: np.ndarray, groups: list[list[int]], commutant: np.n
         members = np.flatnonzero(sizes == m2)
         # eigenvalue groups are runs of consecutive indices
         q = evecs.T[starts[members, None] + np.arange(m2)].transpose(0, 2, 1)
-        xev, xvec = np.linalg.eigh(q.conj().transpose(0, 2, 1) @ commutant @ q)
-        # eigh sorts the eigenvalues, so the first group starts at index 0
-        basis = q @ xvec[..., :dim]
+        if m2 == 1:
+            # the eigenvector of a 1 x 1 compression is 1, so the copy is q;
+            # its one eigenvalue is a single group whatever its value
+            xev, basis = np.zeros((len(members), 1)), q
+        else:
+            if commutant is None:
+                commutant = coeff[shift.T] + np.conj(coeff[shift])
+            xev, xvec = np.linalg.eigh(q.conj().transpose(0, 2, 1) @ commutant @ q)
+            # eigh sorts the eigenvalues, so the first group starts at index 0
+            basis = q @ xvec[..., :dim]
         for j, i in enumerate(members.tolist()):
             split[i] = (xev[j], basis[j])
     return split
+
+
+def _isotypic_characters(
+    evecs: np.ndarray, groups: list[list[int]], dims: np.ndarray, e: int, rows: np.ndarray
+) -> np.ndarray:
+    """The character of each stage-1 isotypic's irreducible at the class
+    representatives g, one row per isotypic: (|G|/d) P[g^-1, e] for the
+    projector P = V V^H on its eigenvectors V. rows holds the g^-1."""
+    starts = [idx[0] for idx in groups]
+    products = np.add.reduceat(evecs[rows] * evecs[e].conj(), starts, axis=1)
+    return products.T * (evecs.shape[0] / dims)[:, None]
 
 
 def _block_keys(dims: np.ndarray, chars: np.ndarray) -> np.ndarray:
@@ -730,13 +778,18 @@ def convolve(f: np.ndarray, g: np.ndarray, group: FiniteGroupAlgebra) -> np.ndar
 
 
 def wedderburn_image(f: np.ndarray, group: FiniteGroupAlgebra) -> AlgebraElement:
-    """Image of a group function under the block isomorphism."""
+    """Image of a group function under the block isomorphism.
+
+    sum_g f(g) L(g) is left convolution by f, the matrix F = f(x y^-1),
+    so block i is haar * B_i^H (F B_i), with one product F B against
+    all the bases side by side.
+    """
     f = np.asarray(f, dtype=complex)
     if f.shape != (group.order,):
         raise ValidationError("group function has the wrong length")
-    mats = [
-        group.haar_weight * np.einsum("g,gij->ij", f, rep) for rep in group.irreps
-    ]
+    moved = f[group.table[:, group.inverses]] @ np.hstack(group.bases)
+    parts = np.split(moved, np.cumsum(group.algebra.blocks)[:-1], axis=1)
+    mats = [group.haar_weight * (basis.conj().T @ part) for basis, part in zip(group.bases, parts)]
     return AlgebraElement.from_blocks(group.algebra, mats)
 
 
@@ -749,7 +802,7 @@ def ds_idempotent(group: FiniteGroupAlgebra, block: int, x: Optional[np.ndarray]
     """
     if not 0 <= block < group.algebra.k:
         raise ValidationError("block index out of range")
-    rep = group.irreps[block]
+    rep = group.irrep(block)
     d = group.algebra.blocks[block]
     if x is None:
         x = np.zeros(d, dtype=complex)

@@ -104,11 +104,6 @@ class MarkedGroup:
             return reduce_word(tuple(a) + tuple(b))
         return tuple(x + y for x, y in zip(a, b))
 
-    def inv(self, a: Element) -> Element:
-        if self.kind == "free":
-            return tuple(-x for x in reversed(a))
-        return tuple(-x for x in a)
-
     def length(self, a: Element) -> int:
         return len(a) if self.kind == "free" else sum(abs(x) for x in a)
 
@@ -334,7 +329,7 @@ class _BallIndex:
 
     translates(gs) is the left action of each g in gs as the rows of one
     index array: entry [i, j] is the index of gs[i].w_j, or -1 when the
-    product leaves the ball. translate(g) is its one row.
+    product leaves the ball.
     """
 
     def __init__(self, group: MarkedGroup, r: int):
@@ -355,9 +350,6 @@ class _BallIndex:
         if self.kind == "lattice":
             return list(map(tuple, self.points.tolist()))
         return self.free.words()
-
-    def translate(self, g: Element) -> np.ndarray:
-        return self.translates([g])[0]
 
     def translates(self, gs: list) -> np.ndarray:
         if self.kind == "lattice":

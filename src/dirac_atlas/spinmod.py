@@ -73,10 +73,6 @@ class RealPair:
     def n_plus(self) -> int:
         return len(self.noncompact_positive)
 
-    @property
-    def is_compact(self) -> bool:
-        return self.equal_rank and not self.noncompact_positive
-
 
 @dataclass(frozen=True)
 class SpinCharacter:

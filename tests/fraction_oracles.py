@@ -24,8 +24,8 @@ Gaussian elimination over Fraction, and the Weyl dimension as a product
 of Fraction form values.
 Test tools that no production path calls live here too: the Fraction
 reflection in a root, the dual of a character and the multiplicity of
-the trivial representation in it, and the index pairing of a fully
-compact pair computed through them.
+the trivial representation in it, whether a pair is fully compact, and
+the index pairing of a fully compact pair computed through them.
 The package computes the same results on integers (or, for the
 decomposition, on dominant tables only; for a rank, as the trace of an
 idempotent); tests compare the two element by element.
@@ -651,6 +651,11 @@ def invariant_multiplicity(chi):
     return 0
 
 
+def is_compact(pair) -> bool:
+    """Equal rank with no noncompact positive root: K is all of G."""
+    return pair.equal_rank and not pair.noncompact_positive
+
+
 def pairing_compact_oracle(h_label, v, pair):
     """Index pairing in the fully compact case via invariants.
 
@@ -658,7 +663,7 @@ def pairing_compact_oracle(h_label, v, pair):
     K. With the trivial spin module of a compact pair this is exactly
     the Kronecker delta of the two labels.
     """
-    if not pair.is_compact:
+    if not is_compact(pair):
         raise ValidationError("compact oracle needs a fully compact pair")
     sc = spin_characters(pair)
     s_total = sc.s_plus + sc.s_minus

@@ -8,6 +8,9 @@ when two estimates 64 iterations apart agree to within tol.
 lanczos_top_reference is the earlier Lanczos solver: a complex
 projected matrix, and a second Gram-Schmidt pass only when the first
 kept less than REORTH_RATIO of the norm (Daniel et al., 1976).
+
+inverse and translate are test tools that no production path calls:
+the inverse of a group element, and one row of a ball's translates.
 """
 
 import math
@@ -19,6 +22,18 @@ from dirac_atlas.rapid_decay import LANCZOS_BASIS, START_STEP, normalize_functio
 
 POWER_CHECK_WINDOW = 64
 REORTH_RATIO = 0.7071067811865476  # 1/sqrt(2)
+
+
+def inverse(group, a):
+    """a^-1: the reversed word with every letter negated, or the negated point."""
+    if group.kind == "free":
+        return tuple(-x for x in reversed(a))
+    return tuple(-x for x in a)
+
+
+def translate(index, g) -> np.ndarray:
+    """The left action of g on a ball index: the one row of index.translates([g])."""
+    return index.translates([g])[0]
 
 
 def compressed_operator_reference(f, group, radius) -> np.ndarray:

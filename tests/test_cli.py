@@ -14,11 +14,12 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from dirac_atlas.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, SCHEMAS, main
 from dirac_atlas.jsonutil import vec_str
-from dirac_atlas.ktheory import K0_ENTRY_CAP, K0_INDEX_WORK_CAP, dihedral_table
+from dirac_atlas.ktheory import K0_ENTRY_CAP, K0_INDEX_WORK_CAP, dihedral_table, ds_idempotent, wedderburn
 from dirac_atlas.repring import SUPPORT_CAP
 from dirac_atlas.rootsys import build_root_system, fw_to_simple_coords, parse_cartan
 from dirac_atlas.spinmod import catalog_names, get_pair
@@ -1004,6 +1005,75 @@ def test_wedderburn_outputs_are_byte_identical_to_the_recorded_digests(capsys, t
             assert code == EXIT_OK, err
             h.update(out.encode("utf-8"))
         assert h.hexdigest() == digest, (group, seeds)
+
+
+# sha256 of the stdout of `group idempotent --name GROUP --block b --seed s`,
+# concatenated over seeds 0..k-1 and, within a seed, over the listed blocks;
+# recorded while wedderburn still built every irrep: every block of the
+# catalog groups, two blocks each of z6-z21 and three blocks of z128.
+IDEMPOTENT_DIGESTS = {
+    ("s3", (0, 1, 2), 3): "b67fc67d861a161af8fe78ccd18033b08d836a7ebcf0c8e6dbde4c0c6c6718ec",
+    ("s4", (0, 1, 2, 3, 4), 3): "1e0d38f9a1b6e7300e966e761763e0c471d8a58d4151516259e87fb94a75f2a6",
+    ("d4", (0, 1, 2, 3, 4), 3): "761bbc823e84ee7cd521d7c706bea5c55bb8e41a4ad8a1d70d6cd0556c1bf638",
+    ("q8", (0, 1, 2, 3, 4), 3): "ae89d54e52db46d5d3c7bc1364f8b318ba19157d2de55b452f7bd82435e970c7",
+    ("z6", (2, 5), 3): "98608fb62d08af5c542fc44a166749a78e5653c2e65df9c2976e80f0df548e70",
+    ("z7", (2, 6), 3): "a09b7c547a20c38fe3a79cdf62a21516392c17723b20bb37a50106aae0dd0408",
+    ("z8", (2, 7), 3): "f578f140686e6dd0f822ead44f3583802f82ab1b25acf0fd4a33fa2c7c5b466f",
+    ("z9", (3, 8), 3): "58a3b378c433df9cbacd31a56564028901f03e41495183b7f8061b164818f7ff",
+    ("z10", (3, 9), 3): "4db32dff891d53dfd40fd1eeef7c205648bf007b1fa82e47b652aac221374e9e",
+    ("z11", (3, 10), 3): "8deae9d1688404785031393ab2810c9f077f9b92d9f4d8b552fb9e0a30480523",
+    ("z12", (4, 11), 3): "dfccdb8894c2b3a75fb6791fc263e2c1e4d101df34315c9b041010f83a0f17fe",
+    ("z13", (4, 12), 3): "b80c1327773761b4b7b64c35e16f202394e191bfc3f9e78f506e51e78938a3c2",
+    ("z14", (4, 13), 3): "349c619ae6f3b0cb05c225bbf5f9304b410e26752001fabbce25cf8d6a6489e7",
+    ("z15", (5, 14), 3): "6925748df77413eecb6659df474ae3dede522ef2165b121f5427976b2b01c270",
+    ("z16", (5, 15), 3): "5bb32659eb10a499444e004b676a26ff050c2e48f65586b09ad7f8c1b5417d5d",
+    ("z17", (5, 16), 3): "953fde23329172ee4aa76f66e9eb6b08275aa617d3c27ef8187781d7b563dc24",
+    ("z18", (6, 17), 3): "9f9ada0a5e4ea9bccfd0c54328aae40a4c22b2c0e836b2702b8ca9d5a9292419",
+    ("z19", (6, 18), 3): "0b4c560153e4a281650506a199bbaf26604aeafcb31d9a3f5aa38a6ce9208b3e",
+    ("z20", (6, 19), 3): "02299ad6c067a2f340f409720ae0428f5279427eb1c37655f0716c6301b2c691",
+    ("z21", (7, 20), 3): "d4efeb971a20cf80662416cdf36ede4939c7323accc11876dba62c1c363ce112",
+    ("z128", (5, 64, 127), 3): "aba01133177feb6607a95e1772c096a770726036e963c74aa14d61960d3f6b9f",
+}
+
+
+def test_idempotent_outputs_are_byte_identical_to_the_recorded_digests(capsys):
+    for (group, blocks, seeds), digest in IDEMPOTENT_DIGESTS.items():
+        h = hashlib.sha256()
+        for seed in range(seeds):
+            for blk in blocks:
+                code, out, err = run_cli(capsys, "group", "idempotent", "--name", group, "--block", str(blk),
+                                         "--seed", str(seed))
+                assert code == EXIT_OK, err
+                h.update(out.encode("utf-8"))
+        assert h.hexdigest() == digest, (group, blocks, seeds)
+
+
+def test_group_idempotent_reads_a_table_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    table = dihedral_table(50)
+    (tmp_path / "d100.json").write_text(json.dumps(table.tolist()))
+    G = wedderburn(table, seed=0)
+    for blk in (0, 3, 4, 27):
+        payload = run_json(capsys, "group", "idempotent", "--table", "d100.json", "--block", str(blk), "--seed", "0")
+        jsonschema.validate(payload, SCHEMAS["group.idempotent"])
+        d = G.algebra.blocks[blk]
+        assert payload["group"] == "d100.json" and payload["block_dimension"] == d
+        assert payload["idempotency_error"] <= 1e-9 and abs(payload["trace"] - d) <= 1e-9
+        assert payload["k0_class"] == [int(i == blk) for i in range(G.algebra.k)]
+        want = ds_idempotent(G, blk)
+        assert payload["coefficients"] == [[float(c.real), float(c.imag)] for c in want]
+    code, out, err = run_cli(capsys, "group", "idempotent", "--block", "0", "--seed", "0")
+    assert (code, out, err) == (EXIT_VALIDATION, "", "error: give --name or --table\n")
+
+
+@pytest.mark.parametrize("block", ["-1", "5000"])
+def test_group_idempotent_refuses_a_bad_block_before_any_eigh(capsys, monkeypatch, block):
+    def sentinel(*args, **kwargs):
+        pytest.fail("eigh ran before the block index was checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", sentinel)
+    code, out, err = run_cli(capsys, "group", "idempotent", "--name", "z1000", "--block", block, "--seed", "0")
+    assert (code, out, err) == (EXIT_VALIDATION, "", "error: block index out of range\n")
 
 
 # Group functions read by the rd calls below, as the files z.json, z2.json

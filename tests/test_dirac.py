@@ -49,6 +49,7 @@ from fraction_oracles import (
     chamber_scan,
     enumerate_by_induction,
     enumerate_scan,
+    is_compact,
     pairing_compact_oracle,
     weyl_elements_bfs,
 )
@@ -362,7 +363,7 @@ def test_chamber_lookup_matches_linear_scan(name):
     scaled = rescale_pair(pair, 3)
     # Weyl matrices do not see the scale; K differs from g only off the compact pairs.
     systems = [(pair.g, pair.g), (scaled.g, pair.g)]
-    if not pair.is_compact:
+    if not is_compact(pair):
         systems += [(pair.k, pair.k), (scaled.k, pair.k)]
     for rs, unscaled in systems:
         elems = weyl_elements_bfs(unscaled)

@@ -204,8 +204,8 @@ ARGV = {
     "k0-index": command(["k0", "index"], flag("spec", SPEC["k0_index"], True)),
     "group-wedderburn": command(["group", "wedderburn"], flag("name", GROUP), flag("table", SPEC["table"]),
                                 flag("seed", SEED, True)),
-    "group-idempotent": command(["group", "idempotent"], flag("name", GROUP, True), flag("block", BLOCK, True),
-                                flag("seed", SEED, True)),
+    "group-idempotent": command(["group", "idempotent"], flag("name", GROUP), flag("table", SPEC["table"]),
+                                flag("block", BLOCK, True), flag("seed", SEED, True)),
     "rd-norms": command(["rd", "norms"], flag("group", RD_GROUP, True), flag("s", REAL, True),
                         flag("radius", REAL, True), flag("input", SPEC["z_function"], True)),
     "rd-probe-unconditional": command(["rd", "probe-unconditional"], flag("group", RD_GROUP, True), flag("norm", NORM),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import fraction_oracles as oracle
 import wedderburn_reference
+from wedderburn_reference import irreps
 from dirac_atlas import ktheory
 from dirac_atlas.errors import DeskScaleError, NumericalAmbiguityError, ValidationError
 from dirac_atlas.ktheory import (
@@ -338,7 +339,7 @@ def test_wedderburn_block_structures():
 def test_wedderburn_deterministic():
     a = wedderburn("s4", seed=0)
     b = wedderburn("s4", seed=0)
-    assert all(np.array_equal(x, y) for x, y in zip(a.irreps, b.irreps))
+    assert all(np.array_equal(x, y) for x, y in zip(irreps(a), irreps(b)))
 
 
 def test_wedderburn_is_algebra_map():
@@ -357,7 +358,7 @@ def test_wedderburn_is_algebra_map():
 
 def test_wedderburn_irreps_unitary():
     G = wedderburn("s4", seed=0)
-    for rep in G.irreps:
+    for rep in irreps(G):
         d = rep.shape[1]
         for g in range(G.order):
             assert np.max(np.abs(rep[g] @ rep[g].conj().T - np.eye(d))) < 1e-9
@@ -540,14 +541,16 @@ def test_wedderburn_matches_dense_reference(group, seeds):
     table = dihedral_table(50) if group == "d100" else group
     for seed in seeds:
         got = wedderburn(table, seed=seed)
-        want = wedderburn_reference.wedderburn(table, seed=seed)
+        want, want_irreps = wedderburn_reference.wedderburn(table, seed=seed)
         assert got.order == want.order
         assert got.classes == want.classes
         assert got.algebra.blocks == want.algebra.blocks
-        for blk, (x, y) in enumerate(zip(got.irreps, want.irreps)):
+        for blk, (x, y) in enumerate(zip(irreps(got), want_irreps)):
             assert x.shape == y.shape
             assert np.max(np.abs(x - y)) < 1e-12
-            assert np.max(np.abs(ds_idempotent(got, blk) - ds_idempotent(want, blk))) < 1e-12
+            # d * conj of the (0, 0) matrix coefficient, from the einsum irrep
+            want_p = got.algebra.blocks[blk] * np.conj(y[:, 0, 0])
+            assert np.max(np.abs(ds_idempotent(got, blk) - want_p)) < 1e-12
 
 
 # the groups and seeds whose `group wedderburn` stdout tests/test_cli.py pins
@@ -561,13 +564,75 @@ def test_block_order_keys_round_like_python_round():
         for seed in seeds:
             G = wedderburn(table, seed=seed)
             reps = [cls[0] for cls in G.classes]
-            chars = np.array([np.trace(rep[reps], axis1=1, axis2=2) for rep in G.irreps])
+            chars = np.array([np.trace(rep[reps], axis1=1, axis2=2) for rep in irreps(G)])
             k = len(reps)
             got = [(row[0], tuple(row[1:k + 1]), tuple(row[k + 1:]))
                    for row in ktheory._block_keys(np.array(G.algebra.blocks), chars).tolist()]
             want = [wedderburn_reference.block_key(d, c) for d, c in zip(G.algebra.blocks, chars)]
             assert got == want, (name, seed)
             assert want == sorted(want)
+
+
+def test_projector_characters_match_the_irrep_traces(monkeypatch):
+    # wedderburn orders the blocks by characters read off the stage-1
+    # projectors; the traces of the irreps must agree and give that order
+    seen = []
+    real = ktheory._isotypic_characters
+
+    def spy(evecs, groups, dims, e, rows):
+        seen.append((dims, real(evecs, groups, dims, e, rows)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(ktheory, "_isotypic_characters", spy)
+    # the same groups with the identity moved off index 0, where the first
+    # row of eigh's eigenvectors is real
+    rng = np.random.default_rng(23)
+    cases = [(dihedral_table(50) if name == "d100" else name, seeds) for name, seeds in WEDDERBURN_MATRIX]
+    for name in ("s4", "q8", "z12", "d100"):
+        table = dihedral_table(50) if name == "d100" else resolve_group_table(name)
+        perm = rng.permutation(len(table))
+        moved = np.empty_like(table)
+        moved[np.ix_(perm, perm)] = perm[table]
+        cases.append((moved, range(3)))
+    for table, seeds in cases:
+        name = table if isinstance(table, str) else len(table)
+        for seed in seeds:
+            seen.clear()
+            G = wedderburn(table, seed=seed)
+            ((dims, chars),) = seen
+            reps = [cls[0] for cls in G.classes]
+            traces = np.array([np.trace(rep[reps], axis1=1, axis2=2) for rep in irreps(G)])
+            # chars is in stage-1 order, the blocks of G in the order of its keys
+            chars = chars[np.lexsort(ktheory._block_keys(dims, chars).T[::-1])]
+            assert np.max(np.abs(chars - traces)) < 1e-9, (name, seed)
+            by_traces = np.lexsort(ktheory._block_keys(np.array(G.algebra.blocks), traces).T[::-1])
+            assert by_traces.tolist() == list(range(G.algebra.k)), (name, seed)
+
+
+def test_symmetric_table_matches_the_composition_loop():
+    for n in range(6):
+        got = symmetric_table(n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, wedderburn_reference.symmetric_table_loops(n)), n
+
+
+@pytest.mark.parametrize("block", [-1, 1000])
+def test_a_bad_block_is_refused_before_any_eigh(monkeypatch, block):
+    def sentinel(*args, **kwargs):
+        pytest.fail("eigh ran before the block index was checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", sentinel)
+    with pytest.raises(ValidationError, match="block index out of range"):
+        wedderburn("z1000", seed=0, block=block)
+
+
+def test_wedderburn_bases_are_orthonormal():
+    G = wedderburn("s4", seed=0)
+    for blk, basis in enumerate(G.bases):
+        d = G.algebra.blocks[blk]
+        assert basis.shape == (G.order, d)
+        assert np.max(np.abs(basis.conj().T @ basis - np.eye(d))) < 1e-12
+        assert G.irrep(blk).shape == (G.order, d, d)
 
 
 def _faulty_grouping(real, move_after, fail_sizes):
@@ -660,7 +725,7 @@ def test_z5_fourier_idempotent_against_formula():
         p = ds_idempotent(G, blk)
         err = np.max(np.abs(convolve(p, p, G) - p))
         assert err < 1e-12
-        rep = G.irreps[blk][:, 0, 0]
+        rep = G.irrep(blk)[:, 0, 0]
         m = None
         for cand in range(5):
             target = np.exp(2j * np.pi * cand * np.arange(5) / 5)
@@ -699,7 +764,7 @@ def test_s3_character_table_exact():
     # classes sorted by least element: identity, transpositions, 3-cycles
     assert G.classes == ((0,), (1, 2, 5), (3, 4))
     chars = np.array(
-        [[np.trace(rep[c[0]]) for c in G.classes] for rep in G.irreps]
+        [[np.trace(rep[c[0]]) for c in G.classes] for rep in irreps(G)]
     )
     expected = np.array([[1, -1, 1], [1, 1, 1], [2, 0, -1]])
     assert np.max(np.abs(chars - expected)) < 1e-9
@@ -710,10 +775,10 @@ def test_character_orthogonality(name):
     G = wedderburn(name, seed=0)
     sizes = np.array([len(c) for c in G.classes])
     chars = np.array(
-        [[np.trace(rep[c[0]]) for c in G.classes] for rep in G.irreps]
+        [[np.trace(rep[c[0]]) for c in G.classes] for rep in irreps(G)]
     )
     gram = (chars * sizes) @ chars.conj().T
-    assert np.max(np.abs(gram - G.order * np.eye(len(G.irreps)))) < 1e-8
+    assert np.max(np.abs(gram - G.order * np.eye(G.algebra.k))) < 1e-8
 
 
 def test_trivial_group_idempotent():

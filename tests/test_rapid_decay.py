@@ -61,7 +61,7 @@ def test_length_function_axioms_random(group):
     elems = random_elements(group, rng, 12, radius=3)
     assert group.length(group.identity()) == 0
     for a in elems:
-        assert group.length(group.inv(a)) == group.length(a)
+        assert group.length(reference.inverse(group, a)) == group.length(a)
         for b in elems:
             assert group.length(group.mul(a, b)) <= group.length(a) + group.length(b)
 
@@ -652,7 +652,7 @@ def test_translates_stack_the_single_translates(name):
     ball = group.ball(radius)
     position = {h: j for j, h in enumerate(ball)}
     for i, g in enumerate(gs):
-        assert np.array_equal(stacked[i], index.translate(g)), g
+        assert np.array_equal(stacked[i], reference.translate(index, g)), g
         assert stacked[i].tolist() == [position.get(group.mul(g, h), -1) for h in ball], g
 
 
@@ -679,7 +679,7 @@ def test_large_balls_stack_few_translates():
     assert index.chunk == 3
     support = [(0,), (1,), (-3,), (7,), (-10_000,), (2,), (5_000,)]
     op = _Compression(index, support)
-    cols = [np.flatnonzero(index.translate(s) >= 0) for s in support]
+    cols = [np.flatnonzero(reference.translate(index, s) >= 0) for s in support]
     assert np.array_equal(op.which, np.repeat(np.arange(len(support)), [len(c) for c in cols]))
     assert np.array_equal(op.col_ids[op.cols], np.concatenate(cols))
     # a ball past STACK_ENTRIES moves one element at a time

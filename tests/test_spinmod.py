@@ -20,7 +20,7 @@ from dirac_atlas.spinmod import (
     spin_characters,
     spin_difference_character,
 )
-from fraction_oracles import grading_is_additive, spin_characters_by_sign_vectors
+from fraction_oracles import grading_is_additive, is_compact, spin_characters_by_sign_vectors
 
 EQUAL_RANK_NAMES = [n for n in catalog_names() if n != "sl2c"]
 
@@ -75,7 +75,7 @@ def test_sp4r_structure():
 
 def test_compact_pair_spin_is_trivial():
     pair = get_pair("compact_a2")
-    assert pair.is_compact
+    assert is_compact(pair)
     sc = spin_characters(pair)
     assert sc.s_plus.terms == {wzero(2): 1}
     assert sc.s_minus.terms == {}
@@ -288,7 +288,7 @@ def test_custom_catalog_roundtrip(tmp_path):
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(data))
     pair = get_pair("mine", str(path))
-    assert pair.is_compact and pair.catalog_name == "mine"
+    assert is_compact(pair) and pair.catalog_name == "mine"
 
 
 @pytest.mark.parametrize(

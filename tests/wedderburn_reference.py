@@ -5,15 +5,21 @@ regular representation as an n x n x n stack of permutation matrices,
 the central element as a sum of class-sum matrices, the commutant as a
 sum of n dense right-translation matrices, conjugacy classes by a
 Python double loop, the group axioms by per-element loops, and the
-irreducible blocks as a three-operand einsum over the stack. It draws
-the same random numbers in the same order as
+irreducible blocks as a three-operand einsum over the stack, ordered
+by their traces. It draws the same random numbers in the same order as
 `dirac_atlas.ktheory.wedderburn`, which computes the same blocks by
-index arithmetic on the table; tests compare the two. Its block order
+index arithmetic on the table and orders them by characters read off
+the isotypic projectors; tests compare the two. Its block order
 rounds each character with Python's round (`block_key`), the oracle
 for the one numpy rounding of ktheory's character matrix.
+
+`symmetric_table_loops` composes S_n's permutations one product at a
+time, the oracle for ktheory's gather of the stacked permutations.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -23,8 +29,21 @@ from dirac_atlas.ktheory import (
     FDAlgebra,
     FiniteGroupAlgebra,
     _group_eigenvalues,
+    _table_from_elements,
     resolve_group_table,
 )
+
+
+def symmetric_table_loops(n: int) -> np.ndarray:
+    """S_n on its sorted permutations, p q = p after q, by one Python
+    composition per product."""
+    elements = sorted(itertools.permutations(range(n)))
+    return _table_from_elements(elements, lambda p, q: tuple(p[q[i]] for i in range(n)))
+
+
+def irreps(group: FiniteGroupAlgebra) -> tuple[np.ndarray, ...]:
+    """Every block's irreducible matrices, through FiniteGroupAlgebra.irrep."""
+    return tuple(group.irrep(b) for b in range(group.algebra.k))
 
 
 def validate_table_loops(table: np.ndarray) -> tuple[int, np.ndarray]:
@@ -77,7 +96,9 @@ def left_regular(table: np.ndarray) -> np.ndarray:
     return L
 
 
-def wedderburn(group, seed: int = 0) -> FiniteGroupAlgebra:
+def wedderburn(group, seed: int = 0) -> tuple[FiniteGroupAlgebra, tuple[np.ndarray, ...]]:
+    """The decomposition, with the bases of its irreducible copies, and
+    the einsum irreps of its blocks in the same order."""
     table = resolve_group_table(group)
     e, inv = validate_table_loops(table)
     n = table.shape[0]
@@ -122,22 +143,23 @@ def wedderburn(group, seed: int = 0) -> FiniteGroupAlgebra:
             )
         basis = q @ xvec[:, first]
         rep = np.einsum("pi,gpq,qj->gij", basis.conj(), L, basis)
-        blocks.append((dim, rep))
+        blocks.append((dim, basis, rep))
 
-    if sum(d * d for d, _ in blocks) != n:
+    if sum(d * d for d, _, _ in blocks) != n:
         raise NumericalAmbiguityError("block dimensions do not satisfy sum d^2 = |G|")
 
-    blocks.sort(key=lambda item: block_key(item[0], np.array([np.trace(item[1][cls[0]]) for cls in classes])))
-    return FiniteGroupAlgebra(
+    blocks.sort(key=lambda item: block_key(item[0], np.array([np.trace(item[2][cls[0]]) for cls in classes])))
+    group = FiniteGroupAlgebra(
         table=table,
         order=n,
         identity=e,
         inverses=inv,
         classes=tuple(tuple(c) for c in classes),
-        algebra=FDAlgebra(tuple(d for d, _ in blocks)),
-        irreps=tuple(rep for _, rep in blocks),
+        algebra=FDAlgebra(tuple(d for d, _, _ in blocks)),
+        bases=tuple(basis for _, basis, _ in blocks),
         seed=seed,
     )
+    return group, tuple(rep for _, _, rep in blocks)
 
 
 def block_key(dim: int, chars: np.ndarray) -> tuple:
