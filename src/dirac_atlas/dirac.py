@@ -40,7 +40,6 @@ from .rootsys import (
     Weight,
     check_dominant_integral,
     check_materializable,
-    integer_coords,
     is_regular,
     wadd,
     wsub,
@@ -231,7 +230,7 @@ def _lattice_box(pair: RealPair, bound: Fraction) -> tuple[np.ndarray, np.ndarra
         raise DeskScaleError(
             f"enumeration box exceeds the cap of {LATTICE_BOX_CAP} lattice points; lower the bound"
         )
-    rho_nums, den = integer_coords(k.rho)
+    rho_nums, den = k.integral.rho_coords
     lat = den * np.eye(n, dtype=np.int64)  # D * the unit steps
     shift = np.array(rho_nums, dtype=np.int64)  # D * rho_K
     form = g.integral
@@ -302,7 +301,7 @@ def enumerate_discrete_series(
     norm = np.einsum("ij,jk,ik->i", rows, form.gram, rows)
     order = np.lexsort((*rows.T[::-1], rows.sum(axis=1), norm))
     rows, pairings = rows[order], pairings[order]
-    mus = rows - np.array(integer_coords(pair.k.rho)[0], dtype=np.int64)
+    mus = rows - np.array(pair.k.integral.rho_coords[0], dtype=np.int64)
     coord = {c: Fraction(c, den) for c in set(np.concatenate((rows, mus), axis=None).tolist())}
     signed = _trace_products(pairings, den * form.scale, pair, degree_roots)
     chambers = _chamber_ids(pairings, pair.g)

@@ -96,14 +96,6 @@ class MarkedGroup:
 
     # -- group operations ---------------------------------------------------
 
-    def identity(self) -> Element:
-        return () if self.kind == "free" else (0,) * self.rank
-
-    def mul(self, a: Element, b: Element) -> Element:
-        if self.kind == "free":
-            return reduce_word(tuple(a) + tuple(b))
-        return tuple(x + y for x, y in zip(a, b))
-
     def length(self, a: Element) -> int:
         return len(a) if self.kind == "free" else sum(abs(x) for x in a)
 

@@ -212,12 +212,13 @@ def _dominant_multiplicities(mu: Weight, rs: RootSystem) -> tuple[int, dict]:
     (every weight differs from mu by integral roots, so d divides it).
     """
     mu_den = integer_coords(mu)[1]
-    if not rs.simple_roots:
-        return mu_den, {_numerators(mu, mu_den): 1}
     form = rs.integral
-    den = math.lcm(mu_den, integer_coords(rs.rho)[1])
+    if not form.simple_index:
+        return mu_den, {_numerators(mu, mu_den): 1}
+    rho_nums, rho_den = form.rho_coords
+    den = math.lcm(mu_den, rho_den)
     top = _numerators(mu, den)
-    rho = _numerators(rs.rho, den)
+    rho = tuple(c * (den // rho_den) for c in rho_nums)
     steps = [tuple(den * c for c in r) for r in form.roots.tolist()]
     step_pairings = [_dots(r, form.coroot_columns) for r in steps]
     # descent from mu through dominant weights
@@ -373,7 +374,7 @@ def decompose(chi: VirtualCharacter) -> list[tuple[IrrLabel, int]]:
         raise ValidationError("character is not Weyl-invariant")
     form = rs.integral
     den = chi.den
-    rho_nums, rho_den = integer_coords(rs.rho)
+    rho_nums, rho_den = form.rho_coords
     wide = math.lcm(den, rho_den)
     f = wide // den
     rho = tuple(c * (wide // rho_den) for c in rho_nums)

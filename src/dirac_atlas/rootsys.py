@@ -1,24 +1,27 @@
 """Exact root systems, weight lattices and Weyl groups.
 
-Weights are tuples of Fractions in the simple-root-dual basis: the
-i-th coordinate of a weight x is the coroot pairing 2(x, a_i)/(a_i, a_i)
-against the i-th simple root of the ambient system. In that basis the
-i-th simple root is the i-th row of the Cartan matrix, rho is (1,...,1),
-dominance is coordinate-wise nonnegativity, and the integral weight
-lattice is Z^n. Half-integral coordinates (denominator 2) are the
-normal currency for spin shifts; arithmetic is closed under all
-rational scalars.
+Weights are given and returned as tuples of Fractions in the
+simple-root-dual basis: the i-th coordinate of a weight x is the coroot
+pairing 2(x, a_i)/(a_i, a_i) against the i-th simple root of the
+ambient system. In that basis the i-th simple root is the i-th row of
+the Cartan matrix, rho is (1,...,1), dominance is coordinate-wise
+nonnegativity, and the integral weight lattice is Z^n. Half-integral
+coordinates (denominator 2) are the normal currency for spin shifts;
+arithmetic is closed under all rational scalars.
 
 Normalization: long roots have squared length 2 in each simple factor,
 so formal-degree style ratios (x, a)/(rho, a) are scale-free. The
-stored bilinear form is the Gram matrix of the coordinate basis.
+bilinear form is the Gram matrix of the coordinate basis.
 
 Integer scaling: every quantity here lies on a lattice with a small
 known denominator, so the exact core runs on integers. A root is the
 integer row k C of the Cartan matrix C; the form and fw_to_simple_coords
-are Bareiss solves, subsystems are found on integer rows. Each RootSystem
-carries an IntegralForm (built once, on first use): the scaled form, the
-positive roots and the simple coroots as integer arrays. A weight enters
+are Bareiss solves, subsystems are found on integer rows. A RootSystem
+holds its CartanType and an IntegralForm only: the scaled form, the
+positive roots and the simple coroots as integer arrays, which
+build_root_system, subsystem and rescale_form make through one
+constructor. Its Fraction simple_roots, positive_roots, form and rho
+are views derived from those on first use. A weight enters
 as integer numerators over one denominator, after the one length check
 (check_dim); inner, coroot_pairing, is_dominant, make_dominant,
 weyl_orbit, regularity, Weyl-group materialization and chamber lookup
@@ -37,7 +40,6 @@ all operations are pure functions.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import operator
@@ -77,10 +79,6 @@ ORBIT_CACHE_SIZE = 4096
 
 def weight(coords: Iterable) -> Weight:
     return tuple(Fraction(c) for c in coords)
-
-
-def wzero(n: int) -> Weight:
-    return (Fraction(0),) * n
 
 
 def wadd(a: Weight, b: Weight) -> Weight:
@@ -286,7 +284,7 @@ def _bilinear(x: tuple[int, ...], y: tuple[int, ...], rows: tuple[tuple[int, ...
 
 @dataclass(frozen=True, eq=False)
 class IntegralForm:
-    """Integer-scaled form, positive roots and simple coroots of one RootSystem.
+    """The integer data of one RootSystem: its form, positive roots and simple coroots.
 
     scale is the least common denominator L of the form's entries and
     gram = L * form. roots holds the positive roots as integer rows, in
@@ -295,15 +293,16 @@ class IntegralForm:
     positive root a at once. simple_index locates the simple roots
     among the positive ones, simple holds them as rows, and x @ coroots
     is the vector of coroot pairings <x, a_i^vee> = 2 (x, a_i) / (a_i, a_i)
-    over the simple roots a_i. The kernels compute in Python integers,
-    so they are exact for any input size; fr_columns, coroot_columns,
-    simple_rows and gram_rows hold the same matrices as tuples of
-    Python ints for them. cartan_rows is simple @ coroots, whose row i
-    holds <a_i, a_j^vee>: the simple reflection s_i subtracts c times
-    simple_rows[i] from a weight x and c times cartan_rows[i] from its
-    coroot pairings, with c = <x, a_i^vee>. On a standalone type the two
-    row sets are equal; on a subsystem they are not (ambient coordinates
-    against the subsystem's own pairings).
+    over the simple roots a_i. _integral_form builds all of them from
+    gram, scale, roots and simple_index. The kernels compute in Python
+    integers, so they are exact for any input size; fr_columns,
+    coroot_columns, simple_rows and gram_rows hold the same matrices as
+    tuples of Python ints for them. cartan_rows is simple @ coroots,
+    whose row i holds <a_i, a_j^vee>: the simple reflection s_i
+    subtracts c times simple_rows[i] from a weight x and c times
+    cartan_rows[i] from its coroot pairings, with c = <x, a_i^vee>. On a
+    standalone type the two row sets are equal; on a subsystem they are
+    not (ambient coordinates against the subsystem's own pairings).
     """
 
     scale: int
@@ -323,6 +322,10 @@ class IntegralForm:
         return tuple(map(tuple, self.coroots.T.tolist()))
 
     @functools.cached_property
+    def root_rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.roots.tolist()))
+
+    @functools.cached_property
     def simple_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.simple.tolist()))
 
@@ -333,6 +336,14 @@ class IntegralForm:
     @functools.cached_property
     def gram_rows(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.gram.tolist()))
+
+    @functools.cached_property
+    def rho_coords(self) -> tuple[tuple[int, ...], int]:
+        """rho as integer_coords gives it: half the sum of the root rows, in lowest terms."""
+        total = self.roots.sum(axis=0).tolist()
+        if any(c % 2 for c in total):
+            return tuple(total), 2
+        return tuple(c // 2 for c in total), 1
 
     @functools.cached_property
     def heights(self) -> tuple[int, ...]:
@@ -360,56 +371,81 @@ class IntegralForm:
         return _dots(nums, self.coroot_columns), den
 
 
+def _integral_form(gram, scale: int, roots, simple_index: tuple[int, ...]) -> IntegralForm:
+    """The IntegralForm of the form gram / scale, reduced to lowest terms,
+    and of the positive roots given as integer rows.
+
+    gram holds Python ints, so an entry past int64 is refused here
+    rather than wrapped. The coroots are exact: 2 (x, a) / (a, a) is an
+    integer for every root a and every x in the weight lattice.
+    """
+    d = math.gcd(scale, *(c for row in gram for c in row))
+    gram = np.array([[c // d for c in row] for row in gram], dtype=np.int64)
+    roots = np.asarray(roots, dtype=np.int64).reshape(-1, len(gram))
+    simple = roots[np.array(simple_index, dtype=np.intp)]
+    simple_fr = gram @ simple.T
+    return IntegralForm(
+        scale=scale // d,
+        gram=gram,
+        roots=roots,
+        fr=gram @ roots.T,
+        simple_index=simple_index,
+        simple=simple,
+        coroots=2 * simple_fr // np.einsum("ij,ji->i", simple, simple_fr),
+    )
+
+
+def _fraction_rows(rows, den: int = 1) -> tuple[Weight, ...]:
+    """Integer rows over den as Fraction weights, one Fraction per distinct entry."""
+    fr = {c: Fraction(c, den) for c in {c for row in rows for c in row}}
+    return tuple(tuple(map(fr.__getitem__, row)) for row in rows)
+
+
 @dataclass(frozen=True, eq=False)
 class RootSystem:
-    """Roots, form and rho in a fixed rational coordinate space.
+    """A Cartan type and its integer data; roots, form and rho are views.
 
     Standalone systems built from a CartanType use their own
     fundamental-weight coordinates. Subsystems (see `subsystem`) reuse
     the coordinates and form of the ambient system, so their weights
-    mix freely with ambient ones.
+    mix freely with ambient ones. The Fraction views (simple_roots,
+    positive_roots, form, rho) are derived from integral on first use;
+    rho is half the sum of the positive root rows.
 
     Instances compare and hash by identity; build_root_system caches,
     so the same CartanType yields the same object.
     """
 
     cartan: CartanType
-    rank: int
-    simple_roots: tuple[Weight, ...]
-    positive_roots: tuple[Weight, ...]
-    form: Matrix
-    rho: Weight
+    integral: IntegralForm
 
     @functools.cached_property
-    def root_index(self) -> dict[Weight, int]:
-        """Position of each positive root in positive_roots."""
-        return {r: j for j, r in enumerate(self.positive_roots)}
+    def rank(self) -> int:
+        return len(self.integral.gram)
 
     @functools.cached_property
-    def integral(self) -> IntegralForm:
-        """The integer-scaled form, roots and coroots; see IntegralForm."""
-        n = self.rank
-        scale = math.lcm(*(c.denominator for row in self.form for c in row))
-        gram = np.array([[int(c * scale) for c in row] for row in self.form], dtype=np.int64).reshape(n, n)
-        if any(c.denominator != 1 for r in self.positive_roots for c in r):
-            raise ValidationError("positive roots must have integer coordinates")
-        roots = np.array(self.positive_roots, dtype=np.int64).reshape(-1, n)
-        simple_index = tuple(self.root_index[r] for r in self.simple_roots)
-        simple = roots[np.array(simple_index, dtype=np.intp)]
-        simple_fr = gram @ simple.T
-        # <x, a^vee> = 2 L (x, a) / (L (a, a)); integral for every system built here
-        coroots, rem = np.divmod(2 * simple_fr, np.einsum("ij,ji->i", simple, simple_fr))
-        if rem.any():
-            raise ValidationError("simple coroots are not integral in weight coordinates")
-        return IntegralForm(
-            scale=scale,
-            gram=gram,
-            roots=roots,
-            fr=gram @ roots.T,
-            simple_index=simple_index,
-            simple=simple,
-            coroots=coroots,
-        )
+    def simple_roots(self) -> tuple[Weight, ...]:
+        return _fraction_rows(self.integral.simple_rows)
+
+    @functools.cached_property
+    def positive_roots(self) -> tuple[Weight, ...]:
+        return _fraction_rows(self.integral.root_rows)
+
+    @functools.cached_property
+    def form(self) -> Matrix:
+        return _fraction_rows(self.integral.gram_rows, self.integral.scale)
+
+    @functools.cached_property
+    def rho(self) -> Weight:
+        nums, den = self.integral.rho_coords
+        return tuple(Fraction(c, den) for c in nums)
+
+    @functools.cached_property
+    def root_index(self) -> dict[tuple[int, ...], int]:
+        """Position of each positive root in positive_roots, keyed by its
+        integer row; a Fraction weight with integral entries hashes and
+        compares equal to that row, so it finds the same entry."""
+        return {r: j for j, r in enumerate(self.integral.root_rows)}
 
     @functools.cached_property
     def chambers(self) -> dict[bytes, int]:
@@ -421,8 +457,8 @@ class RootSystem:
         it lies in, and w -> w rho is a bijection onto the chambers.
         """
         elems = np.array(weyl_elements(self), dtype=np.int64).reshape(-1, self.rank, self.rank)
-        rho_nums, _ = integer_coords(self.rho)
-        signs = (np.array(rho_nums, dtype=np.int64) @ elems) @ self.integral.fr > 0
+        rho_nums = np.array(self.integral.rho_coords[0], dtype=np.int64)
+        signs = (rho_nums @ elems) @ self.integral.fr > 0
         return {row.tobytes(): idx for idx, row in enumerate(signs)}
 
     def coroot_pairing(self, x: Weight, i: int) -> Fraction:
@@ -462,27 +498,27 @@ def build_root_system(cartan: CartanType) -> RootSystem:
     if (roots.sum(axis=0) != 2).any():
         raise AssertionError("rho is not the sum of the fundamental weights")
     inv, det = bareiss_solve(cm, np.eye(n, dtype=np.int64).tolist())
-    frac = {c: Fraction(c) for c in range(int(roots.min()), int(roots.max()) + 1)}
-    return RootSystem(
-        cartan=cartan,
-        rank=n,
-        simple_roots=tuple(tuple(map(frac.get, row)) for row in cm),
-        positive_roots=tuple(tuple(map(frac.get, row)) for row in roots.tolist()),
-        form=tuple(tuple(Fraction(c * s.numerator, det * s.denominator) for c, s in zip(row, sym)) for row in inv),
-        rho=(Fraction(1),) * n,
-    )
+    # form[i][j] = inv[i][j] d_j / det, over the common denominator D of the d_j
+    sym_den = math.lcm(*(s.denominator for s in sym))
+    sym_nums = [s.numerator * (sym_den // s.denominator) for s in sym]
+    gram = [[c * s for c, s in zip(row, sym_nums)] for row in inv]
+    # the n unit rows lead the graded-lex order, e_n first, so a_i sits at n - 1 - i
+    return RootSystem(cartan=cartan, integral=_integral_form(gram, det * sym_den, roots, tuple(range(n - 1, -1, -1))))
 
 
 def rescale_form(rs: RootSystem, factor) -> RootSystem:
-    """Same combinatorial data with the bilinear form scaled by factor.
+    """Same combinatorial data with the bilinear form scaled by factor,
+    a positive int, Fraction or float.
 
     Classification ratios like (x, a)/(rho, a) are invariant under
     this; norms and norm bounds scale.
     """
-    f = Fraction(factor)
-    if f <= 0:
+    p, q = factor.as_integer_ratio()
+    if p <= 0:
         raise ValidationError("form scale factor must be positive")
-    return dataclasses.replace(rs, form=tuple(tuple(f * x for x in row) for row in rs.form))
+    form = rs.integral
+    gram = [[p * c for c in row] for row in form.gram_rows]
+    return RootSystem(cartan=rs.cartan, integral=_integral_form(gram, q * form.scale, form.roots, form.simple_index))
 
 
 def subsystem(ambient: RootSystem, roots: Iterable[Weight]) -> RootSystem:
@@ -498,30 +534,21 @@ def subsystem(ambient: RootSystem, roots: Iterable[Weight]) -> RootSystem:
     if outside:
         raise ValidationError(f"{vec_str(min(outside, key=grlex_key))} is not a positive root of the ambient system")
     form = ambient.integral
-    rows = form.roots.tolist()
-    keyed = sorted(((tuple(rows[j]), r) for j, r in located), key=lambda t: grlex_key(t[0]))
-    ints = [row for row, _ in keyed]
-    pos = [r for _, r in keyed]
+    ints = sorted((form.root_rows[j] for j, _ in located), key=grlex_key)
     pos_set = set(ints)
-    is_simple = [not any(tuple(map(operator.sub, a, b)) in pos_set for b in ints) for a in ints]
-    simples = [r for r, s in zip(pos, is_simple) if s]
-    simple_rows = [row for row, s in zip(ints, is_simple) if s]
+    simple_index = tuple(s for s, a in enumerate(ints) if not any(tuple(map(operator.sub, a, b)) in pos_set for b in ints))
+    simple_rows = [ints[s] for s in simple_index]
     # through inner: perfbench's --trace 1 needs it reached on every stream, and catalog loads reach it here
-    gram = [[inner(a, b, ambient) for b in simples] for a in simples]
+    gram = [[inner(a, b, ambient) for b in simple_rows] for a in simple_rows]
     # exact: 2(a, b)/(b, b) is an integer for any two roots of a crystallographic system
     cm = [[2 * row[j] // gram[j][j] for j in range(len(row))] for row in gram]
-    if simples:
+    if simple_rows:
         closure = np.array(positive_roots_from_cartan(cm), dtype=np.int64) @ np.array(simple_rows, dtype=np.int64)
         if set(map(tuple, closure.tolist())) != pos_set:
             raise ValidationError("marked set is not a root subsystem (closure mismatch)")
-    total = [sum(col) for col in zip(*ints)] if ints else [0] * ambient.rank
     return RootSystem(
-        cartan=identify_cartan_type(tuple(simples), ambient, cm),
-        rank=ambient.rank,
-        simple_roots=tuple(simples),
-        positive_roots=tuple(pos),
-        form=ambient.form,
-        rho=tuple(Fraction(c, 2) for c in total),
+        cartan=identify_cartan_type(tuple(simple_rows), ambient, cm),
+        integral=_integral_form(form.gram_rows, form.scale, ints, simple_index),
     )
 
 

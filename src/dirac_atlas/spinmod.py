@@ -27,10 +27,12 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Optional, Union
 
+import numpy as np
+
 from ._linalg import bareiss_solve
 from .errors import ValidationError
 from .jsonutil import load_json_file, parse_vec, vec_str
-from .repring import VirtualCharacter, char_from_terms, product, trivial_character, zero_character
+from .repring import VirtualCharacter, _character, char_from_terms, product, trivial_character, zero_character
 from .rootsys import (
     CartanType,
     RootSystem,
@@ -40,10 +42,8 @@ from .rootsys import (
     parse_cartan,
     rescale_form,
     subsystem,
-    wadd,
     wneg,
     wscale,
-    wzero,
 )
 
 CATALOG_ENV_VAR = "DIRAC_ATLAS_CATALOG"
@@ -93,13 +93,11 @@ def _validate_grading(rs: RootSystem, compact: set[int]) -> None:
     (b - a) + a with a simple and b - a positive, that holds iff
     e(b) = e(b - a) + e(a) mod 2 for all such pairs, on integer rows;
     compact holds the positions of the compact positive roots."""
-    form = rs.integral
-    rows = list(map(tuple, form.roots.tolist()))
-    position = {row: j for j, row in enumerate(rows)}
+    rows = rs.integral.root_rows
     eps = [0 if j in compact else 1 for j in range(len(rows))]
     for b, row in enumerate(rows):
-        for a, i in zip(rs.simple_roots, form.simple_index):
-            rest = position.get(tuple(map(operator.sub, row, rows[i])))
+        for a, i in zip(rs.simple_roots, rs.integral.simple_index):
+            rest = rs.root_index.get(tuple(map(operator.sub, row, rows[i])))
             if rest is not None and (eps[rest] + eps[i]) % 2 != eps[b]:
                 raise ValidationError(
                     "compact marking is not an additive Z/2 grading "
@@ -136,7 +134,7 @@ def build_pair(
                 raise ValidationError(f"{vec_str(ww)} is not a positive root of {ct}")
             marked.add(j)
     _validate_grading(g, marked)
-    k = subsystem(g, [r for j, r in enumerate(g.positive_roots) if j in marked])
+    k = subsystem(g, [g.integral.root_rows[j] for j in marked])
     noncompact = tuple(r for j, r in enumerate(g.positive_roots) if j not in marked)
     if dim_g_mod_k is None:
         dim_g_mod_k = 2 * len(noncompact)
@@ -174,16 +172,17 @@ def rescale_pair(pair: RealPair, factor) -> RealPair:
     Classification data (regularity, degrees, chambers) must not move;
     only norms and norm bounds scale.
     """
-    g = rescale_form(pair.g, factor)
-    return dataclasses.replace(pair, g=g, k=dataclasses.replace(pair.k, form=g.form))
+    return dataclasses.replace(pair, g=rescale_form(pair.g, factor), k=rescale_form(pair.k, factor))
+
+
+def _noncompact_rows(pair: RealPair) -> np.ndarray:
+    """The noncompact positive roots as integer rows of g, one per row."""
+    return pair.g.integral.roots[[pair.g.root_index[b] for b in pair.noncompact_positive]]
 
 
 def rho_noncompact(pair: RealPair) -> Weight:
     """Half sum of the noncompact positive roots."""
-    total = wzero(pair.g.rank)
-    for b in pair.noncompact_positive:
-        total = wadd(total, b)
-    return wscale(Fraction(1, 2), total)
+    return tuple(Fraction(c, 2) for c in _noncompact_rows(pair).sum(axis=0).tolist())
 
 
 def lattice_contains(basis: tuple[Weight, ...], w: Weight) -> bool:
@@ -202,16 +201,16 @@ def spin_characters(pair: RealPair) -> SpinCharacter:
     The weights of S are (1/2) sum eps_b * b over all sign vectors,
     graded by the parity of the number of minus signs; multiplying in
     one root at a time keeps that parity: e^{b/2} keeps it, e^{-b/2}
-    flips it. Every coefficient is positive, so nothing cancels and
+    flips it. Each factor is the integer row of b over 2. Every
+    coefficient is positive, so nothing cancels and
     product's support cap refuses a module too large to expand.
     Refuses unequal-rank pairs (no shared torus to carry the weights).
     """
     if not pair.equal_rank:
         raise ValidationError("spin characters need an equal-rank pair")
     even, odd = trivial_character(pair.k), zero_character(pair.k)
-    for b in pair.noncompact_positive:
-        h = wscale(Fraction(1, 2), b)
-        up, down = char_from_terms(pair.k, {h: 1}), char_from_terms(pair.k, {wneg(h): 1})
+    for b in _noncompact_rows(pair).tolist():
+        up, down = _character(pair.k, {tuple(b): 1}, 2), _character(pair.k, {tuple(-c for c in b): 1}, 2)
         even, odd = product(even, up) + product(odd, down), product(odd, up) + product(even, down)
     return SpinCharacter(s_plus=even, s_minus=odd)
 

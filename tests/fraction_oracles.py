@@ -18,7 +18,8 @@ supports, the Weyl-invariance check by Fraction orbits, the spin module
 as a sum over all sign vectors of the noncompact roots, and the product
 and rank by Gaussian elimination of matrices over the Gaussian
 rationals Q(i), entries as (re, im) Fraction pairs.
-Also kept: the root system, its subsystems and the grading check built
+Also kept: the root data of a system and of its subsystems (RootData
+records of the six Fraction fields) and the grading check, built
 in Fractions, with the inverse Cartan matrix and every lattice solve by
 Gaussian elimination over Fraction, and the Weyl dimension as a product
 of Fraction form values.
@@ -37,6 +38,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +47,7 @@ from dirac_atlas.dirac import _lattice_box, dirac_induct
 from dirac_atlas.errors import ValidationError
 from dirac_atlas.jsonutil import vec_str
 from dirac_atlas.rootsys import (
-    RootSystem,
+    CartanType,
     _cartan_matrix_simple,
     _symmetrizer,
     apply_matrix,
@@ -56,9 +58,13 @@ from dirac_atlas.rootsys import (
     wneg,
     wscale,
     wsub,
-    wzero,
 )
 from dirac_atlas.spinmod import SpinCharacter, spin_characters
+
+
+def wzero(n):
+    """The zero weight of rank n."""
+    return (Fraction(0),) * n
 
 
 def mat_inv(a):
@@ -187,6 +193,17 @@ def grading_is_additive(rs, compact):
     )
 
 
+class RootData(NamedTuple):
+    """The six Fraction fields a root system is compared on."""
+
+    cartan: CartanType
+    rank: int
+    simple_roots: tuple
+    positive_roots: tuple
+    form: tuple
+    rho: tuple
+
+
 def build_root_system(cartan):
     """The root system of a CartanType built in Fractions: the inverse
     Cartan matrix by mat_inv, each root's coordinates as a Fraction
@@ -216,7 +233,7 @@ def build_root_system(cartan):
     positives = tuple(to_fw(k) for k in simple_coords)
     simples = tuple(to_fw(tuple(1 if j == i else 0 for j in range(n))) for i in range(n))
     rho = wscale(Fraction(1, 2), functools.reduce(wadd, positives, wzero(n)))
-    return RootSystem(cartan=cartan, rank=n, simple_roots=simples, positive_roots=positives, form=form, rho=rho)
+    return RootData(cartan=cartan, rank=n, simple_roots=simples, positive_roots=positives, form=form, rho=rho)
 
 
 def subsystem(ambient, roots):
@@ -241,7 +258,7 @@ def subsystem(ambient, roots):
         }
         if rebuilt != pos_set:
             raise ValidationError("marked set is not a root subsystem (closure mismatch)")
-    return RootSystem(
+    return RootData(
         cartan=identify_cartan_type(tuple(simples), ambient, cm),
         rank=ambient.rank,
         simple_roots=tuple(simples),

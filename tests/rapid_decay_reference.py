@@ -9,8 +9,9 @@ lanczos_top_reference is the earlier Lanczos solver: a complex
 projected matrix, and a second Gram-Schmidt pass only when the first
 kept less than REORTH_RATIO of the norm (Daniel et al., 1976).
 
-inverse and translate are test tools that no production path calls:
-the inverse of a group element, and one row of a ball's translates.
+identity, mul, inverse and translate are test tools that no
+production path calls: the identity, product and inverse of group
+elements, and one row of a ball's translates.
 """
 
 import math
@@ -18,10 +19,22 @@ import math
 import numpy as np
 
 from dirac_atlas.errors import ConvergenceError
-from dirac_atlas.rapid_decay import LANCZOS_BASIS, START_STEP, normalize_function
+from dirac_atlas.rapid_decay import LANCZOS_BASIS, START_STEP, normalize_function, reduce_word
 
 POWER_CHECK_WINDOW = 64
 REORTH_RATIO = 0.7071067811865476  # 1/sqrt(2)
+
+
+def identity(group):
+    """The empty word, or the origin."""
+    return () if group.kind == "free" else (0,) * group.rank
+
+
+def mul(group, a, b):
+    """ab: the reduced concatenation of the words, or the sum of the points."""
+    if group.kind == "free":
+        return reduce_word(tuple(a) + tuple(b))
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def inverse(group, a):
@@ -43,7 +56,7 @@ def compressed_operator_reference(f, group, radius) -> np.ndarray:
     m = np.zeros((len(ball), len(ball)), dtype=complex)
     for s_elem, coeff in f.items():
         for h, j in index.items():
-            i = index.get(group.mul(s_elem, h))
+            i = index.get(mul(group, s_elem, h))
             if i is not None:
                 m[i, j] += coeff
     return m

@@ -1,0 +1,126 @@
+"""Every desk-scale cap of dirac_atlas, and sentinel tests that prove its
+refusal comes before the work it protects (ROADMAP item 14).
+
+A source scan lists the module-level *_CAP constants; each must have an
+entry in CAPS. An entry names either a sentinel test of this file or
+the ROADMAP item that owns the cap until it has one. A sentinel test
+runs an input just over the cap through cli.main while the kernel the
+cap protects is replaced by a function that fails the test when called:
+the run must exit 2 with one stderr line. The input at the cap must
+still exit 0.
+"""
+
+import ast
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from dirac_atlas import dirac, rootsys
+from dirac_atlas.cli import EXIT_OK, EXIT_VALIDATION, main
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dirac_atlas"
+
+# (module, cap) -> its sentinel test in this file, or the item that owns it
+CAPS = {
+    ("rootsys", "RANK_CAP"): "test_rank_cap_refuses_before_the_roots",
+    ("rootsys", "WEYL_MATERIALIZE_CAP"): "test_weyl_cap_refuses_ds_enumerate_before_the_group_and_the_box",
+    ("rootsys", "LATTICE_BOX_CAP"): "open: items 13 and 14",
+    ("dirac", "ENUMERATION_OUTPUT_CAP"): "open: items 13 and 14",
+    ("repring", "SUPPORT_CAP"): "owned by items 2 and 6: refused from inside product today",
+    ("rapid_decay", "BALL_CAP"): "open: items 4 and 14",
+    ("rapid_decay", "PROBE_COUNT_CAP"): "open: items 4 and 14",
+    ("ktheory", "GROUP_ORDER_CAP"): "open: items 5 and 14",
+    ("ktheory", "K0_ENTRY_CAP"): "open: items 11 and 14",
+    ("ktheory", "K0_INDEX_WORK_CAP"): "open: items 11 and 14",
+    ("ktheory", "K0_EXACT_WORK_CAP"): "open: items 11 and 14",
+}
+
+
+def _caps_in_source() -> set[tuple[str, str]]:
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.endswith("_CAP"):
+                    found.add((path.stem, target.id))
+    return found
+
+
+def test_every_cap_has_an_entry():
+    assert _caps_in_source() == set(CAPS)
+    for cap, entry in CAPS.items():
+        if entry.startswith("test_"):
+            assert callable(globals().get(entry)), (cap, entry)
+        else:
+            assert re.match(r"(open:|owned by) items \d+ and \d+", entry), (cap, entry)
+
+
+def _sentinel(what: str):
+    def sentinel(*args, **kwargs):
+        pytest.fail(f"{what} ran before the cap refused the input")
+
+    return sentinel
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rootsys", "info", "A23"],
+        ["rootsys", "info", "B12xC11"],
+        ["rep", "irr", "--type", "A23", "--hw", ",".join(["0"] * 23)],
+    ],
+)
+def test_rank_cap_refuses_before_the_roots(capsys, monkeypatch, argv):
+    monkeypatch.setattr(rootsys, "positive_roots_from_cartan", _sentinel("positive_roots_from_cartan"))
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.count("\n") == 1 and f"exceeds the cap {rootsys.RANK_CAP}" in err
+
+
+def test_rank_cap_admits_rank_22(capsys):
+    code, out, err = _run(capsys, ["rootsys", "info", "A22"])
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["rank"] == rootsys.RANK_CAP == 22
+
+
+@pytest.fixture(scope="module")
+def exceptional_catalog(tmp_path_factory):
+    """A catalog of the compact E6 (|W| = 51 840) and E7 (|W| = 2 903 040) pairs."""
+    path = tmp_path_factory.mktemp("caps") / "exceptional.json"
+    pairs = {name: {"cartan": cartan, "compact": "all"} for name, cartan in (("compact_e6", "E6"), ("compact_e7", "E7"))}
+    path.write_text(json.dumps({"version": 1, "pairs": pairs}))
+    return str(path)
+
+
+def test_weyl_cap_refuses_ds_enumerate_before_the_group_and_the_box(capsys, monkeypatch, exceptional_catalog):
+    monkeypatch.setattr(rootsys, "weyl_elements", _sentinel("weyl_elements"))
+    monkeypatch.setattr(dirac, "_lattice_box", _sentinel("_lattice_box"))
+    argv = ["ds", "enumerate", "--pair", "compact_e7", "--bound", "4", "--catalog", exceptional_catalog]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == f"error: Weyl group exceeds the materialization cap {rootsys.WEYL_MATERIALIZE_CAP}\n"
+
+
+def test_weyl_cap_admits_e6(capsys, monkeypatch, exceptional_catalog):
+    materialized = []
+    weyl_elements = rootsys.weyl_elements
+
+    def spy(rs):
+        materialized.append(rs.cartan)
+        return weyl_elements(rs)
+
+    monkeypatch.setattr(rootsys, "weyl_elements", spy)
+    argv = ["ds", "enumerate", "--pair", "compact_e6", "--bound", "6", "--catalog", exceptional_catalog]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["pair"] == "compact_e6"
+    assert [str(c) for c in materialized] == ["E6"]

@@ -41,7 +41,6 @@ from dirac_atlas.rootsys import (
     weyl_orbit,
     wneg,
     wsub,
-    wzero,
 )
 from dirac_atlas.spinmod import build_pair, catalog_names, get_pair, rescale_pair
 from fraction_oracles import (
@@ -52,6 +51,7 @@ from fraction_oracles import (
     is_compact,
     pairing_compact_oracle,
     weyl_elements_bfs,
+    wzero,
 )
 
 SL2R = get_pair("sl2r")

@@ -11,11 +11,17 @@ public module-level function or class must be reached by an AST call
 graph from cli.main and module-level code, or from an allowed root.
 Names resolve per module (`from .m import x`, `m.x`), so two modules
 defining the same name are told apart.
+
+A root system holds its Cartan type and integer data only; its Fraction
+roots, form and rho are views, and the three constructors of root data
+make no Fraction. That guard imports rootsys for the dataclass fields.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
+from dirac_atlas.rootsys import IntegralForm, RootSystem
 from test_trace_contract import TRACED
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -155,3 +161,27 @@ def test_guard_tells_same_named_definitions_apart(tmp_path):
     (pkg / "cli.py").write_text("from . import a\n\n\ndef main():\n    return 0\n")
     assert unreached(pkg, ("cli", "main"), ()) == ["a.convolve", "b.convolve"]
     assert unreached(pkg, ("cli", "main"), [("b", "convolve")]) == ["a.convolve"]
+
+
+def test_root_systems_hold_only_the_cartan_type_and_integer_data():
+    assert [(f.name, f.type) for f in dataclasses.fields(RootSystem)] == [
+        ("cartan", "CartanType"),
+        ("integral", "IntegralForm"),
+    ]
+    assert {f.type for f in dataclasses.fields(IntegralForm)} == {"int", "np.ndarray", "tuple[int, ...]"}
+
+
+ROOT_DATA_CONSTRUCTORS = ("build_root_system", "subsystem", "rescale_form")
+
+
+def test_root_data_constructors_make_no_fraction():
+    tree = ast.parse((PACKAGE / "rootsys.py").read_text(encoding="utf-8"))
+    bodies = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(ROOT_DATA_CONSTRUCTORS) <= set(bodies)
+    calls = [
+        f"{name}:{sub.lineno}"
+        for name in ROOT_DATA_CONSTRUCTORS
+        for sub in ast.walk(bodies[name])
+        if isinstance(sub, ast.Call) and "Fraction" in {getattr(sub.func, "id", None), getattr(sub.func, "attr", None)}
+    ]
+    assert not calls, "Fraction constructed in " + ", ".join(calls)

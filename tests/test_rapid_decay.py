@@ -59,11 +59,11 @@ def random_elements(group, rng, count, radius=4):
 def test_length_function_axioms_random(group):
     rng = np.random.default_rng(42)
     elems = random_elements(group, rng, 12, radius=3)
-    assert group.length(group.identity()) == 0
+    assert group.length(reference.identity(group)) == 0
     for a in elems:
         assert group.length(reference.inverse(group, a)) == group.length(a)
         for b in elems:
-            assert group.length(group.mul(a, b)) <= group.length(a) + group.length(b)
+            assert group.length(reference.mul(group, a, b)) <= group.length(a) + group.length(b)
 
 
 @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12))
@@ -96,7 +96,7 @@ def test_l1_examples():
 
 def test_hs_examples():
     for s in (0, 1, 2.5):
-        assert hs_norm(delta(Z.identity()), s, Z) == 1
+        assert hs_norm(delta(reference.identity(Z)), s, Z) == 1
     assert hs_norm(delta((1,)), 2, Z) == 4  # (1+1)^2
     f = {(1,): 1, (-1,): 1}
     assert abs(hs_norm(f, 1, Z) - math.sqrt(8)) < 1e-12
@@ -653,7 +653,7 @@ def test_translates_stack_the_single_translates(name):
     position = {h: j for j, h in enumerate(ball)}
     for i, g in enumerate(gs):
         assert np.array_equal(stacked[i], reference.translate(index, g)), g
-        assert stacked[i].tolist() == [position.get(group.mul(g, h), -1) for h in ball], g
+        assert stacked[i].tolist() == [position.get(reference.mul(group, g, h), -1) for h in ball], g
 
 
 @pytest.mark.parametrize("name", sorted(STACK_GROUPS))

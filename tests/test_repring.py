@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracles as oracle
-from fraction_oracles import dual, invariant_multiplicity
+from fraction_oracles import dual, invariant_multiplicity, wzero
 from dirac_atlas.errors import DeskScaleError, ValidationError
 from dirac_atlas.repring import (
     IrrLabel,
@@ -40,7 +40,6 @@ from dirac_atlas.rootsys import (
     weyl_elements,
     weyl_orbit,
     wneg,
-    wzero,
 )
 from dirac_atlas.spinmod import get_pair, spin_characters
 

@@ -41,11 +41,10 @@ from dirac_atlas.rootsys import (
     weyl_orbit,
     wneg,
     wscale,
-    wzero,
 )
 from dirac_atlas.spinmod import build_pair, get_pair
 import fraction_oracles as oracle
-from fraction_oracles import reflect, weyl_elements_bfs
+from fraction_oracles import reflect, weyl_elements_bfs, wzero
 from test_spinmod import ONE_NODE_GRADINGS
 
 
@@ -452,6 +451,21 @@ def test_rescale_form_keeps_cartan_ratios():
                     == 2 * inner(a, b, rs) / inner(b, b, rs)
                 )
     assert is_regular(rs.rho, scaled)
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "G2xC3"])
+def test_rescale_form_keeps_the_form_in_lowest_terms(name):
+    rs = build_root_system(parse_cartan(name))
+    for factor in (7, F(1, 2), F(6, 5), 0.25):
+        scaled = rescale_form(rs, factor)
+        assert scaled.form == tuple(tuple(F(factor) * c for c in row) for row in rs.form)
+        assert scaled.integral.scale == math.lcm(*(c.denominator for row in scaled.form for c in row))
+        assert (scaled.positive_roots, scaled.rho, scaled.cartan) == (rs.positive_roots, rs.rho, rs.cartan)
+    back = rescale_form(rescale_form(rs, 6), F(1, 6))
+    assert back.integral.scale == rs.integral.scale and back.integral.gram_rows == rs.integral.gram_rows
+    for factor in (0, -1, F(-1, 2)):
+        with pytest.raises(ValidationError, match="must be positive"):
+            rescale_form(rs, factor)
 
 
 CLASSIFIER_TYPES = ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "B4", "C4", "D4", "F4", "D5", "C5", "E6", "E7", "E8", "A1xB3"]

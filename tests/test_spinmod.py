@@ -8,7 +8,7 @@ import pytest
 
 from dirac_atlas.errors import ValidationError
 from dirac_atlas.repring import decompose, dimension, is_weyl_invariant
-from dirac_atlas.rootsys import build_root_system, fw_to_simple_coords, parse_cartan, weight, wneg, wscale, wzero
+from dirac_atlas.rootsys import build_root_system, fw_to_simple_coords, parse_cartan, weight, wneg, wscale
 from dirac_atlas.spinmod import (
     build_pair,
     catalog_names,
@@ -16,11 +16,12 @@ from dirac_atlas.spinmod import (
     get_pair,
     lattice_contains,
     load_catalog,
+    rescale_pair,
     rho_noncompact,
     spin_characters,
     spin_difference_character,
 )
-from fraction_oracles import grading_is_additive, is_compact, spin_characters_by_sign_vectors
+from fraction_oracles import grading_is_additive, is_compact, spin_characters_by_sign_vectors, wzero
 
 EQUAL_RANK_NAMES = [n for n in catalog_names() if n != "sl2c"]
 
@@ -312,3 +313,17 @@ def test_k_lattice_containing_the_roots_accepted():
         check_spin_structure(build_pair("A1", [], k_lattice=lattice))
     pair = build_pair("A2", [weight([1, 1])], k_lattice=[weight([2, -1]), weight([-1, 2])])
     assert check_spin_structure(pair).lifts_on_double_cover
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_rescale_pair_scales_g_and_k_alike(name):
+    pair = get_pair(name)
+    scaled = rescale_pair(pair, F(3, 2))
+    assert scaled.g.form == scaled.k.form == tuple(tuple(F(3, 2) * c for c in row) for row in pair.g.form)
+    for old, new in ((pair.g, scaled.g), (pair.k, scaled.k)):
+        assert (new.cartan, new.simple_roots, new.positive_roots, new.rho) == (
+            old.cartan, old.simple_roots, old.positive_roots, old.rho
+        )
+    assert rho_noncompact(scaled) == rho_noncompact(pair)
+    if pair.equal_rank:
+        assert spin_characters(scaled).s_plus.nums == spin_characters(pair).s_plus.nums
