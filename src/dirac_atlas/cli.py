@@ -5,9 +5,11 @@ output, rationals travel as "p/q" strings, and every randomized
 subcommand demands an explicit --seed. Exit codes: 0 success, 2
 validation error, 3 numerical-ambiguity error.
 
-main may be called repeatedly in one process: it builds its parser on
-the first call and reuses it, and each call gets a fresh namespace and
-config. Flags override the config file, in load_config alone.
+main may be called repeatedly in one process, and each call gets a fresh
+namespace and config. A call naming a group and a leaf is parsed by that
+leaf's own parser, any other argv by the whole tree; each parser is
+built from one command table on first use and reused. Flags override
+the config file, in load_config alone.
 """
 
 from __future__ import annotations
@@ -625,11 +627,65 @@ def _cmd_rd_probe_rd(args, cfg: Config) -> dict:
 # Parser assembly
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "table"), default=None, help="output format")
-    p.add_argument("--schema", action="store_true", help="print the output JSON schema and exit")
-    p.add_argument("--catalog", default=None, help="pair catalog path (or DIRAC_ATLAS_CATALOG)")
-    p.add_argument("--config", default=None, help="JSON config file; unknown keys are rejected")
+def _arg(*flags, **kwargs) -> tuple:
+    return flags, kwargs  # one add_argument call, as data
+
+
+_PAIR = _arg("--pair", required=True)
+_DEGREE_ROOTS = _arg("--degree-roots", choices=dirac.DEGREE_ROOT_CHOICES, default=None)
+_NAME = _arg("--name", default=None, help="z<n>, s3, s4, d4, q8")
+_TABLE = _arg("--table", default=None, help="JSON file with a multiplication table")
+_SEED = _arg("--seed", type=int, default=None)
+
+# group -> (help, {leaf -> (help, handler, arguments)}): the one place a
+# leaf's arguments are declared, for its own parser and for the tree.
+_COMMANDS = {
+    "rootsys": ("root system info", {
+        "info": ("roots, form, rho, Weyl order", _cmd_rootsys_info, [
+            _arg("type", help="Cartan type, e.g. A2 or A1xA1")]),
+    }),
+    "rep": ("representation ring", {
+        "irr": ("irreducible character data", _cmd_rep_irr, [
+            _arg("--type", required=True), _arg("--hw", required=True, help="highest weight coords, e.g. 1,0")]),
+        "tensor": ("decompose a tensor product", _cmd_rep_tensor, [
+            _arg("--type", required=True), _arg("--hw", required=True), _arg("--hw2", required=True)]),
+    }),
+    "spin": ("spin modules of catalog pairs", {
+        "info": ("grading, spin dims, liftability", _cmd_spin_info, [_PAIR]),
+    }),
+    "ds": ("discrete series classification", {
+        "induct": ("induce one K-type", _cmd_ds_induct, [
+            _PAIR, _arg("--hw", required=True, help="K-type coords, e.g. 3/2"), _DEGREE_ROOTS]),
+        "enumerate": ("all parameters within a norm bound", _cmd_ds_enumerate, [
+            _PAIR, _arg("--bound", required=True, help="bound on (lambda,lambda), e.g. 60 or 9/2"), _DEGREE_ROOTS]),
+    }),
+    "k0": ("K0 classes and Fredholm indices", {
+        "class": ("K0 class of an idempotent (JSON spec)", _cmd_k0_class, [
+            _arg("--spec", required=True, help="JSON: {blocks, matrices}")]),
+        "index": ("stabilized Fredholm index (JSON spec)", _cmd_k0_index, [
+            _arg("--spec", required=True, help="JSON: {blocks, e0, e1, u}")]),
+    }),
+    "group": ("finite group convolution algebras", {
+        "wedderburn": ("block decomposition of a group algebra", _cmd_group_wedderburn, [_NAME, _TABLE, _SEED]),
+        "idempotent": ("matrix-coefficient idempotent of one block", _cmd_group_idempotent, [
+            _NAME, _TABLE, _arg("--block", type=int, required=True), _SEED]),
+    }),
+    "rd": ("norms on discrete group algebras", {
+        "norms": ("l1 / Sobolev / truncated reduced bracket", _cmd_rd_norms, [
+            _arg("--group", required=True, help="z, z<d>, f<k>"), _arg("--s", type=float, required=True),
+            _arg("--input", required=True, help="JSON group function"), _arg("--radius", type=float, required=True)]),
+        "probe-unconditional": ("phase-flip deviation of a norm", _cmd_rd_probe_unconditional, [
+            _arg("--group", required=True),
+            _arg("--norm", choices=("l1", "hs", "reduced_truncated"), default="reduced_truncated"),
+            _arg("--s", type=float, default=None), _arg("--radius", type=float, default=None),
+            _arg("--input", default=None, help="JSON group function (default: unit-ball deltas)"),
+            _arg("--trials", type=int, default=100), _SEED]),
+        "probe-rd": ("empirical rapid-decay ratio probe", _cmd_rd_probe_rd, [
+            _arg("--group", required=True), _arg("--s", type=float, required=True),
+            _arg("--samples", type=int, default=50), _SEED,
+            _arg("--spheres", action="store_true", help="sphere-supported samples")]),
+    }),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -639,6 +695,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+def _add_leaf(p: argparse.ArgumentParser, handler, arguments) -> argparse.ArgumentParser:
+    for flags, kwargs in arguments:
+        p.add_argument(*flags, **kwargs)
+    p.add_argument("--format", choices=("json", "table"), default=None, help="output format")
+    p.add_argument("--schema", action="store_true", help="print the output JSON schema and exit")
+    p.add_argument("--catalog", default=None, help="pair catalog path (or DIRAC_ATLAS_CATALOG)")
+    p.add_argument("--config", default=None, help="JSON config file; unknown keys are rejected")
+    p.set_defaults(handler=handler)
+    return p
+
+
+@functools.cache
+def _leaf_parser(group: str, leaf: str) -> argparse.ArgumentParser:
+    """The parser of one leaf alone, with the prog and usage it has in the tree."""
+    _, handler, arguments = _COMMANDS[group][1][leaf]
+    return _add_leaf(_Parser(prog=f"dirac-atlas {group} {leaf}"), handler, arguments)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
@@ -646,110 +720,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact discrete-series classification and desk-scale K-theory/norm laboratories.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rootsys", help="root system info")
-    ssub = p.add_subparsers(dest="subcommand", required=True)
-    q = ssub.add_parser("info", help="roots, form, rho, Weyl order")
-    q.add_argument("type", help="Cartan type, e.g. A2 or A1xA1")
-    _add_common(q)
-    q.set_defaults(handler=_cmd_rootsys_info)
-
-    p = sub.add_parser("rep", help="representation ring")
-    ssub = p.add_subparsers(dest="subcommand", required=True)
-    q = ssub.add_parser("irr", help="irreducible character data")
-    q.add_argument("--type", required=True)
-    q.add_argument("--hw", required=True, help="highest weight coords, e.g. 1,0")
-    _add_common(q)
-    q.set_defaults(handler=_cmd_rep_irr)
-    q = ssub.add_parser("tensor", help="decompose a tensor product")
-    q.add_argument("--type", required=True)
-    q.add_argument("--hw", required=True)
-    q.add_argument("--hw2", required=True)
-    _add_common(q)
-    q.set_defaults(handler=_cmd_rep_tensor)
-
-    p = sub.add_parser("spin", help="spin modules of catalog pairs")
-    ssub = p.add_subparsers(dest="subcommand", required=True)
-    q = ssub.add_parser("info", help="grading, spin dims, liftability")
-    q.add_argument("--pair", required=True)
-    _add_common(q)
-    q.set_defaults(handler=_cmd_spin_info)
-
-    p = sub.add_parser("ds", help="discrete series classification")
-    ssub = p.add_subparsers(dest="subcommand", required=True)
-    q = ssub.add_parser("induct", help="induce one K-type")
-    q.add_argument("--pair", required=True)
-    q.add_argument("--hw", required=True, help="K-type coords, e.g. 3/2")
-    q.add_argument("--degree-roots", choices=dirac.DEGREE_ROOT_CHOICES, default=None)
-    _add_common(q)
-    q.set_defaults(handler=_cmd_ds_induct)
-    q = ssub.add_parser("enumerate", help="all parameters within a norm bound")
-    q.add_argument("--pair", required=True)
-    q.add_argument("--bound", required=True, help="bound on (lambda,lambda), e.g. 60 or 9/2")
-    q.add_argument("--degree-roots", choices=dirac.DEGREE_ROOT_CHOICES, default=None)
-    _add_common(q)
-    q.set_defaults(handler=_cmd_ds_enumerate)
-
-    p = sub.add_parser("k0", help="K0 classes and Fredholm indices")
-    ssub = p.add_subparsers(dest="subcommand", required=True)
-    q = ssub.add_parser("class", help="K0 class of an idempotent (JSON spec)")
-    q.add_argument("--spec", required=True, help="JSON: {blocks, matrices}")
-    _add_common(q)
-    q.set_defaults(handler=_cmd_k0_class)
-    q = ssub.add_parser("index", help="stabilized Fredholm index (JSON spec)")
-    q.add_argument("--spec", required=True, help="JSON: {blocks, e0, e1, u}")
-    _add_common(q)
-    q.set_defaults(handler=_cmd_k0_index)
-
-    p = sub.add_parser("group", help="finite group convolution algebras")
-    ssub = p.add_subparsers(dest="subcommand", required=True)
-    q = ssub.add_parser("wedderburn", help="block decomposition of a group algebra")
-    q.add_argument("--name", default=None, help="z<n>, s3, s4, d4, q8")
-    q.add_argument("--table", default=None, help="JSON file with a multiplication table")
-    q.add_argument("--seed", type=int, default=None, required=False)
-    _add_common(q)
-    q.set_defaults(handler=_cmd_group_wedderburn)
-    q = ssub.add_parser("idempotent", help="matrix-coefficient idempotent of one block")
-    q.add_argument("--name", default=None, help="z<n>, s3, s4, d4, q8")
-    q.add_argument("--table", default=None, help="JSON file with a multiplication table")
-    q.add_argument("--block", type=int, required=True)
-    q.add_argument("--seed", type=int, default=None)
-    _add_common(q)
-    q.set_defaults(handler=_cmd_group_idempotent)
-
-    p = sub.add_parser("rd", help="norms on discrete group algebras")
-    ssub = p.add_subparsers(dest="subcommand", required=True)
-    q = ssub.add_parser("norms", help="l1 / Sobolev / truncated reduced bracket")
-    q.add_argument("--group", required=True, help="z, z<d>, f<k>")
-    q.add_argument("--s", type=float, required=True)
-    q.add_argument("--input", required=True, help="JSON group function")
-    q.add_argument("--radius", type=float, required=True)
-    _add_common(q)
-    q.set_defaults(handler=_cmd_rd_norms)
-    q = ssub.add_parser("probe-unconditional", help="phase-flip deviation of a norm")
-    q.add_argument("--group", required=True)
-    q.add_argument("--norm", choices=("l1", "hs", "reduced_truncated"), default="reduced_truncated")
-    q.add_argument("--s", type=float, default=None)
-    q.add_argument("--radius", type=float, default=None)
-    q.add_argument("--input", default=None, help="JSON group function (default: unit-ball deltas)")
-    q.add_argument("--trials", type=int, default=100)
-    q.add_argument("--seed", type=int, default=None)
-    _add_common(q)
-    q.set_defaults(handler=_cmd_rd_probe_unconditional)
-    q = ssub.add_parser("probe-rd", help="empirical rapid-decay ratio probe")
-    q.add_argument("--group", required=True)
-    q.add_argument("--s", type=float, required=True)
-    q.add_argument("--samples", type=int, default=50)
-    q.add_argument("--seed", type=int, default=None)
-    q.add_argument("--spheres", action="store_true", help="sphere-supported samples")
-    _add_common(q)
-    q.set_defaults(handler=_cmd_rd_probe_rd)
-
+    for group, (group_help, leaves) in _COMMANDS.items():
+        ssub = sub.add_parser(group, help=group_help).add_subparsers(dest="subcommand", required=True)
+        for leaf, (leaf_help, handler, arguments) in leaves.items():
+            _add_leaf(ssub.add_parser(leaf, help=leaf_help), handler, arguments)
     return ap
 
 
+def _parse(argv) -> argparse.Namespace:
+    """The namespace of one call: a group and one of its leaves go to that
+    leaf's parser alone, any other argv to the whole tree."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if len(argv) < 2 or argv[1] not in _COMMANDS.get(argv[0], (None, ()))[1]:
+        return build_parser().parse_args(argv)
+    p = _leaf_parser(argv[0], argv[1])
+    args, extra = p.parse_known_args(argv[2:])
+    if extra:
+        p.exit(EXIT_VALIDATION, f"dirac-atlas: error: unrecognized arguments: {' '.join(extra)}\n")
+    args.command, args.subcommand = argv[:2]
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     if args.schema:
         print(render_json(SCHEMAS[f"{args.command}.{args.subcommand}"]))
         return EXIT_OK

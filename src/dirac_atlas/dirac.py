@@ -108,7 +108,7 @@ def _trace_products(pairings: np.ndarray, den: int, pair: RealPair, degree_roots
     the degree-root columns, against rho's pairings computed once.
     """
     idx = list(_degree_root_index(pair, degree_roots))
-    rho_p, rho_d = pair.g.integral.pairings(pair.g.rho)
+    rho_p, rho_d = pair.g.integral.rho_pairings
     num_scale = rho_d ** len(idx)
     den_all = math.prod(rho_p[j] for j in idx) * den ** len(idx)
     return [Fraction(math.prod(row) * num_scale, den_all) for row in pairings[:, idx].tolist()]
@@ -297,6 +297,8 @@ def enumerate_discrete_series(
         return []
     check_materializable(pair.g)  # the chamber ids need W: refuse before the box
     rows, pairings, den = _lattice_box(pair, bound)
+    if not len(rows):
+        return []  # no chamber to look up: W is not materialized
     form = pair.g.integral
     norm = np.einsum("ij,jk,ik->i", rows, form.gram, rows)
     order = np.lexsort((*rows.T[::-1], rows.sum(axis=1), norm))

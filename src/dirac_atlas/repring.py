@@ -316,7 +316,7 @@ def weyl_dimension(mu, rs: RootSystem) -> Fraction:
     """
     form = rs.integral
     p, d = form.pairings(label_weight(mu, rs))
-    q, e = form.pairings(rs.rho)
+    q, e = form.rho_pairings
     return Fraction(math.prod(e * a + d * b for a, b in zip(p, q)), d ** len(q) * math.prod(q))
 
 

@@ -346,6 +346,12 @@ class IntegralForm:
         return tuple(c // 2 for c in total), 1
 
     @functools.cached_property
+    def rho_pairings(self) -> tuple[tuple[int, ...], int]:
+        """pairings(rho), read from rho_coords."""
+        nums, den = self.rho_coords
+        return _dots(nums, self.fr_columns), den * self.scale
+
+    @functools.cached_property
     def heights(self) -> tuple[int, ...]:
         """Height over the simple roots of each positive root a, in roots order.
 

@@ -257,9 +257,12 @@ _ALLOWED_CATALOG_KEYS = {
 
 
 def default_catalog_path() -> str:
-    env = os.environ.get(CATALOG_ENV_VAR)
-    if env:
-        return env
+    """DIRAC_ATLAS_CATALOG, read on every call, else the packaged file."""
+    return os.environ.get(CATALOG_ENV_VAR) or _packaged_catalog_path()
+
+
+@functools.cache
+def _packaged_catalog_path() -> str:
     return str(resources.files("dirac_atlas").joinpath("catalog.json"))
 
 

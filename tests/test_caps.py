@@ -119,8 +119,14 @@ def test_weyl_cap_admits_e6(capsys, monkeypatch, exceptional_catalog):
         return weyl_elements(rs)
 
     monkeypatch.setattr(rootsys, "weyl_elements", spy)
+    # an empty enumeration looks up no chamber, so it leaves W unbuilt
     argv = ["ds", "enumerate", "--pair", "compact_e6", "--bound", "6", "--catalog", exceptional_catalog]
     code, out, err = _run(capsys, argv)
     assert (code, err) == (EXIT_OK, "")
-    assert json.loads(out)["pair"] == "compact_e6"
+    assert json.loads(out)["pair"] == "compact_e6" and json.loads(out)["count"] == 0
+    assert materialized == []
+    argv = ["ds", "induct", "--pair", "compact_e6", "--hw", "0,0,0,0,0,0", "--catalog", exceptional_catalog]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["parameter"]["chamber_id"] == 0
     assert [str(c) for c in materialized] == ["E6"]

@@ -17,6 +17,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from dirac_atlas import cli
 from dirac_atlas.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, SCHEMAS, main
 from dirac_atlas.jsonutil import vec_str
 from dirac_atlas.ktheory import K0_ENTRY_CAP, K0_INDEX_WORK_CAP, dihedral_table, ds_idempotent, wedderburn
@@ -701,6 +702,142 @@ def _outcome(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# sha256 of the stdout of `dirac-atlas [GROUP [LEAF]] -h` at COLUMNS=80, for
+# the top level, every group and every leaf, recorded before leaf calls
+# were parsed by their own parsers.
+HELP_DIGESTS = {
+    "": "f58b6f6b519399ef3579d6802a2268526f18cb8e18ce04ae7f12525582dc8726",
+    "rootsys": "25c07a78ff7f7e0d6091bf59f8a00422dc40a76c58c2ac22f3166c4af1fc6aed",
+    "rep": "841cb51a5b7e57ddc038947435c14c0b566c8d03bdda7e91674f3e473be2ad2d",
+    "spin": "1a906a4c1738bf9b7c68e5f3d8f996817b933059b457d816fed01d1df4052e3d",
+    "ds": "4cd6a411278431152f0f7e7024507d16099818d5232b77e3a7c9dcfe552fa60b",
+    "k0": "e1b6cc4375dc288496f4e01050508b6cbb56f4551d9978c4f5ed13f8e860de59",
+    "group": "683f7c5f9b598c60cd9f754a4e4e6b88093f8638df7ef6a2ac5e0b018ed961f2",
+    "rd": "3733846c45dcf9eba7c3b4339b5db514d28fe04e9b67657001668fab9e5e8f9f",
+    "rootsys info": "7d22574c98cb5193b304408ac8145aed6e2c43c69255898221d6f0ee4b01bedc",
+    "rep irr": "17cf93a803526927c6e300cf719a5bf77314744dee3222a2a7a70081776c74ae",
+    "rep tensor": "6f5c61b29f073f9bb073459ca4f8071cc1a076d3135f2a62d2b28db8e25ea14f",
+    "spin info": "29d489b54ca0fcba4bba3245beb7052dda022620dd901095c82f1de846b75b66",
+    "ds induct": "2741ae9136e3dfeb9485a992ebc27b8c637aa307ac26f42663ef77b8aec7f3d7",
+    "ds enumerate": "0680035d4bc38d4f49ba19860a1b0ee985c7fbdcda4ccfea61eb48fc658b0329",
+    "k0 class": "695aa2a4d4cc2a755b3bb66b0f58d1cc8b9fb8f1fb757416a2d0ca7baa06e3e6",
+    "k0 index": "267c76bf405a36aac6a85692308106f4b1b8b58c8e15dcf39d499814845047b5",
+    "group wedderburn": "da07e046d25826b19bfef0f00435092c011a79eac90f98431fdccc4ed9081981",
+    "group idempotent": "0dee87fa90e31c4b3fcd1717126562d872495213b8ae21b90a115584d99fbd46",
+    "rd norms": "a09b2318dd725c80b67934233e2f4ea9d426f3d49c646662f5a7360c9fd01f68",
+    "rd probe-unconditional": "13325428e45784c55259955f9f48fc11537555e7f5502485ffbbc6079a11e2ec",
+    "rd probe-rd": "ec7a3b1598d5768726493446d0b66e6f6da4384e46734ccd3d4b93cad17ef70f",
+}
+
+
+def test_command_table_leaves_are_the_schemas():
+    assert {f"{group}.{leaf}" for group, (_, leaves) in cli._COMMANDS.items() for leaf in leaves} == set(SCHEMAS)
+
+
+def test_help_is_byte_identical_to_the_recorded_digests(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    levels = {""} | set(cli._COMMANDS)
+    levels |= {f"{group} {leaf}" for group, (_, leaves) in cli._COMMANDS.items() for leaf in leaves}
+    assert set(HELP_DIGESTS) == levels
+    for key, digest in HELP_DIGESTS.items():
+        code, out, err = _outcome(capsys, key.split() + ["-h"])
+        assert (code, err) == (EXIT_OK, ""), key
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, key
+
+
+# One valid call of each leaf, after "GROUP LEAF"; parsing opens no file.
+LEAF_CALLS = {
+    ("rootsys", "info"): ["A2"],
+    ("rep", "irr"): ["--type", "A2", "--hw", "1,0"],
+    ("rep", "tensor"): ["--type", "A1", "--hw", "1", "--hw2", "1"],
+    ("spin", "info"): ["--pair", "su21"],
+    ("ds", "induct"): ["--pair", "su21", "--hw", "-1,1", "--degree-roots", "simple"],
+    ("ds", "enumerate"): ["--pair", "sl2r", "--bound", "10"],
+    ("k0", "class"): ["--spec", "class.json"],
+    ("k0", "index"): ["--spec", "index.json"],
+    ("group", "wedderburn"): ["--name", "s3", "--seed", "1"],
+    ("group", "idempotent"): ["--table", "t.json", "--block", "2", "--seed", "1"],
+    ("rd", "norms"): ["--group", "f2", "--s", "1", "--radius", "3", "--input", "f.json"],
+    ("rd", "probe-unconditional"): ["--group", "z", "--norm", "l1", "--trials", "2", "--seed", "1"],
+    ("rd", "probe-rd"): ["--group", "z", "--s", "1", "--samples", "2", "--seed", "1", "--spheres"],
+}
+
+
+def _variants(rest: list[str]) -> list[list[str]]:
+    """rest, and the forms a user may give it: --opt=value, abbreviated
+    options, a missing required value, a bad choice, an extra positional,
+    -h, repeated and extra common options."""
+    joined, i = [], 0
+    while i < len(rest):
+        if rest[i].startswith("--") and i + 1 < len(rest) and not rest[i + 1].startswith("--"):
+            joined.append(f"{rest[i]}={rest[i + 1]}")
+            i += 2
+        else:
+            joined.append(rest[i])
+            i += 1
+    abbreviated = [t[:-1] if t.startswith("--") and len(t) > 5 else t for t in rest]
+    return [
+        rest, joined, abbreviated, [], rest[:-2], rest[:-1],
+        rest + ["--format", "xml"], rest + ["--format=table", "--schema", "--catalog", "c.json", "--config", "k.json"],
+        rest + ["extra"], rest + ["extra", "--bogus"], rest + ["--", "extra"],
+        ["-h"], rest + ["-h"], rest + ["--bogus", "-h"], rest + rest, rest + ["--sch"], rest + ["--format"],
+    ]
+
+
+def _parsed(capsys, parse, argv):
+    """("ok", the namespace) of one parse, or ("exit", code, stdout, stderr)."""
+    try:
+        args = vars(parse(list(argv)))
+    except SystemExit as exc:
+        return ("exit", exc.code, *capsys.readouterr())
+    assert capsys.readouterr() == ("", "")
+    return "ok", args
+
+
+def test_leaf_parsers_agree_with_the_parser_tree(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    tree = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("a leaf call built the parser tree"))
+    assert {f"{group}.{leaf}" for group, leaf in LEAF_CALLS} == set(SCHEMAS)
+    outcomes = []
+    for (group, leaf), rest in LEAF_CALLS.items():
+        for argv in ([group, leaf, *v] for v in _variants(rest)):
+            want = _parsed(capsys, tree.parse_args, argv)
+            assert _parsed(capsys, cli._parse, argv) == want, argv
+            outcomes.append(want[:2])
+    assert sum(o[0] == "ok" for o in outcomes) >= 3 * len(LEAF_CALLS)
+    assert {o[1] for o in outcomes if o[0] == "exit"} == {EXIT_OK, EXIT_VALIDATION}
+
+
+def test_leaf_calls_skip_the_parser_tree(capsys, monkeypatch):
+    built = []
+    tree = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(True) or tree())
+    assert run_cli(capsys, "rootsys", "info", "A1")[0] == EXIT_OK
+    assert _outcome(capsys, ["rootsys", "info", "A1", "--bogus"])[0] == EXIT_VALIDATION
+    assert built == []
+    code, out, err = _outcome(capsys, [])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == "dirac-atlas: error: the following arguments are required: command\n"
+    assert built == [True]
+
+
+_PARSERS_AT_IMPORT = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(k.get("prog")) or init(self, *a, **k)
+import dirac_atlas.cli
+print(len(built))
+"""
+
+
+def test_import_builds_no_parser():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", _PARSERS_AT_IMPORT], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 def test_calls_share_no_state(capsys, tmp_path, monkeypatch):

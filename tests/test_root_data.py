@@ -129,6 +129,21 @@ def test_weyl_dimension_on_catalog_subsystems(name, data):
     assert weyl_dimension(mu, k) == oracle.weyl_dimension(mu, k)
 
 
+@pytest.mark.parametrize("name", SIMPLE_TYPES + PRODUCT_TYPES)
+def test_rho_pairings_match_the_fraction_form(name):
+    ct = parse_cartan(name)
+    rs, ref = build_root_system(ct), oracle.build_root_system(ct)
+    p, d = rs.integral.rho_pairings
+    assert [F(x, d) for x in p] == [oracle.inner(ref.rho, a, ref) for a in ref.positive_roots]
+    assert (p, d) == rs.integral.pairings(rs.rho)
+
+
+def test_rho_pairings_of_catalog_subsystems():
+    for name in catalog_names():
+        k = get_pair(name).k
+        assert k.integral.rho_pairings == k.integral.pairings(k.rho), name
+
+
 ENTRY = st.integers(-4, 4)
 
 
