@@ -347,10 +347,11 @@ def _cmd_rep_tensor(args, cfg: Config) -> dict:
     rs = rootsys.build_root_system(rootsys.parse_cartan(args.type))
     hw1 = _parse_weight_arg(args.hw)
     hw2 = _parse_weight_arg(args.hw2)
-    prod = repring.product(
-        repring.irr_character(hw1, rs), repring.irr_character(hw2, rs)
-    )
-    decomp = repring.decompose(prod)
+    for hw in (hw1, hw2):
+        repring.highest_weight(hw, rs)
+    # Brauer-Klimyk runs over the weights of the smaller factor alone
+    small, large = sorted((hw1, hw2), key=lambda hw: repring.weyl_dimension(hw, rs))
+    decomp = repring.decompose(repring.irr_character(small, rs), tensor_with=large)
     return {
         "type": str(rs.cartan),
         "hw1": vec_str(hw1),

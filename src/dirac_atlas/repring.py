@@ -14,9 +14,12 @@ per dominant weight, the dominance moves of the root strings are shared
 across tables through make_dominant's bounded cache, and the Weyl
 orbits are expanded only at the end, after the support has been checked
 against SUPPORT_CAP with closed-form orbit sizes. Decomposition into
-irreducibles works on dominant parts alone: it subtracts dominant tables
-and expands no orbit. The Weyl dimension formula is kept as an
-independent second code path so the two can cross-validate.
+irreducibles is Brauer-Klimyk (Racah-Speiser): each weight of the
+character, shifted by rho and by the highest weight of an optional
+tensor factor, is paired with the positive roots and made dominant
+once, with a sign; no Freudenthal table is read and no product support
+is built. The Weyl dimension formula is kept as an independent second
+code path so the two can cross-validate.
 
 Negative multiplicities are first class; nothing clamps.
 """
@@ -30,6 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from .errors import DeskScaleError, ValidationError
 from .jsonutil import vec_str
@@ -171,6 +176,13 @@ def label_weight(v, rs: RootSystem) -> Weight:
     return hw
 
 
+def highest_weight(mu, rs: RootSystem) -> Weight:
+    """label_weight of mu, checked to be dominant and integral for rs."""
+    hw = label_weight(mu, rs)
+    check_dominant_integral(hw, rs, "highest weight")
+    return hw
+
+
 def _numerators(x: Weight, den: int) -> tuple[int, ...]:
     """Numerators of x over den; den is a multiple of every denominator of x."""
     return tuple(c.numerator * (den // c.denominator) for c in x)
@@ -273,8 +285,7 @@ def _dominant_multiplicities(mu: Weight, rs: RootSystem) -> tuple[int, dict]:
 def dominant_multiplicities(mu, rs: RootSystem) -> dict:
     """Map of dominant weights to multiplicities for the irreducible
     with highest weight mu."""
-    hw = label_weight(mu, rs)
-    check_dominant_integral(hw, rs, "highest weight")
+    hw = highest_weight(mu, rs)
     den, table = _dominant_multiplicities(hw, rs)
     return {_fractions(lam, den): m for lam, m in table.items()}
 
@@ -288,8 +299,7 @@ def irr_character(mu, kk: RootSystem) -> VirtualCharacter:
     past SUPPORT_CAP before it is built: first the orbit of mu alone,
     before any work, then the orbits of all the dominant weights.
     """
-    hw = label_weight(mu, kk)
-    check_dominant_integral(hw, kk, "highest weight")
+    hw = highest_weight(mu, kk)
     _check_support(orbit_size(hw, kk), f"the Weyl orbit of {vec_str(hw)}")
     den, table = _dominant_multiplicities(hw, kk)
     dominant = [(_fractions(lam, den), m) for lam, m in table.items()]
@@ -355,55 +365,83 @@ def is_weyl_invariant(chi: VirtualCharacter) -> bool:
     return True
 
 
-def decompose(chi: VirtualCharacter) -> list[tuple[IrrLabel, int]]:
-    """Write chi as an integer combination of irreducibles.
+def decompose(chi: VirtualCharacter, tensor_with=None) -> list[tuple[IrrLabel, int]]:
+    """Write V(tensor_with) (x) chi, or chi alone when tensor_with is
+    None, as an integer combination of irreducibles.
 
-    A Weyl-invariant character is fixed by its dominant part, since the
-    orbit sums form a basis of the invariants (Humphreys, Lie algebras,
-    22.5). So only the dominant part is kept: the maximal dominant
-    weight mu (by the norm of mu + rho, then graded-lex) is a highest
-    weight, and c times the dominant table of V(mu) is subtracted. No
-    orbit is expanded. Weights stay numerators over chi's denominator D;
-    the norm is taken over the lcm E of D and rho's denominator, a
-    positive rescaling that keeps the order. Output is sorted by
-    graded-lex highest weight. Raises on non-Weyl-invariant input and on
-    a non-integral maximal weight.
+    Brauer-Klimyk (Racah-Speiser): for a Weyl-invariant chi and a
+    dominant integral lambda, chi * A_{lambda+rho} is the sum over the
+    weights nu of chi of mult(nu) A_{lambda+nu+rho} (Humphreys, Lie
+    algebras, 24 Ex. 9; Klimyk 1968). So each weight nu adds its
+    multiplicity at make_dominant(x) - rho, x = lambda + nu + rho, with
+    the sign (-1)^l(w) of the w that makes x dominant: l(w) counts the
+    positive roots that pair negatively with x. A singular x (some
+    pairing 0) adds nothing. The pairings of all the x are one integer
+    product x @ fr, over numerators on the lcm of the denominators of
+    chi, lambda and rho. No product support is built and nothing is
+    subtracted.
+
+    Raises on non-Weyl-invariant input. A dominant weight of chi that is
+    not integral never cancels, so the input is refused at the one with
+    the largest (norm of mu + rho, graded-lex) key, with the message of
+    the highest-weight check. Output is sorted by graded-lex highest
+    weight, with zero coefficients dropped.
     """
     rs = chi.ambient
     if not is_weyl_invariant(chi):
         raise ValidationError("character is not Weyl-invariant")
+    _check_integral(chi)
+    form = rs.integral
+    lam = (0,) * rs.rank if tensor_with is None else highest_weight(tensor_with, rs)
+    lam_nums, lam_den = integer_coords(lam)
+    rho_nums, rho_den = form.rho_coords
+    den = math.lcm(chi.den, lam_den, rho_den)
+    rho = tuple(r * (den // rho_den) for r in rho_nums)
+    shift = tuple(a * (den // lam_den) + r for a, r in zip(lam_nums, rho))
+    f = den // chi.den
+    nums = list(chi.nums)
+    # int64 is exact while no pairing can reach 2^63; Python ints past that
+    top = f * max((abs(c) for w in nums for c in w), default=0) + max(map(abs, shift), default=0)
+    exact = top * int(np.abs(form.fr).sum(axis=0).max(initial=0)) < 2**63
+    xs = np.array(nums, dtype=np.int64 if exact else object).reshape(len(nums), rs.rank) * f + shift
+    pairs = xs @ form.fr
+    regular = ~(pairs == 0).any(axis=1)
+    odd = (pairs < 0).sum(axis=1) % 2 == 1
+    found: dict[tuple[int, ...], int] = {}
+    for x, m, keep, neg in zip(xs.tolist(), chi.nums.values(), regular.tolist(), odd.tolist()):
+        if keep:
+            # over den 1 the numerators are the weight, and key make_dominant's cache alike
+            x = tuple(x) if den == 1 else _fractions(x, den)
+            dom = _numerators(make_dominant(x, rs), den)
+            found[dom] = found.get(dom, 0) + (-m if neg else m)
+    parts = [(tuple(map(operator.sub, dom, rho)), c) for dom, c in found.items() if c]
+    parts.sort(key=lambda t: grlex_key(t[0]))
+    return [(IrrLabel(_fractions(mu, den)), c) for mu, c in parts]
+
+
+def _check_integral(chi: VirtualCharacter) -> None:
+    """Refuse chi at its non-integral dominant weight of largest key
+    (norm of mu + rho, then graded-lex), as a highest weight."""
+    rs = chi.ambient
     form = rs.integral
     den = chi.den
+    if den == 1:
+        return
+    odd = []
+    for w in chi.nums:
+        pairs = _dots(w, form.coroot_columns)
+        if all(p >= 0 for p in pairs) and any(p % den for p in pairs):
+            odd.append(w)
+    if not odd:
+        return
     rho_nums, rho_den = form.rho_coords
     wide = math.lcm(den, rho_den)
-    f = wide // den
     rho = tuple(c * (wide // rho_den) for c in rho_nums)
 
-    @functools.cache
     def key(w):
-        return (_shifted_norm(tuple(f * c for c in w), rho, form.gram_rows), grlex_key(w))
+        return (_shifted_norm(tuple(wide // den * c for c in w), rho, form.gram_rows), grlex_key(w))
 
-    cols = form.coroot_columns
-    rest = {w: m for w, m in chi.nums.items() if all(sum(map(operator.mul, w, col)) >= 0 for col in cols)}
-    found = []
-    while rest:
-        mu = max(rest, key=key)
-        label = _fractions(mu, den)
-        check_dominant_integral(label, rs, "highest weight")
-        c = rest[mu]
-        table_den, table = _dominant_multiplicities(label, rs)
-        g = den // table_den
-        for w, m in table.items():
-            if g != 1:
-                w = tuple(g * x for x in w)
-            nm = rest.get(w, 0) - c * m
-            if nm:
-                rest[w] = nm
-            else:
-                del rest[w]
-        found.append((mu, IrrLabel(label), c))
-    found.sort(key=lambda t: grlex_key(t[0]))
-    return [(label, c) for _, label, c in found]
+    check_dominant_integral(_fractions(max(odd, key=key), den), rs, "highest weight")
 
 
 def resum(rs: RootSystem, parts: Iterable[tuple[IrrLabel, int]]) -> VirtualCharacter:

@@ -593,8 +593,9 @@ def make_dominant(x: Weight, rs: RootSystem) -> Weight:
 
     x is paired with the simple coroots once; each reflection then
     updates the numerators and the pairings together (see IntegralForm).
-    Cached: Freudenthal asks again for the weights of every table that
-    decompose reads. An integral x may come as an int tuple, which keys
+    Cached: Freudenthal tables ask again for the weights on their root
+    strings, and repeated tensor requests for the same shifted weights
+    in decompose. An integral x may come as an int tuple, which keys
     equal to its Fraction tuple; the result is Fractions either way.
     """
     form = rs.integral

@@ -28,8 +28,9 @@ reflection in a root, the dual of a character and the multiplicity of
 the trivial representation in it, whether a pair is fully compact, and
 the index pairing of a fully compact pair computed through them.
 The package computes the same results on integers (or, for the
-decomposition, on dominant tables only; for a rank, as the trace of an
-idempotent); tests compare the two element by element.
+decomposition, by Brauer-Klimyk's signed dominance moves; for a rank,
+as the trace of an idempotent); tests compare the two element by
+element.
 """
 
 from __future__ import annotations

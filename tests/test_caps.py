@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from dirac_atlas import dirac, rootsys
+from dirac_atlas import dirac, repring, rootsys
 from dirac_atlas.cli import EXIT_OK, EXIT_VALIDATION, main
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dirac_atlas"
@@ -28,7 +28,7 @@ CAPS = {
     ("rootsys", "WEYL_MATERIALIZE_CAP"): "test_weyl_cap_refuses_ds_enumerate_before_the_group_and_the_box",
     ("rootsys", "LATTICE_BOX_CAP"): "open: items 13 and 14",
     ("dirac", "ENUMERATION_OUTPUT_CAP"): "open: items 13 and 14",
-    ("repring", "SUPPORT_CAP"): "owned by items 2 and 6: refused from inside product today",
+    ("repring", "SUPPORT_CAP"): "owned by items 6 and 14: spin info is still refused from inside product",
     ("rapid_decay", "BALL_CAP"): "open: items 4 and 14",
     ("rapid_decay", "PROBE_COUNT_CAP"): "open: items 4 and 14",
     ("ktheory", "GROUP_ORDER_CAP"): "open: items 5 and 14",
@@ -130,3 +130,35 @@ def test_weyl_cap_admits_e6(capsys, monkeypatch, exceptional_catalog):
     assert (code, err) == (EXIT_OK, "")
     assert json.loads(out)["parameter"]["chamber_id"] == 0
     assert [str(c) for c in materialized] == ["E6"]
+
+
+# E7 labels: the 56 is minuscule (its support is its orbit), and the
+# orbit of E7_OVER has 120 960 weights; E7_RHO is far larger than both.
+E7_56, E7_OVER, E7_RHO = "0,0,0,0,0,0,1", "0,0,0,1,0,1,1", "1,1,1,1,1,1,1"
+
+
+def _forbid_rep_work(monkeypatch):
+    monkeypatch.setattr(repring, "_dominant_multiplicities", _sentinel("_dominant_multiplicities"))
+    monkeypatch.setattr(repring, "make_dominant", _sentinel("make_dominant"))
+
+
+@pytest.mark.parametrize("labels", [(E7_OVER, E7_RHO), (E7_RHO, E7_OVER)])
+def test_support_cap_refuses_rep_tensor_before_the_tables(capsys, monkeypatch, labels):
+    # the smaller factor's orbit is over the cap; the larger one's is never counted
+    _forbid_rep_work(monkeypatch)
+    code, out, err = _run(capsys, ["rep", "tensor", "--type", "E7", "--hw", labels[0], "--hw2", labels[1]])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == f"error: the Weyl orbit of {E7_OVER.split(',')} has 120960 weights, over the character support cap {repring.SUPPORT_CAP}\n"
+
+
+def test_support_cap_admits_rep_tensor_at_the_cap(capsys, monkeypatch):
+    argv = ["rep", "tensor", "--type", "E7", "--hw", E7_RHO, "--hw2", E7_56]
+    monkeypatch.setattr(repring, "SUPPORT_CAP", 56)
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert len(json.loads(out)["decomposition"]) == 56
+    monkeypatch.setattr(repring, "SUPPORT_CAP", 55)
+    _forbid_rep_work(monkeypatch)
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.count("\n") == 1 and "has 56 weights, over the character support cap 55" in err

@@ -17,7 +17,6 @@ from fraction_oracles import dual, invariant_multiplicity, wzero
 from dirac_atlas.errors import DeskScaleError, ValidationError
 from dirac_atlas.repring import (
     IrrLabel,
-    _dominant_multiplicities,
     char_from_terms,
     decompose,
     dimension,
@@ -494,16 +493,82 @@ def test_integer_characters_match_fraction_oracles(name, data):
     assert is_weyl_invariant(bumped) == oracle.is_weyl_invariant_orbits(bumped)
 
 
-def test_decompose_shares_dominance_moves_across_tables():
-    # each table keeps its own dom_of, so every make_dominant hit is a
-    # weight that an earlier table of the same decomposition made dominant
+def test_decompose_reaches_make_dominant():
+    # the kernel makes each regular x dominant through the cached
+    # make_dominant, alone or with a tensor factor
     b3 = build_root_system(parse_cartan("B3"))
-    chi = product(irr_character((1, 1, 1), b3), irr_character((1, 0, 1), b3))
-    make_dominant.cache_clear()
-    _dominant_multiplicities.cache_clear()
-    got = decompose(chi)
-    assert make_dominant.cache_info().hits > 0
-    assert got == oracle.decompose_peel(chi)
+    small, large = irr_character((1, 0, 1), b3), irr_character((1, 1, 1), b3)
+    chi = product(large, small)
+    for got in (lambda: decompose(chi), lambda: decompose(small, tensor_with=(1, 1, 1))):
+        make_dominant.cache_clear()
+        parts = got()
+        info = make_dominant.cache_info()
+        assert info.hits + info.misses > 0
+        assert parts == oracle.decompose_peel(chi)
+
+
+# Every type of rank <= 3, the K systems of su21 and sp4r (half-integral
+# ambient weights), and D4 and F4 at small labels.
+TENSOR_SYSTEMS = dict(FREUDENTHAL_SYSTEMS, **{name: build_root_system(parse_cartan(name)) for name in ("D4", "F4")})
+
+
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name", sorted(TENSOR_SYSTEMS))
+def test_brauer_klimyk_matches_peel_of_the_product(name, data):
+    rs = TENSOR_SYSTEMS[name]
+    if rs.rank == 4:
+        # zero and the fundamental weights of dimension under 60
+        fundamental = [weight([int(i == j) for j in range(4)]) for i in range(4)]
+        small = [w for w in [wzero(4)] + fundamental if weyl_dimension(w, rs) < 60]
+        mu, lam = (data.draw(st.sampled_from(small)) for _ in range(2))
+    else:
+        top = 2 if rs.rank <= 2 else 1
+        mu, lam = (_draw_label(data, rs, top) for _ in range(2))
+        assume(_integral(mu, rs) and _integral(lam, rs))
+    small = irr_character(mu, rs)
+    prod = char_from_terms(rs, oracle.product_convolve(small, irr_character(lam, rs)))
+    got = decompose(small, tensor_with=lam)
+    assert got == oracle.decompose_peel(prod)
+    assert sum(c * weyl_dimension(label, rs) for label, c in got) == weyl_dimension(mu, rs) * weyl_dimension(lam, rs)
+
+
+@pytest.mark.parametrize("name", ["A1", "B2", "sp4r.k"])
+def test_decompose_refuses_the_largest_non_integral_weight(name):
+    # two orbits of non-integral dominant weights: the peel meets the larger one first
+    rs = DECOMPOSE_SYSTEMS.get(name) or build_root_system(parse_cartan(name))
+    odd = [mu for mu in (weight([F(k, 2)] * rs.rank) for k in (1, 3, 5)) if not _integral(mu, rs)]
+    odd = [oracle.make_dominant(mu, rs) for mu in odd][:2]
+    assert len(odd) == 2
+    chi = char_from_terms(rs, {w: 1 for mu in odd for w in weyl_orbit(mu, rs)})
+    assert _error_text(decompose, chi) == _error_text(oracle.decompose_peel, chi)
+
+
+def test_tensor_with_takes_a_checked_label():
+    chi = irr_character((1, 0), A2)
+    assert decompose(chi, tensor_with=IrrLabel(weight([0, 0]))) == decompose(chi)
+    with pytest.raises(ValidationError, match="not dominant"):
+        decompose(chi, tensor_with=(-1, 0))
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        decompose(chi, tensor_with=(1,))
+    # pairings past int64 stay exact
+    big = 2**62
+    assert decompose(irr_character((1,), A1), tensor_with=(big,)) == [
+        (IrrLabel(weight([big - 1])), 1),
+        (IrrLabel(weight([big + 1])), 1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "cartan,mu,components",
+    [("D4", (2, 2, 2, 2), 799), ("E8", (1,) + (0,) * 7, 10)],
+)
+def test_large_tensor_squares_keep_their_dimension(cartan, mu, components):
+    # each was admitted only after minutes of product support and peel, or refused by the support cap
+    rs = build_root_system(parse_cartan(cartan))
+    parts = decompose(irr_character(mu, rs), tensor_with=mu)
+    assert len(parts) == components and all(c > 0 for _, c in parts)
+    assert sum(c * weyl_dimension(label, rs) for label, c in parts) == weyl_dimension(mu, rs) ** 2
 
 
 def test_e8_adjoint_square_decomposes_into_five_irreducibles():
@@ -512,4 +577,5 @@ def test_e8_adjoint_square_decomposes_into_five_irreducibles():
     parts = decompose(product(adjoint, adjoint))
     dims = sorted(int(weyl_dimension(label, e8)) for label, c in parts if c == 1)
     assert len(parts) == 5 and dims == [1, 248, 3875, 27000, 30380]
+    assert decompose(adjoint, tensor_with=(0,) * 7 + (1,)) == parts
     assert sum(c * weyl_dimension(label, e8) for label, c in parts) == 248 * 248
