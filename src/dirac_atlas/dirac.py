@@ -12,18 +12,21 @@ a switch restores the product over simple roots only (see README for
 the discrepancy the switch preserves).
 
 Regularity, formal degrees and chamber ids come from the integer root
-pairings of the g system (rootsys.IntegralForm). Enumeration walks the
-integral weights mu in an int64 box whose half-widths come from the
-simple root lengths: weights are scaled by the denominator of rho_K, and
-the ball, K-dominance and regularity tests and the sort are integer
-operations. The pairings of the regularity test give the signed traces
-and chamber ids of the whole batch, through the same kernels that
-trace_product and chamber_of run on one weight. Fractions appear only
-where parameters are built and rendered.
+pairings of the g system (rootsys.IntegralForm). A chamber id is the
+index of a Weyl element in rootsys.weyl_elements, whose ranked order
+gives it in closed form, so no request builds the Weyl group.
+Enumeration walks the integral weights mu in an int64 box whose
+half-widths come from the simple root lengths: weights are scaled by the
+denominator of rho_K, and the ball, K-dominance and regularity tests and
+the sort are integer operations. The pairings of the regularity test give
+the signed traces and chamber ids of the whole batch, through the same
+kernels that trace_product and chamber_of run on one weight. Fractions
+appear only where parameters are built and rendered.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +34,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import rootsys
 from .errors import DeskScaleError, ValidationError
 from .jsonutil import fr_str, vec_str
 from .repring import IrrLabel, label_weight
@@ -39,7 +43,6 @@ from .rootsys import (
     RootSystem,
     Weight,
     check_dominant_integral,
-    check_materializable,
     is_regular,
     wadd,
     wsub,
@@ -56,6 +59,11 @@ EXCLUSION_ODD_PARITY = "odd_parity"
 ENUMERATION_OUTPUT_CAP = 50_000
 # Box points per int64 slab of the enumeration; bounds its working memory.
 _SLAB_POINTS = 1 << 16
+# Chamber ids kept per (sign pattern, Weyl group), bounded like rootsys's
+# ORBIT_CACHE_SIZE. The K-dominant cone of a pair meets |W_G| / |W_K|
+# chambers: at most 4 on the packaged catalog (sp4r), 56 on the E7
+# Hermitian pair.
+CHAMBER_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -114,16 +122,40 @@ def _trace_products(pairings: np.ndarray, den: int, pair: RealPair, degree_roots
     return [Fraction(math.prod(row) * num_scale, den_all) for row in pairings[:, idx].tolist()]
 
 
+@functools.lru_cache(maxsize=CHAMBER_CACHE_SIZE)
+def _chamber_index(signs: bytes, order: rootsys.WeylOrder) -> int:
+    """Index in order of the w whose chamber has the sign pattern signs,
+    one byte per positive root, 1 when positive.
+
+    That chamber holds w rho = rho - (the sum of the positive roots a with
+    (w rho, a) < 0). The simple reflections s_i1, ..., s_ik that take w rho
+    to the dominant chamber give w = s_i1 ... s_ik, so its matrix (x -> x @ m)
+    is the product of theirs, and WeylOrder.index ranks it.
+    """
+    form = order.rs.integral
+    negative = np.frombuffer(signs, dtype=np.uint8) == 0
+    pairs = ((form.roots.sum(axis=0) - 2 * form.roots[negative].sum(axis=0)) @ form.coroots).tolist()  # of 2 w rho
+    m = np.eye(len(form.gram), dtype=np.int64)
+    while True:
+        i = next((i for i, p in enumerate(pairs) if p < 0), None)
+        if i is None:
+            return order.index(m)
+        c = pairs[i]
+        pairs = [p - c * r for p, r in zip(pairs, form.cartan_rows[i])]
+        m -= np.outer(form.coroots[:, i], form.simple[i] @ m)  # s_i's matrix times m
+
+
 def _chamber_ids(pairings: np.ndarray, rs: RootSystem) -> list[int]:
     """Chamber ids of regular weights from their pairings with rs's positive roots.
 
-    The sign pattern of each row, one byte per root, is looked up in
-    RootSystem.chambers.
+    Each distinct sign pattern is indexed once (_chamber_index), in the
+    order that rootsys.weyl_elements gives; it is read through the module,
+    so a wrapper installed there sees every call.
     """
     signs = np.asarray(pairings > 0, dtype=bool)
     keys, m = signs.tobytes(), signs.shape[1]
-    chambers = rs.chambers
-    return [chambers[keys[i * m : (i + 1) * m]] for i in range(len(signs))]
+    order = rootsys.weyl_elements(rs)
+    return [_chamber_index(keys[i * m : (i + 1) * m], order) for i in range(len(signs))]
 
 
 def _regular_pairings(lam: Weight, rs: RootSystem, what: str) -> tuple[np.ndarray, int]:
@@ -151,10 +183,10 @@ def formal_degree(lam: Weight, pair: RealPair, degree_roots: str = "positive") -
 def chamber_of(lam: Weight, rs: RootSystem) -> int:
     """Index of the Weyl chamber containing the regular weight lam.
 
-    Chambers are numbered by the breadth-first enumeration of the Weyl
-    group: 0 is the dominant chamber, the last index is the chamber of
-    the longest element. Looked up by the sign pattern of lam against
-    the positive roots (see RootSystem.chambers).
+    Chambers are numbered by the breadth-first order of the Weyl group
+    (rootsys.weyl_elements): 0 is the dominant chamber, the last index is
+    the chamber of the longest element. Ranked from the sign pattern of
+    lam against the positive roots (see _chamber_index); W is not built.
     """
     p, _ = _regular_pairings(lam, rs, "singular weight lies on a chamber wall")
     return _chamber_ids(p, rs)[0]
@@ -295,10 +327,7 @@ def enumerate_discrete_series(
         raise ValidationError("bound must be nonnegative")
     if not pair.equal_rank or pair.parity == 1:
         return []
-    check_materializable(pair.g)  # the chamber ids need W: refuse before the box
     rows, pairings, den = _lattice_box(pair, bound)
-    if not len(rows):
-        return []  # no chamber to look up: W is not materialized
     form = pair.g.integral
     norm = np.einsum("ij,jk,ik->i", rows, form.gram, rows)
     order = np.lexsort((*rows.T[::-1], rows.sum(axis=1), norm))

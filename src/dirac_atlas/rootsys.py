@@ -30,9 +30,12 @@ weight with the simple coroots once and then reflect on those pairings
 (IntegralForm.cartan_rows); make_dominant is cached, bounded like
 weyl_orbit. Weyl group and orbit orders are closed-form
 in the root heights (Macdonald): |W x| for a dominant x is the product
-of (ht a + 1)/ht a over the positive roots a with (x, a) != 0, and a
-group over WEYL_MATERIALIZE_CAP is refused from its order. Fractions
-are made only for returned values, at the public API and JSON boundary.
+of (ht a + 1)/ht a over the positive roots a with (x, a) != 0.
+weyl_elements is a ranked order (WeylOrder): an element's breadth-first
+index is closed form too, from parabolic cosets and Poincare
+polynomials, and only reading elements builds the group, refused over
+WEYL_MATERIALIZE_CAP from its order. Fractions are made only for
+returned values, at the public API and JSON boundary.
 
 Everything here is immutable after construction and safe to share;
 all operations are pure functions.
@@ -40,6 +43,7 @@ all operations are pure functions.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
@@ -453,20 +457,6 @@ class RootSystem:
         compares equal to that row, so it finds the same entry."""
         return {r: j for j, r in enumerate(self.integral.root_rows)}
 
-    @functools.cached_property
-    def chambers(self) -> dict[bytes, int]:
-        """Weyl chamber ids keyed by sign pattern.
-
-        Element w (its index in weyl_elements) is keyed by the signs of
-        (w rho, a) over the positive roots a: one byte per root, 1 when
-        positive. A regular weight has the sign pattern of the chamber
-        it lies in, and w -> w rho is a bijection onto the chambers.
-        """
-        elems = np.array(weyl_elements(self), dtype=np.int64).reshape(-1, self.rank, self.rank)
-        rho_nums = np.array(self.integral.rho_coords[0], dtype=np.int64)
-        signs = (rho_nums @ elems) @ self.integral.fr > 0
-        return {row.tobytes(): idx for idx, row in enumerate(signs)}
-
     def coroot_pairing(self, x: Weight, i: int) -> Fraction:
         """<x, a_i^vee> = 2 (x, a_i) / (a_i, a_i) for the i-th simple root a_i."""
         p, den = self.integral.coroot_pairings(x)
@@ -695,20 +685,158 @@ def _in_sorted(keys: np.ndarray, pool: np.ndarray) -> np.ndarray:
     return found
 
 
-@functools.lru_cache(maxsize=None)
-def weyl_elements(rs: RootSystem) -> tuple[Matrix, ...]:
-    """All Weyl group elements as integer coordinate matrices.
+def _times_q_integer(coeffs: list[int], h: int) -> list[int]:
+    """The polynomial coeffs (coefficient k at index k) times 1 + q + ... + q^(h-1)."""
+    padded = coeffs + [0] * (h - 1)
+    out, run = [], 0
+    for k, c in enumerate(padded):
+        run += c - (padded[k - h] if k >= h else 0)
+        out.append(run)
+    return out
 
-    Breadth-first by word length with levels sorted lexicographically
-    (row-major), so the identity is index 0 and the longest element is
-    last. Each level is one batched integer product with the simple
+
+def _parabolic_orbit(i: int, depth: int, form: IntegralForm) -> dict[tuple[int, ...], tuple]:
+    """The points v of the orbit of omega_i under s_i, ..., s_{n-1} within
+    depth reflections of omega_i, in fundamental-weight coordinates.
+
+    Each maps to (d(v), the point it was reached from, the reflection
+    that reached it), d(v) its breadth-first distance. omega_i is
+    dominant for these reflections, so s_j moves a point one step
+    outwards exactly when its coordinate j, its coroot pairing, is > 0.
+    """
+    start = tuple(int(j == i) for j in range(len(form.simple_rows)))
+    found = {start: (0, None, None)}
+    frontier = [start]
+    for d in range(1, depth + 1):
+        nxt = []
+        for v in frontier:
+            for j in range(i, len(v)):
+                c = v[j]
+                if c > 0:
+                    img = tuple(a - c * r for a, r in zip(v, form.simple_rows[j]))
+                    if img not in found:
+                        found[img] = (d, v, j)
+                        nxt.append(img)
+        frontier = nxt
+    return found
+
+
+class WeylOrder:
+    """The Weyl group of rs in the order of weyl_elements, ranked without building it.
+
+    An element is an integer matrix m acting by x -> x @ m, so row i of m
+    is w(omega_i) in fundamental-weight coordinates. The order is
+    breadth-first by length, each length sorted by the rows (row-major
+    lexicographic): the identity is first and the longest element last.
+    len is weyl_group_order and index is closed form; iteration and
+    positional reads build the group (_materialize), refused over
+    WEYL_MATERIALIZE_CAP each time they are asked.
+    """
+
+    def __init__(self, rs: RootSystem):
+        self.rs = rs
+        self._poincare: dict[int, list[int]] = {}
+        self._built: Optional[tuple[Matrix, ...]] = None
+
+    def __len__(self) -> int:
+        return weyl_group_order(self.rs)
+
+    def __iter__(self):
+        return iter(self._elements())
+
+    def __getitem__(self, position):
+        return self._elements()[position]
+
+    def _elements(self) -> tuple[Matrix, ...]:
+        check_materializable(self.rs)
+        if self._built is None:
+            self._built = _materialize(self.rs)
+        return self._built
+
+    def _coefficient(self, j: int, k: int) -> int:
+        """Coefficient of q^k in the Poincare polynomial of the subgroup
+        generated by s_j, ..., s_{n-1}.
+
+        Its positive roots are those with no simple root below j, and with
+        N_h of them at height h the polynomial is the product over h >= 2 of
+        (1 + q + ... + q^(h-1))^(N_{h-1} - N_h), which is the product of
+        (1 - q^(ht a + 1))/(1 - q^(ht a)) over them (Macdonald).
+        """
+        if j not in self._poincare:
+            form = self.rs.integral
+            inside = ~(form.fr[:j] != 0).any(axis=0)
+            count = collections.Counter(h for h, keep in zip(form.heights, inside.tolist()) if keep)
+            coeffs = [1]
+            for h in range(2, max(count, default=0) + 2):
+                for _ in range(count[h - 1] - count[h]):
+                    coeffs = _times_q_integer(coeffs, h)
+            self._poincare[j] = coeffs
+        poly = self._poincare[j]
+        return poly[k] if k < len(poly) else 0
+
+    def index(self, m) -> int:
+        """Position of the element m (an n x n integer matrix), without building W.
+
+        Let L = l(w) and W_i the subgroup generated by s_i, ..., s_{n-1}. The
+        elements that agree with w on omega_0, ..., omega_{i-1} form the
+        coset w W_i; let p be its shortest element. For v in the W_i-orbit
+        of omega_i, the elements u of that coset with u(omega_i) = p(v) and
+        l(u) = L number the coefficient of q^(L - l(p) - d(v)) in the
+        Poincare polynomial of W_{i+1}, with d(v) the breadth-first distance
+        of v from omega_i. The index is the number of elements shorter than
+        w plus these counts, over each i and each v with p(v) <lex w(omega_i);
+        then p becomes p x, for x the shortest element taking omega_i to the
+        v with p(v) = w(omega_i) (Humphreys, Reflection Groups and Coxeter
+        Groups, 1.10-1.11; Bjorner-Brenti 2.4). No point with d(v) > L - l(p)
+        adds a term, so each orbit search stops at that depth, and the
+        identity needs no search and no polynomial.
+
+        This needs fundamental-weight coordinates; on a subsystem, whose
+        simple coroots are not the coordinate dual basis, m is looked up
+        in the built group.
+        """
+        form = self.rs.integral
+        rows = np.asarray(m, dtype=np.int64)
+        if not np.array_equal(form.coroots, np.eye(self.rs.rank, dtype=np.int64)):
+            return self._elements().index(tuple(map(tuple, rows.tolist())))
+        # l(w) counts the positive roots a with (w rho, a) < 0
+        length = int((np.array(form.rho_coords[0]) @ rows @ form.fr < 0).sum())
+        index = sum(self._coefficient(0, k) for k in range(length))
+        p, p_length = np.eye(self.rs.rank, dtype=np.int64), 0
+        for i, target in enumerate(rows.tolist()):
+            orbit = _parabolic_orbit(i, length - p_length, form)
+            hit = None
+            for v, image in zip(orbit, (np.array(list(orbit)) @ p).tolist()):
+                if image < target:
+                    index += self._coefficient(i + 1, length - p_length - orbit[v][0])
+                elif image == target:
+                    hit = v
+            if hit is None:
+                raise ValueError("the matrix is not an element of the Weyl group")
+            p_length += orbit[hit][0]
+            # p <- p x: x's reflections, applied last first, each left-multiply p's matrix
+            while orbit[hit][1] is not None:
+                _, hit, j = orbit[hit]
+                p[j] -= form.simple[j] @ p
+        return index
+
+
+@functools.lru_cache(maxsize=None)
+def weyl_elements(rs: RootSystem) -> WeylOrder:
+    """The Weyl group of rs as a WeylOrder: its length and each element's
+    index in closed form, its elements built only when read."""
+    return WeylOrder(rs)
+
+
+def _materialize(rs: RootSystem) -> tuple[Matrix, ...]:
+    """All Weyl group elements as integer coordinate matrices, in WeylOrder's order.
+
+    Each level is one batched integer product with the simple
     reflections; since a simple reflection changes the length by
     exactly one, a level's products are the next level plus elements
     of the previous one. Entries are Python ints, equal to the exact
-    rationals they stand for. A group over the materialization cap is
-    refused before the search (check_materializable).
+    rationals they stand for.
     """
-    check_materializable(rs)
     n = rs.rank
     gens = _simple_reflections(rs)
     level = _row_keys(np.eye(n, dtype=np.int64).reshape(1, n * n))

@@ -4,10 +4,11 @@ refusal comes before the work it protects (ROADMAP item 14).
 A source scan lists the module-level *_CAP constants; each must have an
 entry in CAPS. An entry names either a sentinel test of this file or
 the ROADMAP item that owns the cap until it has one. A sentinel test
-runs an input just over the cap through cli.main while the kernel the
-cap protects is replaced by a function that fails the test when called:
-the run must exit 2 with one stderr line. The input at the cap must
-still exit 0.
+runs an input just over the cap through cli.main, or through the library
+call that still reaches the kernel when no CLI request does, while the
+kernel the cap protects is replaced by a function that fails the test
+when called: the run must exit 2 with one stderr line, or the call raise
+the cap's error. The input at the cap must still succeed.
 """
 
 import ast
@@ -17,15 +18,16 @@ from pathlib import Path
 
 import pytest
 
-from dirac_atlas import dirac, repring, rootsys
+from dirac_atlas import repring, rootsys
 from dirac_atlas.cli import EXIT_OK, EXIT_VALIDATION, main
+from dirac_atlas.errors import DeskScaleError
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dirac_atlas"
 
 # (module, cap) -> its sentinel test in this file, or the item that owns it
 CAPS = {
     ("rootsys", "RANK_CAP"): "test_rank_cap_refuses_before_the_roots",
-    ("rootsys", "WEYL_MATERIALIZE_CAP"): "test_weyl_cap_refuses_ds_enumerate_before_the_group_and_the_box",
+    ("rootsys", "WEYL_MATERIALIZE_CAP"): "test_weyl_cap_refuses_iterating_e7_before_any_reflection_product",
     ("rootsys", "LATTICE_BOX_CAP"): "open: items 13 and 14",
     ("dirac", "ENUMERATION_OUTPUT_CAP"): "open: items 13 and 14",
     ("repring", "SUPPORT_CAP"): "owned by items 6 and 14: spin info is still refused from inside product",
@@ -94,42 +96,40 @@ def test_rank_cap_admits_rank_22(capsys):
 
 @pytest.fixture(scope="module")
 def exceptional_catalog(tmp_path_factory):
-    """A catalog of the compact E6 (|W| = 51 840) and E7 (|W| = 2 903 040) pairs."""
+    """A catalog of the compact E6 pair (|W| = 51 840)."""
     path = tmp_path_factory.mktemp("caps") / "exceptional.json"
-    pairs = {name: {"cartan": cartan, "compact": "all"} for name, cartan in (("compact_e6", "E6"), ("compact_e7", "E7"))}
+    pairs = {"compact_e6": {"cartan": "E6", "compact": "all"}}
     path.write_text(json.dumps({"version": 1, "pairs": pairs}))
     return str(path)
 
 
-def test_weyl_cap_refuses_ds_enumerate_before_the_group_and_the_box(capsys, monkeypatch, exceptional_catalog):
-    monkeypatch.setattr(rootsys, "weyl_elements", _sentinel("weyl_elements"))
-    monkeypatch.setattr(dirac, "_lattice_box", _sentinel("_lattice_box"))
-    argv = ["ds", "enumerate", "--pair", "compact_e7", "--bound", "4", "--catalog", exceptional_catalog]
-    code, out, err = _run(capsys, argv)
-    assert (code, out) == (EXIT_VALIDATION, "")
-    assert err == f"error: Weyl group exceeds the materialization cap {rootsys.WEYL_MATERIALIZE_CAP}\n"
+def test_weyl_cap_refuses_iterating_e7_before_any_reflection_product(monkeypatch):
+    # no CLI request builds W: only iterating or indexing weyl_elements does
+    monkeypatch.setattr(rootsys, "_materialize", _sentinel("_materialize"))
+    order = rootsys.weyl_elements(rootsys.build_root_system(rootsys.parse_cartan("E7")))
+    for read in (iter, lambda o: o[-1]):
+        with pytest.raises(DeskScaleError) as refused:
+            read(order)
+        assert str(refused.value) == f"Weyl group exceeds the materialization cap {rootsys.WEYL_MATERIALIZE_CAP}"
 
 
 def test_weyl_cap_admits_e6(capsys, monkeypatch, exceptional_catalog):
-    materialized = []
-    weyl_elements = rootsys.weyl_elements
-
-    def spy(rs):
-        materialized.append(rs.cartan)
-        return weyl_elements(rs)
-
-    monkeypatch.setattr(rootsys, "weyl_elements", spy)
-    # an empty enumeration looks up no chamber, so it leaves W unbuilt
+    e6 = rootsys.weyl_elements(rootsys.build_root_system(rootsys.parse_cartan("E6")))
+    monkeypatch.setattr(rootsys, "WEYL_MATERIALIZE_CAP", 51_840)
+    assert sum(1 for _ in e6) == len(e6) == 51_840
+    monkeypatch.setattr(rootsys, "WEYL_MATERIALIZE_CAP", 51_839)
+    with pytest.raises(DeskScaleError, match="materialization cap 51839"):
+        iter(e6)
+    # ds requests on E6 rank their chambers without reading an element of W
+    monkeypatch.setattr(rootsys.WeylOrder, "_elements", _sentinel("WeylOrder._elements"))
     argv = ["ds", "enumerate", "--pair", "compact_e6", "--bound", "6", "--catalog", exceptional_catalog]
     code, out, err = _run(capsys, argv)
     assert (code, err) == (EXIT_OK, "")
     assert json.loads(out)["pair"] == "compact_e6" and json.loads(out)["count"] == 0
-    assert materialized == []
     argv = ["ds", "induct", "--pair", "compact_e6", "--hw", "0,0,0,0,0,0", "--catalog", exceptional_catalog]
     code, out, err = _run(capsys, argv)
     assert (code, err) == (EXIT_OK, "")
     assert json.loads(out)["parameter"]["chamber_id"] == 0
-    assert [str(c) for c in materialized] == ["E6"]
 
 
 # E7 labels: the 56 is minuscule (its support is its orbit), and the

@@ -8,6 +8,7 @@ character dimension from the independent Freudenthal path.
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from dirac_atlas.dirac import (
@@ -367,7 +368,7 @@ def test_chamber_lookup_matches_linear_scan(name):
         systems += [(pair.k, pair.k), (scaled.k, pair.k)]
     for rs, unscaled in systems:
         elems = weyl_elements_bfs(unscaled)
-        assert weyl_elements(rs) == elems
+        assert tuple(weyl_elements(rs)) == elems
         # a strictly dominant weight off the rho line, moved into every chamber
         dom = wadd(rs.rho, make_dominant(weight([1] + [0] * (rs.rank - 1)), rs))
         for idx, m in enumerate(elems):
@@ -378,6 +379,25 @@ def test_chamber_lookup_matches_linear_scan(name):
         for lam in grid:
             if is_regular(lam, pair.g):
                 assert chamber_of(lam, pair.g) == chamber_scan(lam, pair.g)
+
+
+def sign_pattern_chambers(rs):
+    """Chamber ids keyed by sign pattern, from the built group: element w
+    (its position) is keyed by the signs of (w rho, a) over the positive
+    roots a, one byte per root, 1 when positive."""
+    elems = np.array(list(weyl_elements(rs)), dtype=np.int64).reshape(-1, rs.rank, rs.rank)
+    signs = (np.array(rs.integral.rho_coords[0], dtype=np.int64) @ elems) @ rs.integral.fr > 0
+    return {row.tobytes(): idx for idx, row in enumerate(signs)}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_ranked_chamber_ids_match_the_sign_pattern_lookup(name):
+    pair = get_pair(name)
+    for rs in (pair.g, pair.k):
+        lookup = sign_pattern_chambers(rs)
+        for m in weyl_elements(rs):
+            lam = apply_matrix(m, rs.rho)
+            assert chamber_of(lam, rs) == lookup[(np.array(rs.integral.pairings(lam)[0]) > 0).tobytes()]
 
 
 A2 = build_root_system(parse_cartan("A2"))

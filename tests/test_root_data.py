@@ -17,13 +17,14 @@ from hypothesis import strategies as st
 
 import fraction_oracles as oracle
 from dirac_atlas._linalg import bareiss_solve
-from dirac_atlas.cli import EXIT_VALIDATION, main
+from dirac_atlas.cli import EXIT_OK, main
 from dirac_atlas.dirac import enumerate_discrete_series
 from dirac_atlas.errors import DeskScaleError, ValidationError
 from dirac_atlas.jsonutil import vec_str
 from dirac_atlas.repring import weyl_dimension
 from dirac_atlas.rootsys import (
     WEYL_MATERIALIZE_CAP,
+    WeylOrder,
     build_root_system,
     fw_to_simple_coords,
     parse_cartan,
@@ -258,13 +259,15 @@ def hermitian(tmp_path_factory):
     return str(path), {n: pair for n, (pair, _) in pairs.items()}
 
 
-def test_over_cap_weyl_groups_are_refused_before_any_work(hermitian, capsys):
+def test_ds_on_over_cap_weyl_groups_reads_no_weyl_element(hermitian, capsys, monkeypatch):
     path, pairs = hermitian
     load_catalog(path)
     message = f"Weyl group exceeds the materialization cap {WEYL_MATERIALIZE_CAP}"
-    for name, pair in pairs.items():
+    for pair in pairs.values():
         with pytest.raises(DeskScaleError, match=message):
-            weyl_elements(pair.g)
+            iter(weyl_elements(pair.g))
+    monkeypatch.setattr(WeylOrder, "_elements", _never_read)
+    for name, pair in pairs.items():
         # rho_g - rho_K is K-dominant and integral, and its parameter rho_g is regular
         hw = ",".join(str(1 - c) for c in pair.k.rho)
         enumerate_argv = ["ds", "enumerate", "--pair", name, "--bound", "4"]
@@ -273,12 +276,18 @@ def test_over_cap_weyl_groups_are_refused_before_any_work(hermitian, capsys):
             code = main([*argv, "--catalog", path])
             elapsed = time.perf_counter() - start
             out, err = capsys.readouterr()
-            assert code == EXIT_VALIDATION, (argv, err)
-            assert out == "" and len(err.strip().splitlines()) == 1 and message in err, argv
+            assert (code, err) == (EXIT_OK, ""), argv
             assert elapsed < 0.5, (argv, elapsed)
+            if argv is enumerate_argv:
+                assert json.loads(out)["count"] == 0  # (lambda, lambda) >= (rho, rho) > 4
+            else:
+                assert json.loads(out)["parameter"]["chamber_id"] == 0
 
 
-def test_weyl_cap_is_checked_before_the_lattice_box(hermitian):
-    # over both caps: the W message comes first
-    with pytest.raises(DeskScaleError, match="Weyl group exceeds"):
+def _never_read(order):
+    pytest.fail(f"an element of the Weyl group of {order.rs.cartan} was read")
+
+
+def test_ds_enumerate_on_e8_meets_the_lattice_box_cap(hermitian):
+    with pytest.raises(DeskScaleError, match="enumeration box exceeds the cap"):
         enumerate_discrete_series(hermitian[1]["e8h"], 10**9)

@@ -7,14 +7,17 @@ algorithm under test.
 
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.liealgebras.cartan_type import CartanType as SympyCartanType
 from sympy.liealgebras.weyl_group import WeylGroup
 
+from dirac_atlas import rootsys
 from dirac_atlas.errors import DeskScaleError, ValidationError
 from dirac_atlas.rootsys import (
     ORBIT_CACHE_SIZE,
@@ -253,9 +256,9 @@ RANK_4_TYPES = [
 @pytest.mark.parametrize("name", RANK_4_TYPES)
 def test_weyl_elements_match_fraction_bfs(name):
     rs = build_root_system(parse_cartan(name))
-    elems = weyl_elements(rs)
+    elems = tuple(weyl_elements(rs))
     assert elems == weyl_elements_bfs(rs)
-    assert weyl_group_order(rs) == len(elems)
+    assert weyl_group_order(rs) == len(elems) == len(weyl_elements(rs))
 
 
 SYMPY_TYPES = (
@@ -349,8 +352,58 @@ def test_cartan_rows_are_the_pairings_of_the_simple_roots():
 
 
 def test_weyl_materialization_cap_still_refuses():
+    order = weyl_elements(build_root_system(parse_cartan("E7")))
     with pytest.raises(ValidationError, match="materialization cap"):
-        weyl_elements(build_root_system(parse_cartan("E7")))
+        iter(order)
+    with pytest.raises(ValidationError, match="materialization cap"):
+        order[0]
+
+
+def _cartan_types_up_to_rank(top):
+    """Every Cartan type of total rank <= top, as a product of simple factors in sorted order."""
+    simple = [f"{fam}{n}" for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, top + 1)]
+    simple += [name for name in ("G2", "F4") if int(name[1]) <= top]
+    out = []
+    for k in range(1, top + 1):
+        for combo in itertools.combinations_with_replacement(sorted(simple), k):
+            if sum(int(name[1:]) for name in combo) <= top:
+                out.append("x".join(combo))
+    return out
+
+
+@pytest.mark.parametrize("name", _cartan_types_up_to_rank(4))  # F4 and A1xB2 among them
+def test_ranked_index_is_the_materialized_position(name):
+    rs = build_root_system(parse_cartan(name))
+    order = weyl_elements(rs)
+    assert [order.index(m) for m in order] == list(range(len(order)))
+
+
+def test_ranked_index_on_a_seeded_e6_sample():
+    order = weyl_elements(build_root_system(parse_cartan("E6")))
+    elems = tuple(order)
+    for position in random.Random(27).sample(range(len(elems)), 3000):
+        assert order.index(elems[position]) == position
+
+
+def test_ranked_index_refuses_a_matrix_outside_w():
+    order = weyl_elements(build_root_system(parse_cartan("A2")))
+    with pytest.raises(ValueError, match="not an element"):
+        order.index([[1, 1], [0, 1]])
+
+
+@pytest.mark.parametrize("name", ["A1", "G2", "F4", "E6", "E7", "E8", "B3xG2"])
+def test_weyl_order_length_and_ends_without_materializing(name, monkeypatch):
+    monkeypatch.setattr(rootsys, "_materialize", _never_materialize)
+    rs = build_root_system(parse_cartan(name))
+    order = weyl_elements(rs)
+    assert len(order) == weyl_group_order(rs)
+    assert order.index(np.eye(rs.rank, dtype=np.int64)) == 0
+    if name != "E6":  # -1 is the longest element, unless a factor is A_n (n > 1), D_odd or E6
+        assert order.index(-np.eye(rs.rank, dtype=np.int64)) == len(order) - 1
+
+
+def _never_materialize(rs):
+    pytest.fail(f"the Weyl group of {rs.cartan} was built")
 
 
 def test_weyl_enumeration_ends_with_longest_element():

@@ -5,7 +5,11 @@ and perfbench/tracer.py the methods it wraps (METHODS); the tracer wraps
 public, module-level, non-generator callables of each dirac_atlas layer
 and reads cache_info of the two Weyl caches. A refactor that renames,
 hides or moves one of them breaks `run.py --trace 1`; these tests fail
-first.
+first. So does a traced function that the streams stop calling: the
+classify stream's ds requests reach rootsys.weyl_elements, and the
+characters and labs streams reach it only through their sl2r ds
+requests, so those requests must call it through the module attribute
+that the tracer replaces.
 """
 
 import ast
@@ -14,6 +18,9 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from dirac_atlas import rootsys
+from dirac_atlas.cli import EXIT_OK, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -58,3 +65,28 @@ def test_weyl_caches_expose_cache_info(name):
     fn = getattr(importlib.import_module("dirac_atlas.rootsys"), name)
     info = fn.cache_info()
     assert info.hits >= 0 and info.misses >= 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ds", "induct", "--pair", "sl2r", "--hw", "3/2"],
+        ["ds", "enumerate", "--pair", "sl2r", "--bound", "10"],
+        ["ds", "induct", "--pair", "compact_f4", "--hw", "1,0,0,0"],
+    ],
+)
+def test_ds_requests_call_weyl_elements_and_read_no_element(argv, monkeypatch, capsys):
+    calls = []
+    weyl_elements = rootsys.weyl_elements
+
+    def spy(rs):
+        calls.append(rs.cartan)
+        return weyl_elements(rs)
+
+    def never(order):
+        pytest.fail(f"an element of the Weyl group of {order.rs.cartan} was read")
+
+    monkeypatch.setattr(rootsys, "weyl_elements", spy)
+    monkeypatch.setattr(rootsys.WeylOrder, "_elements", never)
+    assert main(argv) == EXIT_OK
+    assert calls, argv

@@ -60,6 +60,11 @@ def _row(argv: str, exit: int, owner: int, sha256: str) -> Row:
 # E8 3875 (x) 3875, which it refused with exit 2 after building the
 # product, and the E7 row, whose smaller factor has 98 157 weights, the
 # largest support found under SUPPORT_CAP. Brauer-Klimyk admits both.
+# The last three ds rows were recorded when chamber ids came to be ranked
+# without building W (item 18): before, every ds request on an E7 or E8
+# pair exited 2 from WEYL_MATERIALIZE_CAP. Bound 4 is the largest that the
+# lattice box admits on compact E8, and it holds no parameter; the e7h
+# K-type lies in chamber 881 303, a breadth-first position of length 27.
 ROWS = (
     _row("rep tensor --type D4 --hw 2,2,2,2 --hw2 2,2,2,2", 0, 2,
          "62e46d9ae285409ee4a5510e69eb37e81622827d61ded9938636965bb3e0eb3f"),
@@ -88,7 +93,12 @@ ROWS = (
          "ce3e0882c011ad5915ebbd4ea325c0bf61b5e8adeab4c9802b304dc330c27039"),
     _row("ds induct --pair compact_e6 --hw 0,0,0,0,0,0 --catalog pairs.json", 0, 18,
          "7723197fc328b8e88f3cf2001aa0302af81a81e751124931e79f60961085b713"),
-    _row("ds induct --pair compact_e8 --hw 0,0,0,0,0,0,0,0 --catalog pairs.json", 2, 18, EMPTY),
+    _row("ds induct --pair compact_e8 --hw 0,0,0,0,0,0,0,0 --catalog pairs.json", 0, 18,
+         "66290de97765e5aac9a0772de8c0217534f2499033fbe446c40821313dec9a87"),
+    _row("ds enumerate --pair compact_e8 --bound 4 --catalog pairs.json", 0, 18,
+         "dde814decc8ed958346fcb2503f9fba5f870b7c9a0aed1f42eeea58cc07ad52c"),
+    _row("ds induct --pair e7h --hw 0,0,0,0,0,0,-9 --catalog pairs.json", 0, 18,
+         "836aca86b94571d9b6669ea1dff3f2504f70fd4c7eb1a6edcdaaea09c3178950"),
     _row("rd probe-unconditional --group f2 --seed 1", 0, 4,
          "2373c29504a689a09de8c1355b54a9df22efd3a0ddcd33593e032b55c318e8dd"),
     _row("rd norms --group z --radius 200000 --s 1 --input zf.json", 0, 4,
