@@ -5,8 +5,12 @@ a fixed ambient root system (the system of K, possibly a subsystem of a
 larger one sharing its coordinates). It keys its weights by integer
 numerator tuples over one denominator (1 on standalone types, 2 for the
 half-integral weights of spin modules), so sums, products, the
-Weyl-invariance check and the decomposition run on integers; Fraction
-weights are made only where a caller reads them. Irreducible characters
+Weyl-invariance check and the decomposition run on integers. The
+rootsys kernels make_dominant and weyl_orbit take and return the same
+numerator tuples over the caller's denominator (W acts linearly), so
+they are called with no conversion; Fraction weights are made only
+where a caller reads them: terms, dominant_multiplicities, decompose's
+labels and error messages. Irreducible characters
 come from highest weights via the Freudenthal multiplicity recursion, run on
 integer numerators over one denominator: the dominant weights are found
 by descent from the highest weight, each multiplicity is computed once
@@ -43,7 +47,6 @@ from .rootsys import (
     Weight,
     _bilinear,
     _dots,
-    _orbit_numerators,
     check_dim,
     check_dominant_integral,
     grlex_key,
@@ -214,10 +217,11 @@ def _dominant_multiplicities(mu: Weight, rs: RootSystem) -> tuple[int, dict]:
     and rho. With L the scale of rs.integral, x @ fr is L D (lambda, a)
     for every positive root a at once, and each step of a root string
     adds D L (a, a). The dominant representative of each lambda + t a
-    comes from make_dominant, shared across tables, bounded: dom_of
-    asks it once per distinct weight of this table (and is freed on
-    return, so one large table cannot thrash make_dominant's cache),
-    and the cache answers the weights that other tables asked for. The
+    comes from make_dominant on its numerators over D, shared across
+    tables, bounded: dom_of asks it once per distinct weight of this
+    table (and is freed on return, so one large table cannot thrash
+    make_dominant's cache), and the cache answers the weights that
+    other tables asked for. The
     final division of the recursion is checked to be exact and positive.
     Returns (d, table): d is the LCD of mu, and table maps the
     numerators over d of each dominant weight to its multiplicity
@@ -267,16 +271,14 @@ def _dominant_multiplicities(mu: Weight, rs: RootSystem) -> tuple[int, dict]:
                 p += inc
                 dom = dom_of.get(nu)
                 if dom is None:
-                    # over den 1 the numerators are the weight, and key make_dominant's cache alike
-                    w = nu if den == 1 else tuple(Fraction(c, den) for c in nu)
-                    dom = dom_of[nu] = _numerators(make_dominant(w, rs), den)
+                    dom = dom_of[nu] = make_dominant(nu, rs)
                 m = mult.get(dom)
                 if m is None:
                     break
                 acc += m * p
         num, gap = 2 * den * acc, top_norm - norm(lam)
         if gap <= 0 or num <= 0 or num % gap:
-            raise AssertionError(f"Freudenthal recursion broke at {vec_str(tuple(Fraction(c, den) for c in lam))}")
+            raise AssertionError(f"Freudenthal recursion broke at {vec_str(_fractions(lam, den))}")
         mult[lam] = num // gap
     f = den // mu_den
     return mu_den, {tuple(c // f for c in lam): m for lam, m in mult.items()}
@@ -302,14 +304,9 @@ def irr_character(mu, kk: RootSystem) -> VirtualCharacter:
     hw = highest_weight(mu, kk)
     _check_support(orbit_size(hw, kk), f"the Weyl orbit of {vec_str(hw)}")
     den, table = _dominant_multiplicities(hw, kk)
-    dominant = [(_fractions(lam, den), m) for lam, m in table.items()]
-    _check_support(sum(orbit_size(lam, kk) for lam, _ in dominant), f"the character of {vec_str(hw)}")
+    _check_support(sum(orbit_size(lam, kk) for lam in table), f"the character of {vec_str(hw)}")
     # den is the LCD of hw, which lies in the support
-    nums = {}
-    for lam, m in dominant:
-        for w in weyl_orbit(lam, kk):
-            nums[_numerators(w, den)] = m
-    return VirtualCharacter(kk, nums, den)
+    return VirtualCharacter(kk, {w: m for lam, m in table.items() for w in weyl_orbit(lam, kk)}, den)
 
 
 def dimension(chi: VirtualCharacter) -> int:
@@ -351,17 +348,21 @@ def product(a: VirtualCharacter, b: VirtualCharacter) -> VirtualCharacter:
 
 
 def is_weyl_invariant(chi: VirtualCharacter) -> bool:
-    """True iff every Weyl orbit meets the support with one multiplicity."""
-    form = chi.ambient.integral
+    """True iff every Weyl orbit meets the support with one multiplicity.
+
+    Each orbit is read from its dominant weight, so on a character that
+    irr_character has built the orbits come from weyl_orbit's cache.
+    """
+    rs = chi.ambient
     nums = chi.nums
     seen: set[tuple[int, ...]] = set()
     for w, m in nums.items():
         if w in seen:
             continue
-        orbit = _orbit_numerators(w, form)
+        orbit = weyl_orbit(make_dominant(w, rs), rs)
         if any(nums.get(o) != m for o in orbit):
             return False
-        seen |= orbit
+        seen.update(orbit)
     return True
 
 
@@ -410,9 +411,7 @@ def decompose(chi: VirtualCharacter, tensor_with=None) -> list[tuple[IrrLabel, i
     found: dict[tuple[int, ...], int] = {}
     for x, m, keep, neg in zip(xs.tolist(), chi.nums.values(), regular.tolist(), odd.tolist()):
         if keep:
-            # over den 1 the numerators are the weight, and key make_dominant's cache alike
-            x = tuple(x) if den == 1 else _fractions(x, den)
-            dom = _numerators(make_dominant(x, rs), den)
+            dom = make_dominant(tuple(x), rs)
             found[dom] = found.get(dom, 0) + (-m if neg else m)
     parts = [(tuple(map(operator.sub, dom, rho)), c) for dom, c in found.items() if c]
     parts.sort(key=lambda t: grlex_key(t[0]))

@@ -1,8 +1,10 @@
 """Exact root systems, weight lattices and Weyl groups.
 
-Weights are given and returned as tuples of Fractions in the
-simple-root-dual basis: the i-th coordinate of a weight x is the coroot
-pairing 2(x, a_i)/(a_i, a_i) against the i-th simple root of the
+Weights are given and returned as tuples of Fractions, except at the
+two orbit kernels make_dominant and weyl_orbit, which take and return
+integer numerator tuples over the caller's denominator. Coordinates are
+in the simple-root-dual basis: the i-th coordinate of a weight x is the
+coroot pairing 2(x, a_i)/(a_i, a_i) against the i-th simple root of the
 ambient system. In that basis the i-th simple root is the i-th row of
 the Cartan matrix, rho is (1,...,1), dominance is coordinate-wise
 nonnegativity, and the integral weight lattice is Z^n. Half-integral
@@ -23,12 +25,14 @@ build_root_system, subsystem and rescale_form make through one
 constructor. Its Fraction simple_roots, positive_roots, form and rho
 are views derived from those on first use. A weight enters
 as integer numerators over one denominator, after the one length check
-(check_dim); inner, coroot_pairing, is_dominant, make_dominant,
-weyl_orbit, regularity, Weyl-group materialization and chamber lookup
-are integer computations. make_dominant and the orbit search pair a
-weight with the simple coroots once and then reflect on those pairings
-(IntegralForm.cartan_rows); make_dominant is cached, bounded like
-weyl_orbit. Weyl group and orbit orders are closed-form
+(check_dim); inner, coroot_pairing, is_dominant, regularity, Weyl-group
+materialization and chamber lookup are integer computations.
+make_dominant and weyl_orbit never see the denominator: W acts
+linearly, so the dominant representative and the orbit of nums / den
+are those of nums, over den. Both pair the numerators with the simple
+coroots once and then reflect on those pairings
+(IntegralForm.cartan_rows), and both are cached, bounded by
+ORBIT_CACHE_SIZE. Weyl group and orbit orders are closed-form
 in the root heights (Macdonald): |W x| for a dominant x is the product
 of (ht a + 1)/ht a over the positive roots a with (x, a) != 0.
 weyl_elements is a ranked order (WeylOrder): an element's breadth-first
@@ -74,10 +78,11 @@ LATTICE_BOX_CAP = 5_000_000
 # and A60 35 s, and a catalog cartan that size stalls spin and ds too.
 RANK_CAP = 22
 # Orbits kept by weyl_orbit's cache, and dominant representatives kept
-# by make_dominant's. A stream of about a hundred rep requests asks for
-# under 200 distinct orbits and about 800-1 100 distinct weights to make
-# dominant; this keeps every one of them and still bounds a long-lived
-# process.
+# by make_dominant's. A stream of about a hundred rep requests, with
+# is_weyl_invariant reading each orbit through both kernels, makes
+# 220-230 weyl_orbit calls on 63-65 distinct orbits and 850-900
+# make_dominant calls on 530-550 distinct weights; this keeps every one
+# of them and still bounds a long-lived process.
 ORBIT_CACHE_SIZE = 4096
 
 
@@ -578,32 +583,42 @@ def check_dominant_integral(x: Weight, rs: RootSystem, what: str) -> None:
 
 
 @functools.lru_cache(maxsize=ORBIT_CACHE_SIZE)
-def make_dominant(x: Weight, rs: RootSystem) -> Weight:
-    """The dominant representative of the Weyl orbit of x.
+def make_dominant(nums: tuple[int, ...], rs: RootSystem) -> tuple[int, ...]:
+    """The dominant representative of the Weyl orbit of nums / den, as
+    numerators over the same den.
 
-    x is paired with the simple coroots once; each reflection then
-    updates the numerators and the pairings together (see IntegralForm).
-    Cached: Freudenthal tables ask again for the weights on their root
-    strings, and repeated tensor requests for the same shifted weights
-    in decompose. An integral x may come as an int tuple, which keys
-    equal to its Fraction tuple; the result is Fractions either way.
+    nums are the integer numerators of a weight over the caller's
+    positive denominator; W acts linearly, so the denominator never
+    enters. nums is paired with the simple coroots once; each reflection
+    then updates the numerators and the pairings together (see
+    IntegralForm). Cached: Freudenthal tables ask again for the weights
+    on their root strings, is_weyl_invariant for the weights of a
+    character, and repeated tensor requests for the same shifted weights
+    in decompose.
     """
     form = rs.integral
-    nums, den = form.coords(x)
+    check_dim(nums, len(form.gram))
     pairs = _dots(nums, form.coroot_columns)
     while True:
         i = next((i for i, p in enumerate(pairs) if p < 0), None)
         if i is None:
-            return tuple(Fraction(c, den) for c in nums)
+            return nums
         c = pairs[i]
         nums = tuple(a - c * r for a, r in zip(nums, form.simple_rows[i]))
         pairs = tuple(p - c * r for p, r in zip(pairs, form.cartan_rows[i]))
 
 
-def _orbit_numerators(nums: tuple[int, ...], form: IntegralForm) -> set[tuple[int, ...]]:
-    """Weyl orbit of the weight with numerators nums (over any positive
-    denominator), by breadth-first search under the simple reflections,
-    carrying each weight's coroot pairings along."""
+@functools.lru_cache(maxsize=ORBIT_CACHE_SIZE)
+def weyl_orbit(nums: tuple[int, ...], rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """Orbit of nums / den under the simple reflections, as numerators
+    over the same den, sorted graded-lex.
+
+    Breadth-first search on the numerators, carrying each weight's
+    coroot pairings along; never materializes the group. Over one
+    positive denominator, numerators sort like the weights.
+    """
+    form = rs.integral
+    check_dim(nums, len(form.gram))
     seen = {nums}
     frontier = [(nums, _dots(nums, form.coroot_columns))]
     moves = tuple(zip(form.simple_rows, form.cartan_rows))
@@ -618,21 +633,7 @@ def _orbit_numerators(nums: tuple[int, ...], form: IntegralForm) -> set[tuple[in
                     seen.add(img)
                     nxt.append((img, tuple(p - c * r for p, r in zip(pairs, row))))
         frontier = nxt
-    return seen
-
-
-@functools.lru_cache(maxsize=ORBIT_CACHE_SIZE)
-def weyl_orbit(x: Weight, rs: RootSystem) -> tuple[Weight, ...]:
-    """Orbit of x under the simple reflections, sorted graded-lex.
-
-    Streams by breadth-first search on the numerators of x; never
-    materializes the group.
-    """
-    form = rs.integral
-    nums, den = form.coords(x)
-    # over one positive denominator, numerators sort like the weights
-    orbit = sorted(_orbit_numerators(nums, form), key=grlex_key)
-    return tuple(tuple(Fraction(c, den) for c in w) for w in orbit)
+    return tuple(sorted(seen, key=grlex_key))
 
 
 def apply_matrix(m: Matrix, x: Weight) -> Weight:

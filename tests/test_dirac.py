@@ -370,7 +370,7 @@ def test_chamber_lookup_matches_linear_scan(name):
         elems = weyl_elements_bfs(unscaled)
         assert tuple(weyl_elements(rs)) == elems
         # a strictly dominant weight off the rho line, moved into every chamber
-        dom = wadd(rs.rho, make_dominant(weight([1] + [0] * (rs.rank - 1)), rs))
+        dom = wadd(rs.rho, make_dominant((1,) + (0,) * (rs.rank - 1), rs))
         for idx, m in enumerate(elems):
             assert chamber_of(apply_matrix(m, dom), rs) == idx
     if pair.g.rank <= 2:

@@ -32,6 +32,7 @@ from dirac_atlas.repring import (
 from dirac_atlas.rootsys import (
     apply_matrix,
     build_root_system,
+    integer_coords,
     make_dominant,
     orbit_size,
     parse_cartan,
@@ -439,9 +440,15 @@ def test_decompose_errors_match_peel_oracle(name, data):
     # orbit sum of a dominant non-integral weight, plus an irreducible
     odd = _draw_label(data, rs, 2, half=True)
     assume(not _integral(odd, rs))
-    chi = char_from_terms(rs, {w: 1 for w in weyl_orbit(odd, rs)})
+    chi = char_from_terms(rs, {w: 1 for w in _orbit(odd, rs)})
     chi = chi + irr_character(wzero(rs.rank), rs).scaled(data.draw(st.integers(-2, 2)))
     assert _error_text(decompose, chi) == _error_text(oracle.decompose_peel, chi)
+
+
+def _orbit(mu, rs):
+    """The Weyl orbit of the Fraction weight mu, from weyl_orbit on its numerators."""
+    nums, den = integer_coords(mu)
+    return [tuple(F(c, den) for c in w) for w in weyl_orbit(nums, rs)]
 
 
 def _draw_character(data, rs, half):
@@ -493,6 +500,23 @@ def test_integer_characters_match_fraction_oracles(name, data):
     assert is_weyl_invariant(bumped) == oracle.is_weyl_invariant_orbits(bumped)
 
 
+@pytest.mark.parametrize(
+    "rs,mu,den",
+    [(build_root_system(parse_cartan("E6")), (0, 1, 0, 0, 0, 0), 1), (get_pair("sp4r").k, (3, F(1, 2)), 2)],
+    ids=["E6", "sp4r.k"],
+)
+def test_weyl_invariance_of_an_irreducible_reads_the_cached_orbits(rs, mu, den):
+    # one weyl_orbit call per dominant weight, each answered by the cache
+    # that irr_character filled
+    dominant = len(dominant_multiplicities(mu, rs))
+    chi = irr_character(mu, rs)
+    assert chi.den == den
+    before = weyl_orbit.cache_info()
+    assert is_weyl_invariant(chi)
+    after = weyl_orbit.cache_info()
+    assert (after.hits - before.hits, after.misses) == (dominant, before.misses)
+
+
 def test_decompose_reaches_make_dominant():
     # the kernel makes each regular x dominant through the cached
     # make_dominant, alone or with a tensor factor
@@ -540,7 +564,7 @@ def test_decompose_refuses_the_largest_non_integral_weight(name):
     odd = [mu for mu in (weight([F(k, 2)] * rs.rank) for k in (1, 3, 5)) if not _integral(mu, rs)]
     odd = [oracle.make_dominant(mu, rs) for mu in odd][:2]
     assert len(odd) == 2
-    chi = char_from_terms(rs, {w: 1 for mu in odd for w in weyl_orbit(mu, rs)})
+    chi = char_from_terms(rs, {w: 1 for mu in odd for w in _orbit(mu, rs)})
     assert _error_text(decompose, chi) == _error_text(oracle.decompose_peel, chi)
 
 

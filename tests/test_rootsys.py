@@ -193,10 +193,10 @@ def test_is_dominant_examples():
 def test_weyl_orbit_examples():
     a1 = build_root_system(parse_cartan("A1"))
     a2 = build_root_system(parse_cartan("A2"))
-    assert weyl_orbit(wzero(2), a2) == (wzero(2),)
-    alpha = a1.positive_roots[0]
+    assert weyl_orbit((0, 0), a2) == ((0, 0),)
+    alpha = a1.integral.root_rows[0]
     assert set(weyl_orbit(alpha, a1)) == {alpha, wneg(alpha)}
-    assert len(weyl_orbit(a2.rho, a2)) == 6
+    assert len(weyl_orbit((1, 1), a2)) == 6
 
 
 WEYL_ORDERS = {
@@ -234,8 +234,7 @@ def test_reflection_permutes_other_positives(name):
 )
 def test_orbit_size_divides_group_order(name, coords):
     rs = build_root_system(parse_cartan(name))
-    w = weight(coords)
-    assert weyl_group_order(rs) % len(weyl_orbit(w, rs)) == 0
+    assert weyl_group_order(rs) % len(weyl_orbit(tuple(coords), rs)) == 0
 
 
 def test_regular_iff_full_orbit():
@@ -243,8 +242,7 @@ def test_regular_iff_full_orbit():
     order = weyl_group_order(rs)
     for x in range(-2, 3):
         for y in range(-2, 3):
-            w = weight([x, y])
-            assert is_regular(w, rs) == (len(weyl_orbit(w, rs)) == order)
+            assert is_regular((x, y), rs) == (len(weyl_orbit((x, y), rs)) == order)
 
 
 RANK_4_TYPES = [
@@ -309,33 +307,37 @@ KERNEL_SYSTEMS.update(
 @pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
 def test_integer_kernels_match_fraction_oracle(name, data):
     rs = KERNEL_SYSTEMS[name]
-    half_integral = st.lists(st.integers(-5, 5).map(lambda k: F(k, 2)), min_size=rs.rank, max_size=rs.rank)
-    x = tuple(data.draw(half_integral))
-    y = tuple(data.draw(half_integral))
+    numerators = st.lists(st.integers(-5, 5), min_size=rs.rank, max_size=rs.rank)
+    # x and y are half-integral: numerators over 2
+    nums = tuple(data.draw(numerators))
+    x = tuple(F(c, 2) for c in nums)
+    y = tuple(F(c, 2) for c in data.draw(numerators))
     assert inner(x, y, rs) == oracle.inner(x, y, rs)
     for i in range(len(rs.simple_roots)):
         assert rs.coroot_pairing(x, i) == oracle.coroot_pairing(x, i, rs)
-    assert make_dominant(x, rs) == oracle.make_dominant(x, rs)
-    assert weyl_orbit(x, rs) == oracle.weyl_orbit(x, rs)
+    assert make_dominant(nums, rs) == wscale(2, oracle.make_dominant(x, rs))
+    assert weyl_orbit(nums, rs) == tuple(wscale(2, w) for w in oracle.weyl_orbit(x, rs))
 
 
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-@pytest.mark.parametrize("ints_first", [False, True])
+@pytest.mark.parametrize("doubled_first", [False, True])
 @pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
-def test_make_dominant_keys_int_and_fraction_weights_alike(name, ints_first, data):
-    # an integral weight as an int tuple keys make_dominant's cache like
-    # the equal Fraction tuple; either call order returns Fractions
+def test_orbit_kernels_are_linear_on_int_numerators(name, doubled_first, data):
+    # the kernels see numerators only: doubling the numerators (the same
+    # weight over twice the denominator) doubles the answer, in either
+    # call order from empty caches, and every answer is an int tuple
     rs = KERNEL_SYSTEMS[name]
-    ints = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=rs.rank, max_size=rs.rank)))
-    fracs = tuple(map(F, ints))
-    expected = oracle.make_dominant(fracs, rs)
+    nums = tuple(data.draw(st.lists(st.integers(-6, 6), min_size=rs.rank, max_size=rs.rank)))
+    doubled = tuple(2 * c for c in nums)
     make_dominant.cache_clear()
-    for x in (ints, fracs) if ints_first else (fracs, ints):
-        got = make_dominant(x, rs)
-        assert got == expected
-        assert all(type(c) is F for c in got)
-    assert make_dominant.cache_info().hits == 1
+    weyl_orbit.cache_clear()
+    got = {x: (make_dominant(x, rs), weyl_orbit(x, rs)) for x in ((doubled, nums) if doubled_first else (nums, doubled))}
+    (dom, orbit), (dom2, orbit2) = got[nums], got[doubled]
+    for w in (dom, dom2, *orbit, *orbit2):
+        assert all(type(c) is int for c in w)
+    assert dom2 == tuple(2 * c for c in dom)
+    assert orbit2 == tuple(tuple(2 * c for c in w) for w in orbit)
 
 
 def test_make_dominant_cache_is_bounded():
@@ -415,7 +417,7 @@ def test_weyl_enumeration_ends_with_longest_element():
 
 def test_make_dominant_lands_in_orbit():
     rs = build_root_system(parse_cartan("G2"))
-    w = weight([-3, 2])
+    w = (-3, 2)
     d = make_dominant(w, rs)
     assert is_dominant(d, rs)
     assert d in weyl_orbit(w, rs)
@@ -558,7 +560,7 @@ UP_TO_RANK_4 = [
 @pytest.mark.parametrize("name", UP_TO_RANK_4)
 def test_orbit_size_matches_orbit_count(name, data):
     rs = build_root_system(parse_cartan(name))
-    mu = weight(data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank)))
+    mu = tuple(data.draw(st.lists(st.integers(0, 2), min_size=rs.rank, max_size=rs.rank)))
     assert orbit_size(mu, rs) == len(weyl_orbit(mu, rs))
 
 
@@ -569,8 +571,7 @@ def test_orbit_size_matches_orbit_count(name, data):
 )
 def test_orbit_size_matches_orbit_count_on_e6(coords):
     rs = build_root_system(parse_cartan("E6"))
-    mu = weight(coords)
-    assert orbit_size(mu, rs) == len(weyl_orbit(mu, rs))
+    assert orbit_size(coords, rs) == len(weyl_orbit(coords, rs))
 
 
 def test_orbit_size_needs_a_dominant_weight():
